@@ -9,18 +9,34 @@
  * writer (common/json.hh, the same machine-readable surface the
  * BENCH_*.json artifacts and core::runResultToJson use), so CI can
  * archive kernel timings without parsing benchmark's console format.
+ *
+ * Benchmarks that label themselves with an output digest and run
+ * with --benchmark_repetitions=N (N >= 2) also get a "summary" entry:
+ * median and 95% CI of the mean over the repetitions, plus the
+ * digest. "bit_identical" is true when every repetition produced the
+ * same digest and, with --baseline=PATH (an earlier --json-out file),
+ * every digest matches the baseline's. The degree-ranking trajectory
+ * (BENCH_degree_rank_{before,after}.json) is
+ *
+ *     micro_kernels --benchmark_filter='VertexProfileBuild|MappingArtifacts' \
+ *         --benchmark_repetitions=7 [--baseline=BEFORE] --json-out=OUT
  */
 
+#include <cmath>
 #include <cstring>
 #include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <benchmark/benchmark.h>
 
 #include "alloc/allocator.hh"
+#include "common/hash.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "common/stats.hh"
 #include "alloc/dp.hh"
 #include "alloc/greedy_heap.hh"
 #include "common/rng.hh"
@@ -147,6 +163,62 @@ BM_StageCostModel(benchmark::State &state)
 }
 BENCHMARK(BM_StageCostModel);
 
+uint64_t
+hashWords(const std::vector<uint32_t> &words,
+          uint64_t seed = kFnv1aOffsetBasis)
+{
+    return fnv1a64({reinterpret_cast<const char *>(words.data()),
+                    words.size() * sizeof(uint32_t)},
+                   seed);
+}
+
+void
+BM_VertexProfileBuild(benchmark::State &state)
+{
+    const auto workload = gcn::Workload::paperDefault("products");
+    gcn::VertexProfile profile;
+    for (auto _ : state) {
+        profile =
+            gcn::VertexProfile::build(workload.dataset, workload.seed);
+        benchmark::DoNotOptimize(profile.degrees.data());
+    }
+    state.SetLabel(hexDigest64(hashWords(profile.degrees)));
+}
+BENCHMARK(BM_VertexProfileBuild);
+
+void
+BM_MappingArtifacts(benchmark::State &state)
+{
+    // isu:0 is index mapping with full updates (five of the six
+    // fig13 systems); isu:1 is interleaved mapping with adaptive-theta
+    // selective updating (GoPIM).
+    const auto workload = gcn::Workload::paperDefault("products");
+    const auto profile =
+        gcn::VertexProfile::build(workload.dataset, workload.seed);
+    gcn::ExecutionPolicy policy;
+    if (state.range(0) == 1) {
+        policy.mapStrategy = mapping::VertexMapStrategy::Interleaved;
+        policy.selectiveUpdate = true;
+    }
+    gcn::MappingArtifacts artifacts;
+    for (auto _ : state) {
+        artifacts = gcn::MappingArtifacts::build(profile, policy,
+                                                 workload.dataset, 64);
+        benchmark::DoNotOptimize(artifacts.epochUpdateSlots);
+    }
+    const std::string important(artifacts.important.begin(),
+                                artifacts.important.end());
+    char scalars[2 * sizeof(double)];
+    std::memcpy(scalars, &artifacts.epochUpdateSlots, sizeof(double));
+    std::memcpy(scalars + sizeof(double), &artifacts.updateFraction,
+                sizeof(double));
+    uint64_t digest = hashWords(artifacts.assignment.groupOf);
+    digest = fnv1a64(important, digest);
+    digest = fnv1a64({scalars, sizeof(scalars)}, digest);
+    state.SetLabel(hexDigest64(digest));
+}
+BENCHMARK(BM_MappingArtifacts)->ArgName("isu")->Arg(0)->Arg(1);
+
 void
 BM_DenseMatmul(benchmark::State &state)
 {
@@ -173,6 +245,12 @@ BENCHMARK(BM_DenseMatmul)->Arg(64)->Arg(256);
 class JsonCollector : public benchmark::ConsoleReporter
 {
   public:
+    /** `baseline` is an earlier document() (null when none). */
+    explicit JsonCollector(json::Value baseline)
+        : baseline_(std::move(baseline))
+    {
+    }
+
     void ReportRuns(const std::vector<Run> &runs) override
     {
         benchmark::ConsoleReporter::ReportRuns(runs);
@@ -190,6 +268,12 @@ class JsonCollector : public benchmark::ConsoleReporter
                 v.set("items_per_second",
                       static_cast<double>(it->second));
             runs_.push(std::move(v));
+            if (run.run_type == Run::RT_Iteration &&
+                !run.report_label.empty()) {
+                Samples &s = samples_[run.run_name.str()];
+                s.realNs.push_back(run.GetAdjustedRealTime());
+                s.digests.push_back(run.report_label);
+            }
         }
     }
 
@@ -198,11 +282,77 @@ class JsonCollector : public benchmark::ConsoleReporter
         json::Value doc = json::Value::object();
         doc.set("bench", "micro_kernels");
         doc.set("runs", std::move(runs_));
+        if (samples_.empty())
+            return doc;
+
+        bool identical = true;
+        json::Value summary = json::Value::array();
+        for (const auto &[name, s] : samples_) {
+            std::vector<double> samplesMs;
+            Accumulator ms;
+            for (const double ns : s.realNs) {
+                samplesMs.push_back(ns / 1e6);
+                ms.add(ns / 1e6);
+            }
+            // 95% CI of the mean: mean +- 1.96 * s / sqrt(n) with the
+            // sample standard deviation s, i.e. the population one
+            // over sqrt(n - 1).
+            const auto n = static_cast<double>(ms.count());
+            const double halfWidth =
+                n > 1 ? 1.96 * ms.stddev() / std::sqrt(n - 1) : 0.0;
+            const std::string &digest = s.digests.front();
+            bool same = true;
+            for (const auto &d : s.digests)
+                same = same && d == digest;
+            if (const auto *base = baselineDigest(name))
+                same = same && *base == digest;
+            identical = identical && same;
+
+            json::Value ci = json::Value::array();
+            ci.push(ms.mean() - halfWidth);
+            ci.push(ms.mean() + halfWidth);
+            json::Value v = json::Value::object();
+            v.set("name", name);
+            v.set("repetitions", ms.count());
+            v.set("median_ms", percentile(samplesMs, 50.0));
+            v.set("mean_ms", ms.mean());
+            v.set("ci95_ms", std::move(ci));
+            v.set("digest", digest);
+            summary.push(std::move(v));
+        }
+        doc.set("summary", std::move(summary));
+        doc.set("bit_identical", identical);
         return doc;
     }
 
   private:
+    struct Samples
+    {
+        std::vector<double> realNs;
+        std::vector<std::string> digests;
+    };
+
+    const std::string *
+    baselineDigest(const std::string &name) const
+    {
+        const json::Value *summary = baseline_.isObject()
+                                         ? baseline_.find("summary")
+                                         : nullptr;
+        if (!summary || !summary->isArray())
+            return nullptr;
+        for (const auto &entry : summary->items()) {
+            const json::Value *n = entry.find("name");
+            const json::Value *d = entry.find("digest");
+            if (n && d && n->isString() && d->isString() &&
+                n->asString() == name)
+                return &d->asString();
+        }
+        return nullptr;
+    }
+
+    json::Value baseline_;
     json::Value runs_ = json::Value::array();
+    std::map<std::string, Samples> samples_;
 };
 
 } // namespace
@@ -210,14 +360,19 @@ class JsonCollector : public benchmark::ConsoleReporter
 int
 main(int argc, char **argv)
 {
-    // Peel off --json-out before benchmark sees the arguments; every
-    // other flag passes through to the library untouched.
-    std::string jsonOut;
+    // Peel off --json-out and --baseline before benchmark sees the
+    // arguments; every other flag passes through to the library
+    // untouched.
+    std::string jsonOut, baselinePath;
     std::vector<char *> args;
     for (int i = 0; i < argc; ++i) {
-        constexpr const char *kFlag = "--json-out=";
-        if (std::strncmp(argv[i], kFlag, std::strlen(kFlag)) == 0)
-            jsonOut = argv[i] + std::strlen(kFlag);
+        constexpr const char *kJsonOut = "--json-out=";
+        constexpr const char *kBaseline = "--baseline=";
+        if (std::strncmp(argv[i], kJsonOut, std::strlen(kJsonOut)) == 0)
+            jsonOut = argv[i] + std::strlen(kJsonOut);
+        else if (std::strncmp(argv[i], kBaseline,
+                              std::strlen(kBaseline)) == 0)
+            baselinePath = argv[i] + std::strlen(kBaseline);
         else
             args.push_back(argv[i]);
     }
@@ -230,7 +385,17 @@ main(int argc, char **argv)
     if (jsonOut.empty()) {
         benchmark::RunSpecifiedBenchmarks();
     } else {
-        JsonCollector collector;
+        json::Value baseline;
+        if (!baselinePath.empty()) {
+            std::ifstream in(baselinePath);
+            std::stringstream text;
+            text << in.rdbuf();
+            std::string error;
+            if (!in || !json::Value::parse(text.str(), &baseline, &error))
+                fatal("cannot read --baseline file ", baselinePath, ": ",
+                      error);
+        }
+        JsonCollector collector(std::move(baseline));
         benchmark::RunSpecifiedBenchmarks(&collector);
         std::ofstream out(jsonOut);
         if (!out)

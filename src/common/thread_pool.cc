@@ -71,8 +71,7 @@ ThreadPool::workerLoop()
             job = std::move(queue_.front());
             queue_.pop_front();
         }
-        job(); // packaged_task captures exceptions in the future
-        tasksCompleted_.fetch_add(1, std::memory_order_relaxed);
+        job(); // counts itself; exceptions land in the future
     }
 }
 

@@ -49,7 +49,13 @@ class ThreadPool
     {
         using Result = std::invoke_result_t<Fn>;
         auto task = std::make_shared<std::packaged_task<Result()>>(
-            std::forward<Fn>(fn));
+            [this, fn = std::forward<Fn>(fn)]() mutable -> Result {
+                // Destroyed as fn returns or throws, before the
+                // packaged_task makes the future ready: the count is
+                // sequenced before the result on both paths.
+                const CompletionCount count(tasksCompleted_);
+                return fn();
+            });
         auto future = task->get_future();
         enqueue([task] { (*task)(); });
         return future;
@@ -80,6 +86,25 @@ class ThreadPool
     static size_t resolveJobs(size_t jobs);
 
   private:
+    /** Counts one finished task when it goes out of scope. */
+    class CompletionCount
+    {
+      public:
+        explicit CompletionCount(std::atomic<uint64_t> &completed)
+            : completed_(completed)
+        {
+        }
+        ~CompletionCount()
+        {
+            completed_.fetch_add(1, std::memory_order_relaxed);
+        }
+        CompletionCount(const CompletionCount &) = delete;
+        CompletionCount &operator=(const CompletionCount &) = delete;
+
+      private:
+        std::atomic<uint64_t> &completed_;
+    };
+
     void enqueue(std::function<void()> job);
     void workerLoop();
 
@@ -89,10 +114,12 @@ class ThreadPool
     bool stopping_ = false;
     // Utilization counters are relaxed atomics: they are monotone
     // sums/maxima with no payload, so no acquire/release pairing is
-    // required. Exact totals are only read after the pool quiesces —
-    // the destructor's join() (or a submit future's get()) supplies
-    // the happens-before that makes every relaxed update visible;
-    // mid-run reads are advisory snapshots and may lag.
+    // required. A task's completion is counted inside the submit()
+    // wrapper, sequenced before its future becomes ready, so once
+    // future.get() returns for every submitted task tasksCompleted()
+    // includes them all (the shared state's release/acquire carries
+    // the relaxed update). The destructor's join() orders everything;
+    // other mid-run reads are advisory snapshots and may lag.
     std::atomic<uint64_t> tasksSubmitted_{0};
     std::atomic<uint64_t> tasksCompleted_{0};
     std::atomic<uint64_t> maxQueueDepth_{0};

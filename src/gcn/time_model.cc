@@ -14,12 +14,28 @@ MappingArtifacts::build(const VertexProfile &profile,
                         const graph::DatasetSpec &dataset,
                         uint32_t rowsPerGroup)
 {
-    MappingArtifacts out;
-    out.assignment = mapping::mapVertices(profile.degrees, rowsPerGroup,
-                                          policy.mapStrategy);
-
+    const auto &degrees = profile.degrees;
     const double theta = policy.resolvedTheta(dataset);
-    out.important = mapping::selectImportant(profile.degrees, theta);
+    const size_t keep = mapping::importantCount(degrees.size(), theta);
+    const bool interleaved =
+        policy.mapStrategy == mapping::VertexMapStrategy::Interleaved;
+    const bool partial = keep > 0 && keep < degrees.size();
+
+    // Rank at most once: the assignment and the important set share
+    // the ranking, and index mapping with all-or-nothing updates needs
+    // none.
+    std::vector<uint32_t> order;
+    if (interleaved || partial)
+        order = graph::orderByDegreeDesc(degrees);
+
+    MappingArtifacts out;
+    out.assignment =
+        interleaved
+            ? mapping::interleaveRanked(order, rowsPerGroup)
+            : mapping::mapVertices(degrees, rowsPerGroup,
+                                   policy.mapStrategy);
+    out.important = partial ? mapping::selectImportantRanked(order, keep)
+                            : mapping::selectImportant(degrees, theta);
 
     mapping::SelectiveUpdateParams params;
     params.theta = theta;

@@ -1,10 +1,10 @@
 #include "gcn/workload.hh"
 
 #include <algorithm>
-#include <functional>
 
 #include "common/logging.hh"
 #include "common/math_utils.hh"
+#include "graph/graph.hh"
 
 namespace gopim::gcn {
 
@@ -41,16 +41,19 @@ VertexProfile
 VertexProfile::build(const graph::DatasetSpec &dataset, uint64_t seed)
 {
     Rng rng(seed);
-    VertexProfile profile;
-    profile.degrees =
+    const auto drawn =
         graph::DatasetCatalog::degreeSequence(dataset, 1.0, rng);
 
     // Real OGB vertex ids correlate strongly with degree (insertion
     // order, community structure), which is what produces Fig. 6's
     // per-crossbar skew under index mapping and defeats OSU (Fig. 7).
     // Reproduce that: globally degree-sorted ids with local shuffling.
-    std::sort(profile.degrees.begin(), profile.degrees.end(),
-              std::greater<>());
+    // The sorted degrees overwrite the ranking in place, so sorting
+    // needs no buffer beyond it.
+    VertexProfile profile;
+    profile.degrees = graph::orderByDegreeDesc(drawn);
+    for (uint32_t &slot : profile.degrees)
+        slot = drawn[slot];
     const size_t window = 256;
     for (size_t begin = 0; begin < profile.degrees.size();
          begin += window) {

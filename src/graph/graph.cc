@@ -1,6 +1,7 @@
 #include "graph/graph.hh"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 
 #include "common/logging.hh"
@@ -89,13 +90,73 @@ Graph::hasEdge(VertexId u, VertexId v) const
 std::vector<VertexId>
 Graph::verticesByDegreeDesc() const
 {
-    std::vector<VertexId> order(numVertices_);
-    std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(),
-                     [this](VertexId a, VertexId b) {
-                         const auto da = degree(a), db = degree(b);
-                         return da != db ? da > db : a < b;
-                     });
+    return orderByDegreeDesc(degrees());
+}
+
+namespace {
+
+constexpr unsigned kDigitBits = 16;
+constexpr uint32_t kDigitMask = (uint32_t{1} << kDigitBits) - 1;
+
+/**
+ * One stable counting pass: writes the ids of `in` (the identity
+ * permutation when null) to `out` by ascending digit(keys[id]), equal
+ * digits in `in` order. `next` is the reusable bucket-cursor buffer.
+ */
+template <typename Digit>
+void
+countingPass(const std::vector<uint32_t> &keys, size_t buckets,
+             Digit digit, const VertexId *in, VertexId *out,
+             std::vector<uint32_t> &next)
+{
+    next.assign(buckets, 0);
+    for (const uint32_t key : keys)
+        ++next[digit(key)];
+    uint32_t start = 0;
+    for (uint32_t &cursor : next) {
+        const uint32_t count = cursor;
+        cursor = start;
+        start += count;
+    }
+    for (size_t i = 0; i < keys.size(); ++i) {
+        const VertexId v = in ? in[i] : static_cast<VertexId>(i);
+        out[next[digit(keys[v])]++] = v;
+    }
+}
+
+} // namespace
+
+std::vector<VertexId>
+orderByDegreeDesc(const std::vector<uint32_t> &degrees)
+{
+    GOPIM_ASSERT(degrees.size() <= std::numeric_limits<VertexId>::max(),
+                 "orderByDegreeDesc: too many vertices");
+    std::vector<VertexId> order(degrees.size());
+    if (degrees.empty())
+        return order;
+
+    // Sort ascending on the inverted key maxDegree - d, which is
+    // descending degree; every pass is stable, so equal degrees keep
+    // ascending ids.
+    const uint32_t maxDegree =
+        *std::max_element(degrees.begin(), degrees.end());
+    std::vector<uint32_t> next;
+    if (maxDegree <= kDigitMask) {
+        countingPass(
+            degrees, size_t{maxDegree} + 1,
+            [maxDegree](uint32_t d) { return maxDegree - d; }, nullptr,
+            order.data(), next);
+        return order;
+    }
+    std::vector<VertexId> byLowDigit(degrees.size());
+    countingPass(
+        degrees, size_t{kDigitMask} + 1,
+        [maxDegree](uint32_t d) { return (maxDegree - d) & kDigitMask; },
+        nullptr, byLowDigit.data(), next);
+    countingPass(
+        degrees, size_t{kDigitMask} + 1,
+        [maxDegree](uint32_t d) { return (maxDegree - d) >> kDigitBits; },
+        byLowDigit.data(), order.data(), next);
     return order;
 }
 

@@ -65,7 +65,8 @@ class Graph
 
     /**
      * Vertex ids sorted by descending degree (ties broken by id to keep
-     * the order deterministic). This is the ISU importance ranking.
+     * the order deterministic). This is the ISU importance ranking;
+     * see orderByDegreeDesc.
      */
     std::vector<VertexId> verticesByDegreeDesc() const;
 
@@ -75,6 +76,20 @@ class Graph
     std::vector<uint64_t> rowPtr_;
     std::vector<VertexId> colIdx_;
 };
+
+/**
+ * The degree ranking every degree-ordered decision uses (interleaved
+ * mapping, ISU importance, profile ids, nnz-balanced partitions):
+ * the permutation of vertex ids sorted by descending degree, equal
+ * degrees in ascending id order. That is exactly what std::stable_sort
+ * of the identity permutation under `degrees[a] > degrees[b]` yields,
+ * so callers may rely on it bit for bit.
+ *
+ * A stable LSD radix sort on 16-bit digits: O(n) time and
+ * O(n + 2^16) extra memory for any keys, one counting pass when every
+ * key is below 2^16 (true of every catalog dataset).
+ */
+std::vector<VertexId> orderByDegreeDesc(const std::vector<uint32_t> &degrees);
 
 /**
  * Summary statistics of a graph, sufficient for the analytic timing

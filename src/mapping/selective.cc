@@ -1,9 +1,9 @@
 #include "mapping/selective.hh"
 
 #include <algorithm>
-#include <numeric>
 
 #include "common/logging.hh"
+#include "graph/graph.hh"
 
 namespace gopim::mapping {
 
@@ -13,26 +13,33 @@ adaptiveTheta(double avgDegree)
     return avgDegree <= 8.0 ? 0.8 : 0.5;
 }
 
-std::vector<bool>
-selectImportant(const std::vector<uint32_t> &degrees, double theta)
+size_t
+importantCount(size_t numVertices, double theta)
 {
     GOPIM_ASSERT(theta >= 0.0 && theta <= 1.0,
                  "theta must be in [0, 1]");
+    return std::min(numVertices,
+                    static_cast<size_t>(
+                        static_cast<double>(numVertices) * theta + 0.5));
+}
+
+std::vector<bool>
+selectImportant(const std::vector<uint32_t> &degrees, double theta)
+{
     const size_t n = degrees.size();
-    const auto keep = static_cast<size_t>(
-        static_cast<double>(n) * theta + 0.5);
+    const size_t keep = importantCount(n, theta);
+    // Keeping none or every vertex needs no ranking.
+    if (keep == 0 || keep == n)
+        return std::vector<bool>(n, keep > 0);
+    return selectImportantRanked(graph::orderByDegreeDesc(degrees), keep);
+}
 
-    std::vector<uint32_t> order(n);
-    std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(),
-                     [&degrees](uint32_t a, uint32_t b) {
-                         return degrees[a] != degrees[b]
-                                    ? degrees[a] > degrees[b]
-                                    : a < b;
-                     });
-
-    std::vector<bool> important(n, false);
-    for (size_t i = 0; i < std::min(keep, n); ++i)
+std::vector<bool>
+selectImportantRanked(const std::vector<uint32_t> &order, size_t keep)
+{
+    GOPIM_ASSERT(keep <= order.size(), "cannot keep more than n vertices");
+    std::vector<bool> important(order.size(), false);
+    for (size_t i = 0; i < keep; ++i)
         important[order[i]] = true;
     return important;
 }

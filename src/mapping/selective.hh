@@ -14,6 +14,7 @@
 #ifndef GOPIM_MAPPING_SELECTIVE_HH
 #define GOPIM_MAPPING_SELECTIVE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -36,12 +37,23 @@ struct SelectiveUpdateParams
  */
 double adaptiveTheta(double avgDegree);
 
+/** Important vertices out of `numVertices`: n * theta, rounded half up. */
+size_t importantCount(size_t numVertices, double theta);
+
 /**
  * Mark the top `theta` fraction of vertices by degree as important.
- * Ties break toward lower vertex id for determinism.
+ * Ties break toward lower vertex id for determinism. Keeping none or
+ * all of them ranks nothing.
  */
 std::vector<bool> selectImportant(const std::vector<uint32_t> &degrees,
                                   double theta);
+
+/**
+ * Mark the first `keep` vertices of an already computed degree
+ * ranking (graph::orderByDegreeDesc) as important.
+ */
+std::vector<bool> selectImportantRanked(const std::vector<uint32_t> &order,
+                                        size_t keep);
 
 /**
  * Row writes per group for one *hot* epoch, where only important

@@ -5,6 +5,7 @@
 
 #include "common/logging.hh"
 #include "common/math_utils.hh"
+#include "graph/graph.hh"
 
 namespace gopim::mapping {
 
@@ -20,42 +21,53 @@ toString(VertexMapStrategy s)
     panic("unknown mapping strategy");
 }
 
-VertexAssignment
-mapVertices(const std::vector<uint32_t> &degrees, uint32_t rowsPerGroup,
-            VertexMapStrategy strategy)
-{
-    GOPIM_ASSERT(!degrees.empty(), "cannot map zero vertices");
-    GOPIM_ASSERT(rowsPerGroup > 0, "row group must hold >= 1 vertex");
+namespace {
 
-    const auto n = static_cast<uint32_t>(degrees.size());
+/** An assignment of `n` vertices with its group count, groups unset. */
+VertexAssignment
+emptyAssignment(size_t n, uint32_t rowsPerGroup)
+{
+    GOPIM_ASSERT(n > 0, "cannot map zero vertices");
+    GOPIM_ASSERT(rowsPerGroup > 0, "row group must hold >= 1 vertex");
     VertexAssignment out;
     out.rowsPerGroup = rowsPerGroup;
     out.numGroups = static_cast<uint32_t>(ceilDiv(n, rowsPerGroup));
     out.groupOf.resize(n);
+    return out;
+}
 
+} // namespace
+
+VertexAssignment
+mapVertices(const std::vector<uint32_t> &degrees, uint32_t rowsPerGroup,
+            VertexMapStrategy strategy)
+{
     switch (strategy) {
-      case VertexMapStrategy::IndexBased:
-        for (uint32_t v = 0; v < n; ++v)
+      case VertexMapStrategy::IndexBased: {
+        auto out = emptyAssignment(degrees.size(), rowsPerGroup);
+        for (uint32_t v = 0; v < out.groupOf.size(); ++v)
             out.groupOf[v] = v / rowsPerGroup;
-        break;
-
-      case VertexMapStrategy::Interleaved: {
-        // Sort by degree descending (stable on id), then deal the
-        // ranked list round-robin across groups: rank i -> group
-        // i % numGroups. Group capacity is respected automatically
-        // because each group receives every numGroups-th rank.
-        std::vector<uint32_t> order(n);
-        std::iota(order.begin(), order.end(), 0);
-        std::stable_sort(order.begin(), order.end(),
-                         [&degrees](uint32_t a, uint32_t b) {
-                             return degrees[a] != degrees[b]
-                                        ? degrees[a] > degrees[b]
-                                        : a < b;
-                         });
-        for (uint32_t rank = 0; rank < n; ++rank)
-            out.groupOf[order[rank]] = rank % out.numGroups;
-        break;
+        return out;
       }
+      case VertexMapStrategy::Interleaved:
+        return interleaveRanked(graph::orderByDegreeDesc(degrees),
+                                rowsPerGroup);
+    }
+    panic("unknown mapping strategy");
+}
+
+VertexAssignment
+interleaveRanked(const std::vector<uint32_t> &order, uint32_t rowsPerGroup)
+{
+    // Deal the ranked list round-robin across groups: rank i -> group
+    // i % numGroups. Group capacity is respected automatically
+    // because each group receives every numGroups-th rank.
+    auto out = emptyAssignment(order.size(), rowsPerGroup);
+    uint32_t group = 0;
+    for (const uint32_t v : order) {
+        out.groupOf[v] = group;
+        if (++group == out.numGroups)
+            group = 0;
     }
     return out;
 }

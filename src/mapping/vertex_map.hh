@@ -40,11 +40,19 @@ struct VertexAssignment
 /**
  * Map `degrees.size()` vertices onto row groups of `rowsPerGroup`
  * wordlines with the chosen strategy. Interleaved mapping uses the
- * degree ranking (descending) as the deal order.
+ * degree ranking (graph::orderByDegreeDesc) as the deal order.
  */
 VertexAssignment mapVertices(const std::vector<uint32_t> &degrees,
                              uint32_t rowsPerGroup,
                              VertexMapStrategy strategy);
+
+/**
+ * Interleaved mapping of an already computed degree ranking
+ * (graph::orderByDegreeDesc): rank i goes to group i % numGroups.
+ * Lets a caller that also needs the ranking elsewhere compute it once.
+ */
+VertexAssignment interleaveRanked(const std::vector<uint32_t> &order,
+                                  uint32_t rowsPerGroup);
 
 /** Average vertex degree per row group (Fig. 6's metric). */
 std::vector<double> perGroupAvgDegree(const VertexAssignment &assignment,

@@ -3,17 +3,26 @@
  * Unit tests for the GCN engine: Table IV model configs, workload
  * derivations, the stage time model's calibrated properties (AG >> CO
  * ratios, ISU's effect on the fixed update time, ReFlip's reload
- * penalty), and the functional trainer's learning behavior.
+ * penalty), the functional trainer's learning behavior, and the
+ * bit identity of profiles and mapping artifacts with the comparison
+ * sorts the linear-time degree ranking replaced.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <numeric>
+
+#include "common/math_utils.hh"
 #include "common/rng.hh"
+#include "core/systems.hh"
 #include "gcn/model.hh"
 #include "gcn/time_model.hh"
 #include "gcn/trainer.hh"
 #include "gcn/workload.hh"
 #include "graph/generators.hh"
+#include "graph/graph.hh"
 #include "reram/config.hh"
 
 namespace gopim::gcn {
@@ -381,6 +390,136 @@ TEST_F(TrainerTest, MasksPartitionVertices)
                   trainer.testVertices().size(),
               data_.graph.numVertices());
 }
+
+// ---- Bit identity with the comparison sorts ----------------------
+// Test-local copies of the code the linear-time degree ranking
+// replaced: every profile and mapping artifact must come out the same.
+
+std::vector<uint32_t>
+legacyRanking(const std::vector<uint32_t> &degrees)
+{
+    std::vector<uint32_t> order(degrees.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(),
+                     [&degrees](uint32_t a, uint32_t b) {
+                         return degrees[a] != degrees[b]
+                                    ? degrees[a] > degrees[b]
+                                    : a < b;
+                     });
+    return order;
+}
+
+VertexProfile
+legacyProfile(const graph::DatasetSpec &dataset, uint64_t seed)
+{
+    Rng rng(seed);
+    VertexProfile profile;
+    profile.degrees =
+        graph::DatasetCatalog::degreeSequence(dataset, 1.0, rng);
+    std::sort(profile.degrees.begin(), profile.degrees.end(),
+              std::greater<>());
+    const size_t window = 256;
+    for (size_t begin = 0; begin < profile.degrees.size();
+         begin += window) {
+        const size_t end =
+            std::min(begin + window, profile.degrees.size());
+        for (size_t i = end - begin; i > 1; --i) {
+            const size_t j = rng.uniformInt(static_cast<uint64_t>(i));
+            std::swap(profile.degrees[begin + i - 1],
+                      profile.degrees[begin + j]);
+        }
+    }
+    return profile;
+}
+
+MappingArtifacts
+legacyArtifacts(const VertexProfile &profile, const ExecutionPolicy &policy,
+                const graph::DatasetSpec &dataset, uint32_t rowsPerGroup)
+{
+    const auto &degrees = profile.degrees;
+    const auto n = static_cast<uint32_t>(degrees.size());
+    MappingArtifacts out;
+    out.assignment.rowsPerGroup = rowsPerGroup;
+    out.assignment.numGroups =
+        static_cast<uint32_t>(ceilDiv(n, rowsPerGroup));
+    out.assignment.groupOf.resize(n);
+    if (policy.mapStrategy == mapping::VertexMapStrategy::Interleaved) {
+        const auto order = legacyRanking(degrees);
+        for (uint32_t rank = 0; rank < n; ++rank)
+            out.assignment.groupOf[order[rank]] =
+                rank % out.assignment.numGroups;
+    } else {
+        for (uint32_t v = 0; v < n; ++v)
+            out.assignment.groupOf[v] = v / rowsPerGroup;
+    }
+
+    const double theta = policy.resolvedTheta(dataset);
+    const auto keep = static_cast<size_t>(
+        static_cast<double>(n) * theta + 0.5);
+    const auto order = legacyRanking(degrees);
+    out.important.assign(n, false);
+    for (size_t i = 0; i < std::min<size_t>(keep, n); ++i)
+        out.important[order[i]] = true;
+
+    mapping::SelectiveUpdateParams params;
+    params.theta = theta;
+    params.coldPeriod = policy.coldPeriod;
+    out.epochUpdateSlots = mapping::epochUpdateSlots(
+        out.assignment, out.important, params);
+    out.updateFraction =
+        theta + (1.0 - theta) / static_cast<double>(policy.coldPeriod);
+    return out;
+}
+
+class CatalogDegreeRank
+    : public ::testing::TestWithParam<graph::DatasetSpec>
+{
+};
+
+TEST_P(CatalogDegreeRank, ProfileAndRankingMatchComparisonSorts)
+{
+    const auto &dataset = GetParam();
+    const auto profile = VertexProfile::build(dataset, 1);
+    EXPECT_EQ(profile.degrees, legacyProfile(dataset, 1).degrees);
+    EXPECT_EQ(graph::orderByDegreeDesc(profile.degrees),
+              legacyRanking(profile.degrees));
+
+    // The raw draw is in random order, so ties and long runs of
+    // equal degrees exercise stability far more than the profile.
+    Rng rng(1);
+    const auto drawn =
+        graph::DatasetCatalog::degreeSequence(dataset, 1.0, rng);
+    EXPECT_EQ(graph::orderByDegreeDesc(drawn), legacyRanking(drawn));
+}
+
+TEST_P(CatalogDegreeRank, ArtifactsMatchComparisonSortsForEverySystem)
+{
+    const auto &dataset = GetParam();
+    const auto profile = VertexProfile::build(dataset, 1);
+    const uint32_t rows =
+        reram::AcceleratorConfig::paperDefault().crossbar.rows;
+    for (const auto kind : core::allSystemKinds()) {
+        SCOPED_TRACE(core::toString(kind));
+        const auto policy = core::makeSystem(kind).policy;
+        const auto got =
+            MappingArtifacts::build(profile, policy, dataset, rows);
+        const auto want = legacyArtifacts(profile, policy, dataset, rows);
+        EXPECT_EQ(got.assignment.groupOf, want.assignment.groupOf);
+        EXPECT_EQ(got.assignment.numGroups, want.assignment.numGroups);
+        EXPECT_EQ(got.assignment.rowsPerGroup,
+                  want.assignment.rowsPerGroup);
+        EXPECT_EQ(got.important, want.important);
+        EXPECT_EQ(got.epochUpdateSlots, want.epochUpdateSlots);
+        EXPECT_EQ(got.updateFraction, want.updateFraction);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Catalog, CatalogDegreeRank,
+    ::testing::ValuesIn(graph::DatasetCatalog::all()),
+    [](const ::testing::TestParamInfo<graph::DatasetSpec> &info) {
+        return info.param.name;
+    });
 
 } // namespace
 } // namespace gopim::gcn

@@ -2,7 +2,7 @@
  * @file
  * Unit tests for the graph substrate: CSR construction, generators
  * (degree targets, determinism), the Table III dataset catalog, and
- * sparsification utilities.
+ * the degree ranking.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include "graph/datasets.hh"
 #include "graph/generators.hh"
 #include "graph/graph.hh"
-#include "graph/sparsify.hh"
 
 namespace gopim::graph {
 namespace {
@@ -78,6 +77,65 @@ TEST(Graph, VerticesByDegreeDescIsStable)
     // Equal degrees (0 and 1) keep id order.
     EXPECT_LT(std::find(order.begin(), order.end(), 0u),
               std::find(order.begin(), order.end(), 1u));
+}
+
+/** The comparison sort orderByDegreeDesc must match bit for bit. */
+std::vector<VertexId>
+stableSortReference(const std::vector<uint32_t> &degrees)
+{
+    std::vector<VertexId> order(degrees.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(),
+                     [&degrees](VertexId a, VertexId b) {
+                         return degrees[a] > degrees[b];
+                     });
+    return order;
+}
+
+TEST(DegreeOrder, EmptySingleAndAllEqual)
+{
+    EXPECT_TRUE(orderByDegreeDesc({}).empty());
+    EXPECT_EQ(orderByDegreeDesc({7}), std::vector<VertexId>{0});
+    const std::vector<uint32_t> equal(100, 9);
+    EXPECT_EQ(orderByDegreeDesc(equal), stableSortReference(equal));
+    const std::vector<uint32_t> zeros(5, 0);
+    EXPECT_EQ(orderByDegreeDesc(zeros), stableSortReference(zeros));
+}
+
+TEST(DegreeOrder, ExtremeKeysTakeBothRadixPasses)
+{
+    // Keys at and above 2^16 force the high-digit pass; equal low
+    // digits with different high digits (and the reverse) catch a
+    // pass that is unstable or ordered the wrong way.
+    const std::vector<uint32_t> degrees = {
+        0,          UINT32_MAX, 1u << 16,       (1u << 16) - 1,
+        3,          1u << 16,   UINT32_MAX,     0,
+        (2u << 16) + 3, 3,      (1u << 16) + 3, UINT32_MAX - 1,
+        65535,      1u << 31,   0};
+    EXPECT_EQ(orderByDegreeDesc(degrees), stableSortReference(degrees));
+}
+
+TEST(DegreeOrder, RandomKeysMatchStableSort)
+{
+    Rng rng(43);
+    for (const uint64_t range : {uint64_t{4}, uint64_t{1} << 16,
+                                 (uint64_t{1} << 16) + 1,
+                                 uint64_t{1} << 32}) {
+        std::vector<uint32_t> degrees(5000);
+        for (auto &d : degrees)
+            d = static_cast<uint32_t>(rng.uniformInt(range));
+        EXPECT_EQ(orderByDegreeDesc(degrees),
+                  stableSortReference(degrees))
+            << "keys below " << range;
+    }
+}
+
+TEST(DegreeOrder, GraphRankingMatchesStableSort)
+{
+    Rng rng(47);
+    const Graph g = DatasetCatalog::materialize(
+        DatasetCatalog::byName("Cora"), 1.0, rng);
+    EXPECT_EQ(g.verticesByDegreeDesc(), stableSortReference(g.degrees()));
 }
 
 TEST(Graph, StatsMatchGraph)
@@ -225,51 +283,6 @@ TEST(Catalog, ScaledPreservesAvgDegree)
     const auto half = DatasetCatalog::scaled(ppa, 0.5);
     EXPECT_EQ(half.numVertices, ppa.numVertices / 2);
     EXPECT_DOUBLE_EQ(half.avgDegree, ppa.avgDegree);
-}
-
-TEST(Sparsify, DropEdgesKeepsRoughFraction)
-{
-    Rng rng(37);
-    const Graph g = erdosRenyi(1000, 0.02, rng);
-    const Graph h = dropEdges(g, 0.5, rng);
-    EXPECT_NEAR(static_cast<double>(h.numEdges()),
-                static_cast<double>(g.numEdges()) * 0.5,
-                static_cast<double>(g.numEdges()) * 0.1);
-    EXPECT_EQ(h.numVertices(), g.numVertices());
-}
-
-TEST(Sparsify, KeepTopEdgesPrefersHighDegreeEndpoints)
-{
-    Rng rng(41);
-    const auto targets =
-        powerLawDegreeSequence(2000, 10.0, 2.1, 500, rng);
-    const Graph g = chungLu(targets, rng);
-    const Graph h = keepTopEdgesByDegreeProduct(g, 0.3);
-    EXPECT_NEAR(static_cast<double>(h.numEdges()),
-                static_cast<double>(g.numEdges()) * 0.3, 2.0);
-
-    // Surviving endpoints should be biased toward high degrees.
-    double avgDegKept = 0.0;
-    uint64_t endpoints = 0;
-    for (VertexId u = 0; u < h.numVertices(); ++u) {
-        for (VertexId v : h.neighbors(u)) {
-            avgDegKept += g.degree(v);
-            ++endpoints;
-        }
-    }
-    ASSERT_GT(endpoints, 0u);
-    avgDegKept /= static_cast<double>(endpoints);
-    EXPECT_GT(avgDegKept, g.averageDegree());
-}
-
-TEST(Sparsify, PruneLowDegreeVertices)
-{
-    const Graph g = triangleWithTail();
-    const Graph h = pruneLowDegreeVertices(g, 2);
-    // Vertex 3 (degree 1) loses its edge; the triangle survives.
-    EXPECT_EQ(h.numEdges(), 3u);
-    EXPECT_EQ(h.degree(3), 0u);
-    EXPECT_EQ(h.numVertices(), g.numVertices());
 }
 
 } // namespace

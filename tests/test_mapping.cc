@@ -13,6 +13,7 @@
 
 #include "common/rng.hh"
 #include "graph/generators.hh"
+#include "graph/graph.hh"
 #include "mapping/selective.hh"
 #include "mapping/tiling.hh"
 #include "mapping/vertex_map.hh"
@@ -146,6 +147,59 @@ TEST(Selective, ThetaExtremes)
     const auto all = selectImportant(degrees, 1.0);
     EXPECT_EQ(std::count(none.begin(), none.end(), true), 0);
     EXPECT_EQ(std::count(all.begin(), all.end(), true), 3);
+}
+
+/** The comparison-sort selection selectImportant must reproduce. */
+std::vector<bool>
+legacySelectImportant(const std::vector<uint32_t> &degrees, double theta)
+{
+    const size_t n = degrees.size();
+    const auto keep = static_cast<size_t>(
+        static_cast<double>(n) * theta + 0.5);
+    std::vector<uint32_t> order(n);
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(),
+                     [&degrees](uint32_t a, uint32_t b) {
+                         return degrees[a] > degrees[b];
+                     });
+    std::vector<bool> important(n, false);
+    for (size_t i = 0; i < std::min(keep, n); ++i)
+        important[order[i]] = true;
+    return important;
+}
+
+TEST(Selective, RoundingEdgesMatchComparisonSort)
+{
+    // n = 8 with ties: theta * 8 + 0.5 lands exactly on 1 at
+    // theta = 1/16 (keep 1), just below it (keep 0), on a half at
+    // 5/16 (keep 3), and at n near theta = 1 (keep all, no ranking).
+    const std::vector<uint32_t> degrees = {4, 9, 4, 1, 9, 4, 0, 9};
+    for (const double theta : {0.0, 0.0624, 0.0625, 0.3125, 0.5,
+                               0.9375, 0.95, 1.0}) {
+        EXPECT_EQ(selectImportant(degrees, theta),
+                  legacySelectImportant(degrees, theta))
+            << "theta " << theta;
+    }
+    EXPECT_EQ(importantCount(8, 0.0624), 0u);
+    EXPECT_EQ(importantCount(8, 0.0625), 1u);
+    EXPECT_EQ(importantCount(8, 0.3125), 3u);
+    EXPECT_EQ(importantCount(8, 1.0), 8u);
+    EXPECT_TRUE(selectImportant({}, 0.5).empty());
+}
+
+TEST(Selective, RankedVariantsMatchDegreeEntryPoints)
+{
+    Rng rng(5);
+    const auto degrees =
+        graph::powerLawDegreeSequence(1000, 12.0, 2.1, 400, rng);
+    const auto order = graph::orderByDegreeDesc(degrees);
+    const auto viaDegrees =
+        mapVertices(degrees, 64, VertexMapStrategy::Interleaved);
+    const auto viaRank = interleaveRanked(order, 64);
+    EXPECT_EQ(viaRank.groupOf, viaDegrees.groupOf);
+    EXPECT_EQ(viaRank.numGroups, viaDegrees.numGroups);
+    EXPECT_EQ(selectImportantRanked(order, importantCount(1000, 0.5)),
+              selectImportant(degrees, 0.5));
 }
 
 TEST(Selective, Figure7OsuCounterExample)

@@ -10,7 +10,6 @@
 
 #include "pipeline/schedule.hh"
 #include "pipeline/stage.hh"
-#include "pipeline/stats.hh"
 
 namespace gopim::pipeline {
 namespace {
@@ -152,20 +151,6 @@ TEST(Schedule, BalancedStagesHaveLowIdle)
     const auto r = schedulePipelined(times, 50);
     for (double idle : r.idleFraction)
         EXPECT_LT(idle, 0.1);
-}
-
-TEST(Stats, IdleReportTable)
-{
-    const auto stages = buildTrainingStages(1);
-    const std::vector<double> times = {1.0, 5.0, 1.0, 1.0};
-    const auto schedule = schedulePipelined(times, 20);
-    const auto report = buildIdleReport(stages, schedule);
-    ASSERT_EQ(report.stageLabels.size(), 4u);
-    EXPECT_EQ(report.stageLabels[1], "AG1");
-    EXPECT_GT(report.idlePercent[0], report.idlePercent[1]);
-
-    const auto table = idleReportTable("test", report);
-    EXPECT_EQ(table.rows(), 5u); // 4 stages + average row
 }
 
 TEST(Schedule, VariableTimesMatchUniformWhenConstant)
