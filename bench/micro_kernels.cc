@@ -20,8 +20,12 @@
  *
  *     micro_kernels --benchmark_filter='VertexProfileBuild|MappingArtifacts' \
  *         --benchmark_repetitions=7 [--baseline=BEFORE] --json-out=OUT
+ *
+ * and the event-engine one (BENCH_event_engine_{before,after}.json)
+ * is the same with --benchmark_filter=EventSchedule.
  */
 
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <fstream>
@@ -40,11 +44,13 @@
 #include "alloc/dp.hh"
 #include "alloc/greedy_heap.hh"
 #include "common/rng.hh"
+#include "core/systems.hh"
 #include "gcn/time_model.hh"
 #include "gcn/workload.hh"
 #include "graph/generators.hh"
 #include "mapping/vertex_map.hh"
 #include "pipeline/schedule.hh"
+#include "sim/engine.hh"
 #include "tensor/init.hh"
 #include "tensor/ops.hh"
 
@@ -218,6 +224,79 @@ BM_MappingArtifacts(benchmark::State &state)
     state.SetLabel(hexDigest64(digest));
 }
 BENCHMARK(BM_MappingArtifacts)->ArgName("isu")->Arg(0)->Arg(1);
+
+/**
+ * The schedule request core::Accelerator::executePlan hands the
+ * event engine for `kind` on products (the grid's largest event
+ * workload), with write retries so no timeline memo could apply.
+ */
+sim::ScheduleRequest
+productsRequest(core::SystemKind kind, bool replicasAsServers)
+{
+    const core::SystemConfig system = core::makeSystem(kind);
+    const auto workload = gcn::Workload::paperDefault("products");
+    const core::Accelerator accelerator(
+        reram::AcceleratorConfig::paperDefault(), system);
+    const core::StagePlan plan = accelerator.buildPlan(
+        workload,
+        gcn::VertexProfile::build(workload.dataset, workload.seed));
+
+    sim::ScheduleRequest request;
+    request.stageTimesNs = replicasAsServers ? plan.serverStageTimesNs
+                                             : plan.stageTimesNs;
+    request.replicas = plan.effectiveReplicas;
+    request.totalMicroBatches = plan.totalMicroBatches;
+    request.microBatchesPerBatch = system.microBatchesPerBatch;
+    switch (system.pipelineMode) {
+      case core::PipelineMode::Serial:
+        request.regime = sim::Regime::Serial;
+        break;
+      case core::PipelineMode::IntraBatch:
+        request.regime = sim::Regime::IntraBatch;
+        break;
+      case core::PipelineMode::IntraInterBatch:
+        request.regime = sim::Regime::IntraInterBatch;
+        break;
+    }
+    return request;
+}
+
+void
+BM_EventSchedule(benchmark::State &state)
+{
+    // case 0 Serial, 1 ReGraphX (intra-batch), 2 GoPIM (intra- and
+    // inter-batch), 3 GoPIM with its replicas as servers.
+    static const core::SystemKind kSystems[] = {
+        core::SystemKind::Serial, core::SystemKind::ReGraphX,
+        core::SystemKind::GoPim, core::SystemKind::GoPim};
+    const auto which = static_cast<size_t>(state.range(0));
+    const bool replicasAsServers = which == 3;
+    const sim::ScheduleRequest request =
+        productsRequest(kSystems[which], replicasAsServers);
+    sim::SimContext ctx;
+    ctx.engine = sim::EngineKind::EventDriven;
+    ctx.seed = 7;
+    ctx.event.writeRetryProb = 0.05;
+    ctx.event.writeFraction = 0.3;
+    ctx.event.replicasAsServers = replicasAsServers;
+
+    sim::StageTimeline timeline;
+    for (auto _ : state) {
+        timeline = sim::scheduleEventPath(request, ctx, "event_driven");
+        benchmark::DoNotOptimize(timeline.makespanNs);
+    }
+    std::vector<uint64_t> bits = {
+        std::bit_cast<uint64_t>(timeline.makespanNs),
+        timeline.eventsProcessed, timeline.maxEventQueueDepth};
+    for (size_t i = 0; i < timeline.busyNs.size(); ++i) {
+        bits.push_back(std::bit_cast<uint64_t>(timeline.busyNs[i]));
+        bits.push_back(std::bit_cast<uint64_t>(timeline.blockedNs[i]));
+    }
+    state.SetLabel(hexDigest64(
+        fnv1a64({reinterpret_cast<const char *>(bits.data()),
+                 bits.size() * sizeof(uint64_t)})));
+}
+BENCHMARK(BM_EventSchedule)->ArgName("case")->DenseRange(0, 3);
 
 void
 BM_DenseMatmul(benchmark::State &state)
