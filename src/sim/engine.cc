@@ -286,7 +286,7 @@ scheduleEventPath(const ScheduleRequest &request,
         // Stretch the refreshing micro-batch at every stage: the
         // whole array is being re-programmed, so no stage can serve
         // it until the refresh completes. Uses the global micro-batch
-        // index (chunk samplers add the chunk base below).
+        // index (the simulator adds the chunk base).
         const ServiceSampler inner = sampler;
         const double stall = ctx.event.refreshStallNs;
         const uint32_t every = ctx.event.refreshEveryMicroBatches;
@@ -330,19 +330,13 @@ scheduleEventPath(const ScheduleRequest &request,
             numStages, std::vector<pipeline::StageWindow>(
                            static_cast<size_t>(chunkSize) * numChunks));
 
+    PipelineSimulator simulator(stations, ctx.recordWindows);
     Rng seedRng = ctx.makeRng();
     double offsetNs = 0.0;
     for (uint32_t chunk = 0; chunk < numChunks; ++chunk) {
         const uint32_t base = chunk * chunkSize;
-        ServiceSampler chunkSampler;
-        if (sampler)
-            chunkSampler = [&sampler, base](size_t stage, uint32_t mb,
-                                            Rng &rng) {
-                return sampler(stage, mb + base, rng);
-            };
-        const auto sim =
-            simulatePipeline(stations, chunkSize, chunkSampler,
-                             seedRng.next(), ctx.recordWindows);
+        const SimResult &sim =
+            simulator.run(chunkSize, sampler, base, seedRng.next());
         for (size_t i = 0; i < numStages; ++i) {
             timeline.busyNs[i] += sim.busyNs[i];
             timeline.blockedNs[i] += sim.blockedNs[i];

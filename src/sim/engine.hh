@@ -111,7 +111,7 @@ class ClosedFormEngine final : public ScheduleEngine
                            const SimContext &ctx) const override;
 };
 
-/** Discrete-event flow-shop backend wrapping simulatePipeline(). */
+/** Discrete-event flow-shop backend on sim::PipelineSimulator. */
 class EventDrivenEngine final : public ScheduleEngine
 {
   public:

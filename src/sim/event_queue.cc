@@ -1,9 +1,6 @@
 #include "sim/event_queue.hh"
 
 #include <algorithm>
-#include <bit>
-#include <cmath>
-#include <utility>
 
 #include "common/logging.hh"
 
@@ -11,146 +8,57 @@ namespace gopim::sim {
 
 namespace {
 
-// Default calendar: modest footprint for ad-hoc queues that never
-// call reserveHorizon (unit tests, tiny schedules). Sized so typical
-// pipeline timescales (us-scale service times) land a handful of
-// events per bucket.
-constexpr size_t kDefaultBuckets = 64;
-constexpr double kDefaultWidthNs = 1024.0;
-
-// reserveHorizon bounds: enough buckets for ~1 event per bucket on
-// the biggest grids without letting one queue allocate unboundedly.
-constexpr size_t kMinBuckets = 16;
-constexpr size_t kMaxBuckets = 8192;
+/** Heap comparator: `a` pops after `b`. */
+bool
+later(const Event &a, const Event &b)
+{
+    return a.timeNs > b.timeNs || (a.timeNs == b.timeNs && a.seq > b.seq);
+}
 
 } // namespace
 
-EventQueue::EventQueue()
-    : buckets_(kDefaultBuckets), widthNs_(kDefaultWidthNs),
-      invWidthNs_(1.0 / kDefaultWidthNs)
+EventQueue::EventQueue(uint64_t maxEvents) : maxEvents_(maxEvents) {}
+
+void
+EventQueue::clear()
 {
+    heap_.clear();
+    now_ = 0.0;
+    nextSeq_ = 0;
+    processed_ = 0;
 }
 
 void
-EventQueue::reserveHorizon(double horizonNs, uint64_t expectedEvents)
-{
-    if (live_ != 0 || horizonNs <= 0.0 || expectedEvents == 0)
-        return;
-    const size_t want = std::clamp<size_t>(
-        std::bit_ceil(static_cast<size_t>(expectedEvents)),
-        kMinBuckets, kMaxBuckets);
-    buckets_.assign(want, {});
-    widthNs_ = std::max(horizonNs / static_cast<double>(want), 1.0);
-    invWidthNs_ = 1.0 / widthNs_;
-    currentDay_ = dayOf(now_);
-}
-
-uint64_t
-EventQueue::dayOf(double timeNs) const
-{
-    const double clamped = std::max(timeNs, now_);
-    if (clamped <= 0.0)
-        return 0;
-    return static_cast<uint64_t>(clamped * invWidthNs_);
-}
-
-void
-EventQueue::schedule(double timeNs, Callback callback)
+EventQueue::schedule(double timeNs, uint32_t stage, uint32_t microBatch)
 {
     GOPIM_ASSERT(timeNs >= now_ - 1e-9,
                  "cannot schedule into the past (t=", timeNs,
                  ", now=", now_, ")");
-    const uint64_t day = dayOf(timeNs);
-    buckets_[day & (buckets_.size() - 1)].push_back(
-        {timeNs, nextSeq_++, day, std::move(callback)});
-    ++live_;
+    heap_.push_back({timeNs, nextSeq_++, stage, microBatch});
+    std::push_heap(heap_.begin(), heap_.end(), later);
 }
 
 void
-EventQueue::scheduleAfter(double delayNs, Callback callback)
+EventQueue::scheduleAfter(double delayNs, uint32_t stage,
+                          uint32_t microBatch)
 {
     GOPIM_ASSERT(delayNs >= 0.0, "negative delay");
-    schedule(now_ + delayNs, std::move(callback));
+    schedule(now_ + delayNs, stage, microBatch);
 }
 
-bool
-EventQueue::pop(std::vector<Event> &bucket, size_t index)
+Event
+EventQueue::pop()
 {
-    // Detach before invoking: the callback may schedule new events
-    // into this same bucket and reallocate it.
-    Event event = std::move(bucket[index]);
-    if (index + 1 != bucket.size())
-        bucket[index] = std::move(bucket.back());
-    bucket.pop_back();
-    --live_;
+    GOPIM_ASSERT(!heap_.empty(), "pop from an empty event queue");
+    if (processed_ >= maxEvents_)
+        panic("event queue exceeded ", maxEvents_,
+              " events: runaway simulation");
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    const Event event = heap_.back();
+    heap_.pop_back();
     now_ = event.timeNs;
     ++processed_;
-    event.callback();
-    return true;
-}
-
-bool
-EventQueue::step()
-{
-    if (live_ == 0)
-        return false;
-
-    const size_t mask = buckets_.size() - 1;
-
-    // Invariant: every pending event has day >= currentDay_, and all
-    // of day d's events sit in bucket d & mask. Scanning one circle
-    // of days therefore visits each day's complete candidate set, and
-    // picking the minimum (timeNs, seq) within a day reproduces the
-    // total order exactly.
-    for (size_t circle = 0; circle <= mask; ++circle) {
-        std::vector<Event> &bucket = buckets_[currentDay_ & mask];
-        size_t best = bucket.size();
-        for (size_t i = 0; i < bucket.size(); ++i) {
-            if (bucket[i].day > currentDay_)
-                continue; // a later circle of this bucket
-            if (best == bucket.size() ||
-                bucket[i].timeNs < bucket[best].timeNs ||
-                (bucket[i].timeNs == bucket[best].timeNs &&
-                 bucket[i].seq < bucket[best].seq))
-                best = i;
-        }
-        if (best != bucket.size())
-            return pop(bucket, best);
-        ++currentDay_;
-    }
-
-    // A full circle of empty days: the next event is at least a whole
-    // calendar away. Find the global minimum directly and jump there
-    // — same (timeNs, seq) order, just without walking empty days.
-    std::vector<Event> *bestBucket = nullptr;
-    size_t bestIndex = 0;
-    for (std::vector<Event> &bucket : buckets_)
-        for (size_t i = 0; i < bucket.size(); ++i) {
-            if (bestBucket != nullptr) {
-                const Event &e = bucket[i];
-                const Event &b = (*bestBucket)[bestIndex];
-                if (e.timeNs > b.timeNs ||
-                    (e.timeNs == b.timeNs && e.seq > b.seq))
-                    continue;
-            }
-            bestBucket = &bucket;
-            bestIndex = i;
-        }
-    GOPIM_ASSERT(bestBucket != nullptr,
-                 "live events unreachable by calendar scan");
-    currentDay_ = (*bestBucket)[bestIndex].day;
-    return pop(*bestBucket, bestIndex);
-}
-
-void
-EventQueue::run(uint64_t maxEvents)
-{
-    uint64_t steps = 0;
-    while (step()) {
-        if (++steps > maxEvents)
-            panic("event queue exceeded ", maxEvents,
-                  " events: runaway simulation");
-    }
+    return event;
 }
 
 } // namespace gopim::sim

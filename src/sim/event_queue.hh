@@ -1,96 +1,74 @@
 /**
  * @file
- * Discrete-event simulation core: a time-ordered event queue with
- * deterministic tie-breaking (insertion order), the foundation of the
- * event-driven pipeline simulator in sim/pipeline_sim.hh.
+ * Discrete-event simulation core: a time-ordered queue of plain
+ * events with deterministic tie-breaking (insertion order), the
+ * foundation of the event-driven pipeline simulator in
+ * sim/pipeline_sim.hh.
  *
- * The implementation is a calendar (bucket) queue rather than a
- * binary heap: simulated time is divided into fixed-width "days",
- * day d's events live in bucket d mod N, and step() scans the
- * current day's bucket for the earliest (timeNs, seq) pair. With the
- * width sized from a schedule-horizon hint (reserveHorizon) so that
- * buckets hold O(1) events, schedule() and step() are amortized O(1)
- * against the heap's O(log n) — and the hot path is a linear scan of
- * a small vector instead of a pointer-chasing sift.
+ * An event is data, not a callback: the (stage, micro-batch) pair
+ * whose service ends at timeNs. The queue is a binary min-heap in a
+ * reusable vector (std::push_heap / std::pop_heap), so schedule and
+ * pop cost O(log n) moves of 24-byte records and no allocation once
+ * the vector has grown. The pipeline simulator's queue never holds
+ * more than a few events per server, so the heap stays shallow.
  *
  * Ordering is part of the contract, not an accident of container
- * internals: events execute in strictly increasing (timeNs, seq)
- * order, where seq is the monotonic insertion index — equal
- * timestamps run FIFO on every stdlib. A full circle of empty days
- * falls back to a direct global-minimum scan, so correctness (and
- * the exact execution order) never depends on the horizon hint;
- * only speed does.
+ * internals: events pop in strictly increasing (timeNs, seq) order,
+ * where seq is the monotonic insertion index — equal timestamps pop
+ * FIFO on every stdlib.
  */
 
 #ifndef GOPIM_SIM_EVENT_QUEUE_HH
 #define GOPIM_SIM_EVENT_QUEUE_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 namespace gopim::sim {
 
-/** Time-ordered callback queue (calendar queue, FIFO on ties). */
+/** A station finishing one micro-batch's service. */
+struct Event
+{
+    double timeNs;
+    uint64_t seq; ///< insertion order for deterministic ties
+    uint32_t stage;
+    uint32_t microBatch;
+};
+
+/** Time-ordered event heap (FIFO on ties). */
 class EventQueue
 {
   public:
-    using Callback = std::function<void()>;
-
-    EventQueue();
-
     /**
-     * Size the calendar for a schedule expected to span `horizonNs`
-     * of simulated time and carry roughly `expectedEvents` events,
-     * aiming for O(1) events per bucket. Only takes effect while the
-     * queue is empty; a hint is advisory and never affects the
-     * execution order, only the cost of maintaining it.
+     * `maxEvents` is a runaway guard: pop() panics once that many
+     * events have been processed.
      */
-    void reserveHorizon(double horizonNs, uint64_t expectedEvents);
+    explicit EventQueue(uint64_t maxEvents = 100'000'000);
 
-    /** Schedule a callback at absolute time `timeNs` (>= now). */
-    void schedule(double timeNs, Callback callback);
+    /** Drop pending events and rewind time and counters; keeps capacity. */
+    void clear();
+
+    /** Schedule an event at absolute time `timeNs` (>= now). */
+    void schedule(double timeNs, uint32_t stage, uint32_t microBatch);
 
     /** Schedule relative to the current time. */
-    void scheduleAfter(double delayNs, Callback callback);
+    void scheduleAfter(double delayNs, uint32_t stage,
+                       uint32_t microBatch);
+
+    /** Remove the earliest event and advance time to it; not empty. */
+    Event pop();
 
     /** Current simulation time. */
     double nowNs() const { return now_; }
 
-    bool empty() const { return live_ == 0; }
-    size_t pending() const { return live_; }
+    bool empty() const { return heap_.empty(); }
+    size_t pending() const { return heap_.size(); }
     uint64_t processed() const { return processed_; }
 
-    /** Pop and execute the earliest event; false if none remain. */
-    bool step();
-
-    /**
-     * Run until the queue drains; panics after `maxEvents` as a
-     * runaway guard (callbacks scheduling unboundedly).
-     */
-    void run(uint64_t maxEvents = 100'000'000);
-
   private:
-    struct Event
-    {
-        double timeNs;
-        uint64_t seq; ///< insertion order for deterministic ties
-        uint64_t day; ///< calendar day this event is filed under
-        Callback callback;
-    };
-
-    /** floor(timeNs / width), clamped so epsilon-past times file
-     *  under the current day and stay findable. */
-    uint64_t dayOf(double timeNs) const;
-
-    /** Remove bucket[index], advance time, run the callback. */
-    bool pop(std::vector<Event> &bucket, size_t index);
-
-    std::vector<std::vector<Event>> buckets_;
-    double widthNs_;
-    double invWidthNs_;
-    uint64_t currentDay_ = 0;
-    size_t live_ = 0;
+    std::vector<Event> heap_;
+    uint64_t maxEvents_;
     double now_ = 0.0;
     uint64_t nextSeq_ = 0;
     uint64_t processed_ = 0;

@@ -1,10 +1,8 @@
 #include "sim/pipeline_sim.hh"
 
 #include <algorithm>
-#include <deque>
 
 #include "common/logging.hh"
-#include "sim/event_queue.hh"
 
 namespace gopim::sim {
 
@@ -19,214 +17,169 @@ SimResult::idleFraction(size_t stage) const
     return std::clamp(1.0 - busyNs[stage] / makespanNs, 0.0, 1.0);
 }
 
-namespace {
-
-/** Mutable per-station simulation state. */
-struct Station
+PipelineSimulator::PipelineSimulator(
+    const std::vector<StationConfig> &stations, bool recordWindows)
+    : recordWindows_(recordWindows)
 {
-    StationConfig config;
-    /** Micro-batches waiting to start (arrival order). */
-    std::deque<uint32_t> inputQueue;
-    /**
-     * Finished micro-batches awaiting handoff downstream, in finish
-     * order; each holds one of this station's servers until accepted.
-     * Multi-server stations may legitimately finish out of order
-     * (distinct replica groups), so handoff follows finish order.
-     */
-    std::deque<std::pair<uint32_t, double>> blocked; ///< (mb, doneAt)
-    uint32_t freeServers = 0;
-    double busyNs = 0.0;
-    double blockedNs = 0.0;
-};
+    GOPIM_ASSERT(!stations.empty(), "pipeline with no stations");
+    stations_.resize(stations.size());
+    for (size_t i = 0; i < stations.size(); ++i) {
+        GOPIM_ASSERT(stations[i].servers >= 1,
+                     "station needs >= 1 server");
+        stations_[i].config = stations[i];
+    }
+    result_.busyNs.resize(stations.size());
+    result_.blockedNs.resize(stations.size());
+    if (recordWindows)
+        result_.windows.resize(stations.size());
+}
 
-class Simulation
+const SimResult &
+PipelineSimulator::run(uint32_t microBatches,
+                       const ServiceSampler &sampler, uint32_t mbBase,
+                       uint64_t seed)
 {
-  public:
-    Simulation(const std::vector<StationConfig> &configs,
-               uint32_t microBatches, const ServiceSampler &sampler,
-               uint64_t seed, bool recordWindows)
-        : sampler_(sampler), rng_(seed)
-    {
-        stations_.reserve(configs.size());
-        for (const auto &cfg : configs) {
-            Station s;
-            s.config = cfg;
-            s.freeServers = cfg.servers;
-            stations_.push_back(std::move(s));
-        }
-        if (recordWindows)
-            windows_.assign(
-                configs.size(),
-                std::vector<pipeline::StageWindow>(microBatches));
-        // All micro-batches are released to stage 0 at t = 0; stage
-        // 0's input feed is the off-chip stream, unbounded.
-        for (uint32_t j = 0; j < microBatches; ++j)
-            stations_.front().inputQueue.push_back(j);
+    GOPIM_ASSERT(microBatches >= 1, "need at least one micro-batch");
+    sampler_ = sampler ? &sampler : nullptr;
+    mbBase_ = mbBase;
+    rng_ = Rng(seed);
+    queue_.clear();
+    completed_ = 0;
+    maxQueueDepth_ = 0;
+    for (Station &s : stations_) {
+        s.inputQueue.clear();
+        s.blocked.clear();
+        s.freeServers = s.config.servers;
+        s.busyNs = 0.0;
+        s.blockedNs = 0.0;
+    }
+    for (auto &stageWindows : result_.windows)
+        stageWindows.assign(microBatches, {});
+    // All micro-batches are released to stage 0 at t = 0; stage 0's
+    // input feed is the off-chip stream, unbounded.
+    for (uint32_t j = 0; j < microBatches; ++j)
+        stations_.front().inputQueue.push(j);
 
-        // Calendar sizing: one traversal of the pipe plus the
-        // bottleneck stage's drain bounds the makespan from below,
-        // and each (stage, micro-batch) pair finishes exactly once.
-        // Advisory only — retries/sampling may stretch the horizon,
-        // which costs scan time, never correctness.
-        double traversalNs = 0.0;
-        double bottleneckNs = 0.0;
-        for (const auto &cfg : configs) {
-            traversalNs += cfg.serviceTimeNs;
-            bottleneckNs = std::max(
-                bottleneckNs, cfg.serviceTimeNs /
-                                  std::max<double>(cfg.servers, 1.0));
-        }
-        queue_.reserveHorizon(
-            traversalNs + bottleneckNs * (microBatches - 1),
-            static_cast<uint64_t>(configs.size()) * microBatches);
+    tryStart(0);
+    while (!queue_.empty()) {
+        const Event event = queue_.pop();
+        onFinish(event.stage, event.microBatch);
     }
 
-    SimResult
-    run()
-    {
-        tryStart(0);
-        queue_.run();
+    GOPIM_ASSERT(completed_ == microBatches,
+                 "pipeline deadlocked: ", completed_, " of ",
+                 microBatches, " completed");
+    result_.makespanNs = queue_.nowNs();
+    result_.completed = completed_;
+    result_.eventsProcessed = queue_.processed();
+    result_.maxEventQueueDepth = maxQueueDepth_;
+    for (size_t i = 0; i < stations_.size(); ++i) {
+        result_.busyNs[i] = stations_[i].busyNs;
+        result_.blockedNs[i] = stations_[i].blockedNs;
+    }
+    return result_;
+}
 
-        SimResult result;
-        result.makespanNs = queue_.nowNs();
-        result.completed = completed_;
-        result.eventsProcessed = queue_.processed();
-        result.maxEventQueueDepth = maxQueueDepth_;
-        for (const auto &s : stations_) {
-            result.busyNs.push_back(s.busyNs);
-            result.blockedNs.push_back(s.blockedNs);
+double
+PipelineSimulator::serviceTime(size_t stage, uint32_t mb)
+{
+    if (sampler_)
+        return (*sampler_)(stage, mb + mbBase_, rng_);
+    return stations_[stage].config.serviceTimeNs;
+}
+
+/**
+ * Start queued micro-batches while servers are free. Starting work
+ * frees input-buffer slots, so upstream blocked handoffs are drained
+ * afterwards.
+ */
+void
+PipelineSimulator::tryStart(size_t stageIdx)
+{
+    Station &station = stations_[stageIdx];
+    bool startedAny = false;
+    while (station.freeServers > 0 && !station.inputQueue.empty()) {
+        const uint32_t mb = station.inputQueue.front();
+        station.inputQueue.pop();
+        --station.freeServers;
+        startedAny = true;
+        const double service = serviceTime(stageIdx, mb);
+        station.busyNs += service;
+        if (recordWindows_) {
+            auto &window = result_.windows[stageIdx][mb];
+            window.startNs = queue_.nowNs();
+            window.endNs = queue_.nowNs() + service;
         }
-        result.windows = std::move(windows_);
-        return result;
+        queue_.scheduleAfter(service, static_cast<uint32_t>(stageIdx),
+                             mb);
+        maxQueueDepth_ =
+            std::max<uint64_t>(maxQueueDepth_, queue_.pending());
     }
+    if (startedAny && stageIdx > 0)
+        drainBlocked(stageIdx - 1);
+}
 
-  private:
-    double
-    serviceTime(size_t stage, uint32_t mb)
-    {
-        if (sampler_)
-            return sampler_(stage, mb, rng_);
-        return stations_[stage].config.serviceTimeNs;
-    }
+/** Room for one more waiting micro-batch in front of a station? */
+bool
+PipelineSimulator::hasSpace(size_t stageIdx) const
+{
+    const Station &station = stations_[stageIdx];
+    // A free server with an empty queue means direct handoff: the job
+    // will not occupy a buffer slot.
+    if (station.freeServers > 0 && station.inputQueue.empty())
+        return true;
+    return station.inputQueue.size() <
+           static_cast<size_t>(station.config.inputBuffer);
+}
 
-    /**
-     * Start queued micro-batches while servers are free. Starting
-     * work frees input-buffer slots, so upstream blocked handoffs are
-     * drained afterwards.
-     */
-    void
-    tryStart(size_t stageIdx)
-    {
-        Station &station = stations_[stageIdx];
-        bool startedAny = false;
-        while (station.freeServers > 0 &&
-               !station.inputQueue.empty()) {
-            const uint32_t mb = station.inputQueue.front();
-            station.inputQueue.pop_front();
-            --station.freeServers;
-            startedAny = true;
-            const double service = serviceTime(stageIdx, mb);
-            station.busyNs += service;
-            if (!windows_.empty()) {
-                auto &window = windows_[stageIdx][mb];
-                window.startNs = queue_.nowNs();
-                window.endNs = queue_.nowNs() + service;
-            }
-            // Narrow the stage index so the capture fits libstdc++'s
-            // 16-byte std::function inline storage: no per-event heap
-            // allocation on the hottest path in the simulator.
-            const auto stage32 = static_cast<uint32_t>(stageIdx);
-            queue_.scheduleAfter(service, [this, stage32, mb] {
-                onFinish(stage32, mb);
-            });
-            maxQueueDepth_ = std::max<uint64_t>(maxQueueDepth_,
-                                                queue_.pending());
-        }
-        if (startedAny && stageIdx > 0)
-            drainBlocked(stageIdx - 1);
-    }
-
-    /** Room for one more waiting micro-batch in front of a station? */
-    bool
-    hasSpace(size_t stageIdx) const
-    {
-        const Station &station = stations_[stageIdx];
-        // A free server with an empty queue means direct handoff: the
-        // job will not occupy a buffer slot.
-        if (station.freeServers > 0 && station.inputQueue.empty())
-            return true;
-        return station.inputQueue.size() <
-               static_cast<size_t>(station.config.inputBuffer);
-    }
-
-    /** Move this station's blocked handoffs downstream, in order. */
-    void
-    drainBlocked(size_t stageIdx)
-    {
-        Station &station = stations_[stageIdx];
-        const size_t next = stageIdx + 1;
-        while (!station.blocked.empty() && hasSpace(next)) {
-            const auto [mb, doneAt] = station.blocked.front();
-            station.blocked.pop_front();
-            station.blockedNs += queue_.nowNs() - doneAt;
-            ++station.freeServers;
-            stations_[next].inputQueue.push_back(mb);
-            tryStart(next);
-            tryStart(stageIdx);
-            // This station's server freed: the release propagates
-            // upstream even when this station had nothing queued.
-            if (stageIdx > 0)
-                drainBlocked(stageIdx - 1);
-        }
-    }
-
-    void
-    onFinish(size_t stageIdx, uint32_t mb)
-    {
-        Station &station = stations_[stageIdx];
-        if (stageIdx + 1 == stations_.size()) {
-            ++completed_;
-            ++station.freeServers;
-            tryStart(stageIdx);
-        } else {
-            // Handoffs leave in finish order through the blocked
-            // queue; an immediate handoff spends zero time blocked.
-            station.blocked.push_back({mb, queue_.nowNs()});
-            drainBlocked(stageIdx);
-        }
-        // A server freed (or a handoff slot opened) here; upstream
-        // blocked handoffs may now fit even if nothing new started.
+/** Move this station's blocked handoffs downstream, in order. */
+void
+PipelineSimulator::drainBlocked(size_t stageIdx)
+{
+    Station &station = stations_[stageIdx];
+    const size_t next = stageIdx + 1;
+    while (!station.blocked.empty() && hasSpace(next)) {
+        const Handoff handoff = station.blocked.front();
+        station.blocked.pop();
+        station.blockedNs += queue_.nowNs() - handoff.doneAtNs;
+        ++station.freeServers;
+        stations_[next].inputQueue.push(handoff.microBatch);
+        tryStart(next);
+        tryStart(stageIdx);
+        // This station's server freed: the release propagates
+        // upstream even when this station had nothing queued.
         if (stageIdx > 0)
             drainBlocked(stageIdx - 1);
     }
+}
 
-    ServiceSampler sampler_;
-    Rng rng_;
-    std::vector<Station> stations_;
-    std::vector<std::vector<pipeline::StageWindow>> windows_;
-    EventQueue queue_;
-    uint32_t completed_ = 0;
-    uint64_t maxQueueDepth_ = 0;
-};
-
-} // namespace
+void
+PipelineSimulator::onFinish(size_t stageIdx, uint32_t mb)
+{
+    Station &station = stations_[stageIdx];
+    if (stageIdx + 1 == stations_.size()) {
+        ++completed_;
+        ++station.freeServers;
+        tryStart(stageIdx);
+    } else {
+        // Handoffs leave in finish order through the blocked queue;
+        // an immediate handoff spends zero time blocked.
+        station.blocked.push({mb, queue_.nowNs()});
+        drainBlocked(stageIdx);
+    }
+    // A server freed (or a handoff slot opened) here; upstream
+    // blocked handoffs may now fit even if nothing new started.
+    if (stageIdx > 0)
+        drainBlocked(stageIdx - 1);
+}
 
 SimResult
 simulatePipeline(const std::vector<StationConfig> &stations,
                  uint32_t microBatches, const ServiceSampler &sampler,
                  uint64_t seed, bool recordWindows)
 {
-    GOPIM_ASSERT(!stations.empty(), "pipeline with no stations");
-    GOPIM_ASSERT(microBatches >= 1, "need at least one micro-batch");
-    for (const auto &s : stations)
-        GOPIM_ASSERT(s.servers >= 1, "station needs >= 1 server");
-    Simulation sim(stations, microBatches, sampler, seed,
-                   recordWindows);
-    auto result = sim.run();
-    GOPIM_ASSERT(result.completed == microBatches,
-                 "pipeline deadlocked: ", result.completed, " of ",
-                 microBatches, " completed");
-    return result;
+    PipelineSimulator simulator(stations, recordWindows);
+    return simulator.run(microBatches, sampler, 0, seed);
 }
 
 ServiceSampler

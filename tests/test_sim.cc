@@ -19,15 +19,23 @@
 namespace gopim::sim {
 namespace {
 
+/** Drain the queue, returning each event's micro-batch field. */
+std::vector<uint32_t>
+drain(EventQueue &queue)
+{
+    std::vector<uint32_t> order;
+    while (!queue.empty())
+        order.push_back(queue.pop().microBatch);
+    return order;
+}
+
 TEST(EventQueue, TimeOrderedExecution)
 {
     EventQueue queue;
-    std::vector<int> order;
-    queue.schedule(3.0, [&] { order.push_back(3); });
-    queue.schedule(1.0, [&] { order.push_back(1); });
-    queue.schedule(2.0, [&] { order.push_back(2); });
-    queue.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    queue.schedule(3.0, 0, 3);
+    queue.schedule(1.0, 0, 1);
+    queue.schedule(2.0, 0, 2);
+    EXPECT_EQ(drain(queue), (std::vector<uint32_t>{1, 2, 3}));
     EXPECT_DOUBLE_EQ(queue.nowNs(), 3.0);
     EXPECT_EQ(queue.processed(), 3u);
 }
@@ -35,12 +43,10 @@ TEST(EventQueue, TimeOrderedExecution)
 TEST(EventQueue, TiesBreakByInsertionOrder)
 {
     EventQueue queue;
-    std::vector<int> order;
-    queue.schedule(1.0, [&] { order.push_back(0); });
-    queue.schedule(1.0, [&] { order.push_back(1); });
-    queue.schedule(1.0, [&] { order.push_back(2); });
-    queue.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+    queue.schedule(1.0, 2, 0);
+    queue.schedule(1.0, 1, 1);
+    queue.schedule(1.0, 0, 2);
+    EXPECT_EQ(drain(queue), (std::vector<uint32_t>{0, 1, 2}));
 }
 
 TEST(EventQueue, CollidingTimestampsDrainFifoAtScale)
@@ -48,103 +54,68 @@ TEST(EventQueue, CollidingTimestampsDrainFifoAtScale)
     // Many events per timestamp, scheduled in shuffled timestamp
     // order: equal timestamps must drain in exact insertion order
     // (the explicit sequence-number tie-break), not in whatever
-    // order the underlying container happens to keep.
+    // order the heap happens to keep them.
     EventQueue queue;
-    std::vector<int> order;
     const double times[] = {2.0, 0.5, 3.5, 1.0};
-    for (int k = 0; k < 64; ++k) {
-        for (int t = 0; t < 4; ++t) {
-            const int id = k * 4 + t;
-            queue.schedule(times[t], [&, id] { order.push_back(id); });
+    for (uint32_t k = 0; k < 64; ++k)
+        for (uint32_t t = 0; t < 4; ++t)
+            queue.schedule(times[t], t, k * 4 + t);
+    EXPECT_EQ(queue.pending(), 256u);
+
+    std::vector<uint32_t> expected;
+    for (uint32_t t : {1, 3, 0, 2}) // timestamps ascending: .5, 1, 2, 3.5
+        for (uint32_t k = 0; k < 64; ++k)
+            expected.push_back(k * 4 + t);
+    EXPECT_EQ(drain(queue), expected);
+}
+
+TEST(EventQueue, PushesDuringDrainKeepTheOrder)
+{
+    // Events scheduled while draining interleave with the pending
+    // ones by (time, insertion order), including ties with them.
+    EventQueue queue;
+    queue.schedule(1.0, 0, 0);
+    queue.schedule(2.0, 0, 1);
+    std::vector<uint32_t> order;
+    while (!queue.empty()) {
+        const Event event = queue.pop();
+        EXPECT_EQ(event.stage, 0u);
+        order.push_back(event.microBatch);
+        if (event.microBatch == 0) {
+            queue.scheduleAfter(1.0, 0, 2); // ties with 1, pushed later
+            queue.scheduleAfter(0.5, 0, 3);
         }
     }
-    queue.run();
-
-    std::vector<int> expected;
-    for (int t : {1, 3, 0, 2}) // timestamps ascending: .5, 1, 2, 3.5
-        for (int k = 0; k < 64; ++k)
-            expected.push_back(k * 4 + t);
-    EXPECT_EQ(order, expected);
-}
-
-TEST(EventQueue, HorizonHintNeverChangesOrder)
-{
-    // The calendar sizing hint is a pure speed knob: wildly wrong
-    // horizons (too short, too long, bucket-width extremes) must
-    // leave the execution order — including equal-timestamp FIFO
-    // ties — untouched.
-    const auto runWithHint = [](double horizonNs, uint64_t events) {
-        EventQueue queue;
-        if (horizonNs > 0)
-            queue.reserveHorizon(horizonNs, events);
-        std::vector<int> order;
-        const double times[] = {7.0, 1.5, 1.5, 40.0, 0.25, 7.0};
-        for (int k = 0; k < 32; ++k) {
-            for (int t = 0; t < 6; ++t) {
-                const int id = k * 6 + t;
-                queue.schedule(times[t],
-                               [&, id] { order.push_back(id); });
-            }
-        }
-        queue.run();
-        return order;
-    };
-
-    const std::vector<int> reference = runWithHint(0.0, 0);
-    EXPECT_EQ(runWithHint(1.0, 1), reference);
-    EXPECT_EQ(runWithHint(1e9, 1u << 20), reference);
-    EXPECT_EQ(runWithHint(16.0, 8), reference);
-    EXPECT_EQ(runWithHint(0.001, 4096), reference);
-}
-
-TEST(EventQueue, EventsFarBeyondHorizonWrapSafely)
-{
-    // Timestamps thousands of bucket-widths apart alias to the same
-    // calendar slots; the day tag must keep them ordered.
-    EventQueue queue;
-    queue.reserveHorizon(16.0, 16);
-    std::vector<int> order;
-    for (int i = 9; i >= 0; --i)
-        queue.schedule(static_cast<double>(i) * 1000.0,
-                       [&, i] { order.push_back(i); });
-    // A colliding pair far out, scheduled before vs after the loop
-    // above reversed the times: FIFO must still hold.
-    queue.schedule(5000.0, [&] { order.push_back(100); });
-    queue.schedule(5000.0, [&] { order.push_back(101); });
-    queue.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 100, 101, 6,
-                                       7, 8, 9}));
-    EXPECT_EQ(queue.processed(), 12u);
-}
-
-TEST(EventQueue, CallbacksMayScheduleMore)
-{
-    EventQueue queue;
-    int fired = 0;
-    queue.schedule(1.0, [&] {
-        ++fired;
-        queue.scheduleAfter(1.0, [&] { ++fired; });
-    });
-    queue.run();
-    EXPECT_EQ(fired, 2);
+    EXPECT_EQ(order, (std::vector<uint32_t>{0, 3, 1, 2}));
     EXPECT_DOUBLE_EQ(queue.nowNs(), 2.0);
+
+    // clear() rewinds time and the counters for reuse.
+    queue.clear();
+    EXPECT_EQ(queue.nowNs(), 0.0);
+    EXPECT_EQ(queue.processed(), 0u);
+    queue.schedule(0.5, 1, 9);
+    EXPECT_EQ(drain(queue), (std::vector<uint32_t>{9}));
 }
 
 TEST(EventQueueDeath, PastSchedulingPanics)
 {
     EventQueue queue;
-    queue.schedule(5.0, [&] { queue.schedule(1.0, [] {}); });
-    EXPECT_DEATH(queue.run(), "past");
+    queue.schedule(5.0, 0, 0);
+    queue.pop();
+    EXPECT_DEATH(queue.schedule(1.0, 0, 1), "past");
 }
 
 TEST(EventQueueDeath, RunawayGuardTrips)
 {
-    EventQueue queue;
-    std::function<void()> loop = [&] {
-        queue.scheduleAfter(1.0, loop);
+    EventQueue queue(100);
+    queue.schedule(0.0, 0, 0);
+    const auto loop = [&] {
+        while (!queue.empty()) {
+            queue.pop();
+            queue.scheduleAfter(1.0, 0, 0);
+        }
     };
-    queue.schedule(0.0, loop);
-    EXPECT_DEATH(queue.run(100), "runaway");
+    EXPECT_DEATH(loop(), "runaway");
 }
 
 // ---------------------------------------------------------------- //
@@ -317,6 +288,57 @@ TEST(PipelineSim, DeterministicForSameSeed)
     const auto a = simulatePipeline(stations, 50, sampler, 9);
     const auto b = simulatePipeline(stations, 50, sampler, 9);
     EXPECT_DOUBLE_EQ(a.makespanNs, b.makespanNs);
+}
+
+TEST(PipelineSim, ReusedSimulatorMatchesFreshRuns)
+{
+    // One simulator run many times (as the event engine runs every
+    // chunk of a schedule) must reproduce one-off runs bit for bit,
+    // whatever ran before it; mbBase only shifts the sampler's index.
+    std::vector<StationConfig> stations = {
+        {.serviceTimeNs = 3.0, .servers = 2, .inputBuffer = 1},
+        {.serviceTimeNs = 7.5},
+        {.serviceTimeNs = 2.25, .inputBuffer = 0},
+    };
+    const auto retry = makeWriteRetrySampler(stations, 0.3, 0.5);
+    std::vector<uint32_t> seen;
+    const ServiceSampler recording = [&](size_t stage, uint32_t mb,
+                                         Rng &rng) {
+        seen.push_back(mb);
+        return retry(stage, mb, rng);
+    };
+    PipelineSimulator reused(stations, true);
+    for (const uint32_t b : {40u, 3u, 17u, 1u}) {
+        for (const uint64_t seed : {5u, 6u}) {
+            seen.clear();
+            const SimResult &a = reused.run(b, recording, 100, seed);
+            const std::vector<uint32_t> reusedSeen = seen;
+            seen.clear();
+            const ServiceSampler shifted =
+                [&](size_t stage, uint32_t mb, Rng &rng) {
+                    return recording(stage, mb + 100, rng);
+                };
+            const SimResult fresh =
+                simulatePipeline(stations, b, shifted, seed, true);
+            EXPECT_EQ(seen, reusedSeen);
+            EXPECT_EQ(a.makespanNs, fresh.makespanNs);
+            EXPECT_EQ(a.busyNs, fresh.busyNs);
+            EXPECT_EQ(a.blockedNs, fresh.blockedNs);
+            EXPECT_EQ(a.completed, b);
+            EXPECT_EQ(a.eventsProcessed, fresh.eventsProcessed);
+            EXPECT_EQ(a.maxEventQueueDepth, fresh.maxEventQueueDepth);
+            ASSERT_EQ(a.windows.size(), fresh.windows.size());
+            for (size_t i = 0; i < a.windows.size(); ++i) {
+                ASSERT_EQ(a.windows[i].size(), b);
+                for (uint32_t j = 0; j < b; ++j) {
+                    EXPECT_EQ(a.windows[i][j].startNs,
+                              fresh.windows[i][j].startNs);
+                    EXPECT_EQ(a.windows[i][j].endNs,
+                              fresh.windows[i][j].endNs);
+                }
+            }
+        }
+    }
 }
 
 } // namespace

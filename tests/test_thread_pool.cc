@@ -188,9 +188,10 @@ TEST(ParallelGrid, JobsOneEqualsJobsManyBitForBit)
 
 // Same property under the event-driven engine, whose queue is full
 // of colliding timestamps (every stage of a drained chunk finishes
-// on the same boundary): the explicit sequence-number tie-break in
-// sim::EventQueue is what keeps --jobs=1 and --jobs=8 bit-identical
-// here, rather than unspecified container behavior.
+// on the same boundary): sim::EventQueue's heap pops plain events in
+// (timeNs, seq) order, seq being the insertion index, and that
+// explicit tie-break is what keeps --jobs=1 and --jobs=8
+// bit-identical here, rather than unspecified heap layout.
 TEST(ParallelGrid, EventEngineCollidingTimestampsJobsInvariant)
 {
     sim::SimContext ctx;
