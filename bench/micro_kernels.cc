@@ -21,8 +21,10 @@
  *     micro_kernels --benchmark_filter='VertexProfileBuild|MappingArtifacts' \
  *         --benchmark_repetitions=7 [--baseline=BEFORE] --json-out=OUT
  *
- * and the event-engine one (BENCH_event_engine_{before,after}.json)
- * is the same with --benchmark_filter=EventSchedule.
+ * the event-engine one (BENCH_event_engine_{before,after}.json) is
+ * the same with --benchmark_filter=EventSchedule, and the CSR-build
+ * one (BENCH_graph_build_{before,after}.json) with
+ * --benchmark_filter=GnnInferPlan.
  */
 
 #include <bit>
@@ -53,6 +55,7 @@
 #include "sim/engine.hh"
 #include "tensor/init.hh"
 #include "tensor/ops.hh"
+#include "workload/family.hh"
 
 namespace {
 
@@ -297,6 +300,41 @@ BM_EventSchedule(benchmark::State &state)
                  bits.size() * sizeof(uint64_t)})));
 }
 BENCHMARK(BM_EventSchedule)->ArgName("case")->DenseRange(0, 3);
+
+void
+BM_GnnInferPlan(benchmark::State &state)
+{
+    // One gnn-infer plan: materialize the capped Chung-Lu instance,
+    // build its CSR and profile the partitioning. case 0-2 are collab
+    // under row/col/nnz splits, 3-5 the same on arxiv.
+    static const char *const kDatasets[] = {"collab", "arxiv"};
+    static const workload::Partitioning kSplits[] = {
+        workload::Partitioning::RowSplit,
+        workload::Partitioning::ColSplit,
+        workload::Partitioning::NnzBalanced};
+    const auto which = static_cast<size_t>(state.range(0));
+    workload::WorkloadSpec spec;
+    spec.family = workload::FamilyKind::GnnInfer;
+    spec.dataset = kDatasets[which / 3];
+    spec.partition = kSplits[which % 3];
+    const auto hw = reram::AcceleratorConfig::paperDefault();
+    const auto &family = workload::familyFor(spec.family);
+
+    workload::StagePlan plan;
+    for (auto _ : state) {
+        plan = family.plan(spec, hw);
+        benchmark::DoNotOptimize(plan.fixedTimesNs.data());
+    }
+    std::vector<uint64_t> bits;
+    for (const double t : plan.scalableTimesNs)
+        bits.push_back(std::bit_cast<uint64_t>(t));
+    for (const double t : plan.fixedTimesNs)
+        bits.push_back(std::bit_cast<uint64_t>(t));
+    state.SetLabel(hexDigest64(
+        fnv1a64({reinterpret_cast<const char *>(bits.data()),
+                 bits.size() * sizeof(uint64_t)})));
+}
+BENCHMARK(BM_GnnInferPlan)->ArgName("case")->DenseRange(0, 5);
 
 void
 BM_DenseMatmul(benchmark::State &state)

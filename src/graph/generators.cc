@@ -53,8 +53,8 @@ powerLawDegreeSequence(uint64_t numVertices, double avgDegree, double alpha,
     return degrees;
 }
 
-Graph
-chungLu(const std::vector<uint32_t> &targetDegrees, Rng &rng)
+std::vector<std::pair<VertexId, VertexId>>
+chungLuEdges(const std::vector<uint32_t> &targetDegrees, Rng &rng)
 {
     const auto n = static_cast<VertexId>(targetDegrees.size());
     GOPIM_ASSERT(n > 1, "Chung-Lu needs at least two vertices");
@@ -101,7 +101,15 @@ chungLu(const std::vector<uint32_t> &targetDegrees, Rng &rng)
             }
         }
     }
-    return Graph::fromEdges(n, std::move(edges));
+    return edges;
+}
+
+Graph
+chungLu(const std::vector<uint32_t> &targetDegrees, Rng &rng)
+{
+    return Graph::fromEdges(
+        static_cast<VertexId>(targetDegrees.size()),
+        chungLuEdges(targetDegrees, rng));
 }
 
 Graph

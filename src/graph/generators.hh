@@ -11,6 +11,7 @@
 #define GOPIM_GRAPH_GENERATORS_HH
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
@@ -37,6 +38,14 @@ std::vector<uint32_t> powerLawDegreeSequence(uint64_t numVertices,
  * degrees approximate the targets in expectation.
  */
 Graph chungLu(const std::vector<uint32_t> &targetDegrees, Rng &rng);
+
+/**
+ * The edge list chungLu samples, in sampling order, before the CSR
+ * build: the same RNG draws, so chungLu(d, rng) equals
+ * Graph::fromEdges(d.size(), chungLuEdges(d, rng)).
+ */
+std::vector<std::pair<VertexId, VertexId>>
+chungLuEdges(const std::vector<uint32_t> &targetDegrees, Rng &rng);
 
 /** Erdos-Renyi G(n, p). */
 Graph erdosRenyi(VertexId numVertices, double p, Rng &rng);

@@ -14,40 +14,69 @@ Graph::fromEdges(VertexId numVertices,
 {
     Graph g;
     g.numVertices_ = numVertices;
+    const size_t n = numVertices;
 
-    // Symmetrize: add both directions; keep self-loops single.
-    std::vector<std::pair<VertexId, VertexId>> directed;
-    directed.reserve(edges.size() * 2);
+    // Count both directions per source vertex; self-loops once.
+    std::vector<uint64_t> rowPtr(n + 1, 0);
     for (auto [u, v] : edges) {
         GOPIM_ASSERT(u < numVertices && v < numVertices,
                      "edge endpoint out of range");
-        directed.emplace_back(u, v);
+        ++rowPtr[u + 1];
         if (u != v)
-            directed.emplace_back(v, u);
+            ++rowPtr[v + 1];
     }
-    std::sort(directed.begin(), directed.end());
-    directed.erase(std::unique(directed.begin(), directed.end()),
-                   directed.end());
+    std::partial_sum(rowPtr.begin(), rowPtr.end(), rowPtr.begin());
 
-    g.rowPtr_.assign(static_cast<size_t>(numVertices) + 1, 0);
-    for (auto [u, v] : directed)
-        ++g.rowPtr_[u + 1];
-    std::partial_sum(g.rowPtr_.begin(), g.rowPtr_.end(),
-                     g.rowPtr_.begin());
-    g.colIdx_.resize(directed.size());
-    {
-        std::vector<uint64_t> cursor(g.rowPtr_.begin(),
-                                     g.rowPtr_.end() - 1);
-        for (auto [u, v] : directed)
-            g.colIdx_[cursor[u]++] = v;
+    // Scatter each row's neighbors, in input order.
+    std::vector<VertexId> scattered(rowPtr[n]);
+    std::vector<uint64_t> cursor(rowPtr.begin(), rowPtr.end() - 1);
+    for (auto [u, v] : edges) {
+        scattered[cursor[u]++] = v;
+        if (u != v)
+            scattered[cursor[v]++] = u;
     }
+    // Release each buffer once read: at most two are live at a time.
+    edges = {};
 
-    // Count undirected edges: self-loops appear once, others twice.
+    // Second stable counting pass: the scattered adjacency is
+    // symmetric, so walking its rows v in ascending order and
+    // appending v to the row of each neighbor u rebuilds every row in
+    // ascending order, with a duplicate edge's copies adjacent, where
+    // comparing with the row's last entry drops them.
+    g.colIdx_.resize(scattered.size());
+    std::copy(rowPtr.begin(), rowPtr.end() - 1, cursor.begin());
+    uint64_t kept = 0;
     uint64_t selfLoops = 0;
-    for (auto [u, v] : directed)
-        if (u == v)
-            ++selfLoops;
-    g.numEdges_ = (directed.size() - selfLoops) / 2 + selfLoops;
+    for (VertexId v = 0; v < numVertices; ++v) {
+        for (uint64_t i = rowPtr[v]; i < rowPtr[v + 1]; ++i) {
+            const VertexId u = scattered[i];
+            uint64_t &next = cursor[u];
+            if (next != rowPtr[u] && g.colIdx_[next - 1] == v)
+                continue;
+            g.colIdx_[next++] = v;
+            ++kept;
+            selfLoops += u == v;
+        }
+    }
+    scattered = {};
+
+    // Close the gaps the dropped duplicates left at the row ends.
+    if (kept != g.colIdx_.size()) {
+        uint64_t out = 0;
+        for (size_t u = 0; u < n; ++u) {
+            const uint64_t begin = rowPtr[u];
+            rowPtr[u] = out;
+            for (uint64_t i = begin; i < cursor[u]; ++i)
+                g.colIdx_[out++] = g.colIdx_[i];
+        }
+        rowPtr[n] = out;
+        g.colIdx_.resize(out);
+        g.colIdx_.shrink_to_fit();
+    }
+    g.rowPtr_ = std::move(rowPtr);
+
+    // Undirected edges: self-loops appear once, others twice.
+    g.numEdges_ = (kept - selfLoops) / 2 + selfLoops;
     return g;
 }
 

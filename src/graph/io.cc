@@ -1,8 +1,9 @@
 #include "graph/io.hh"
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
-#include <algorithm>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -12,12 +13,19 @@
 
 namespace gopim::graph {
 
+namespace {
+
+/** Most vertices a Graph can hold: every id must fit below it. */
+constexpr uint64_t kMaxVertices = std::numeric_limits<VertexId>::max();
+
+} // namespace
+
 Graph
 readEdgeList(std::istream &in)
 {
     std::vector<std::pair<VertexId, VertexId>> edges;
-    VertexId declaredVertices = 0;
-    VertexId maxVertex = 0;
+    uint64_t declaredVertices = 0;
+    uint64_t maxVertex = 0;
     std::string line;
     size_t lineNo = 0;
     while (std::getline(in, line)) {
@@ -30,8 +38,13 @@ readEdgeList(std::istream &in)
             header >> word;
             if (word == "vertices") {
                 uint64_t n = 0;
-                if (header >> n)
-                    declaredVertices = static_cast<VertexId>(n);
+                if (header >> n) {
+                    if (n > kMaxVertices)
+                        fatal("edge list line ", lineNo, ": ", n,
+                              " vertices exceed the limit of ",
+                              kMaxVertices);
+                    declaredVertices = n;
+                }
             }
             continue;
         }
@@ -40,14 +53,18 @@ readEdgeList(std::istream &in)
         if (!(fields >> u >> v))
             fatal("edge list line ", lineNo, " malformed: '", line,
                   "'");
+        if (std::max(u, v) >= kMaxVertices)
+            fatal("edge list line ", lineNo, ": vertex id ",
+                  std::max(u, v), " exceeds the largest id ",
+                  kMaxVertices - 1);
         edges.emplace_back(static_cast<VertexId>(u),
                            static_cast<VertexId>(v));
-        maxVertex = std::max({maxVertex, static_cast<VertexId>(u),
-                              static_cast<VertexId>(v)});
+        maxVertex = std::max({maxVertex, u, v});
     }
-    const VertexId numVertices = std::max<VertexId>(
+    const uint64_t numVertices = std::max<uint64_t>(
         declaredVertices, edges.empty() ? 0 : maxVertex + 1);
-    return Graph::fromEdges(numVertices, std::move(edges));
+    return Graph::fromEdges(static_cast<VertexId>(numVertices),
+                            std::move(edges));
 }
 
 Graph
@@ -121,14 +138,19 @@ loadBinary(const std::string &path)
     if (readPod<uint64_t>(in, "magic") != kMagic)
         fatal("'", path, "' is not a GoPIM binary graph");
     const auto numVertices = readPod<uint64_t>(in, "vertex count");
+    if (numVertices > kMaxVertices)
+        fatal("'", path, "' declares ", numVertices,
+              " vertices, over the limit of ", kMaxVertices);
     const auto numEdges = readPod<uint64_t>(in, "edge count");
 
     std::vector<std::pair<VertexId, VertexId>> edges;
-    edges.reserve(numEdges);
     for (uint64_t u = 0; u < numVertices; ++u) {
         const auto degree = readPod<uint64_t>(in, "degree");
         for (uint64_t i = 0; i < degree; ++i) {
             const auto v = readPod<VertexId>(in, "neighbor");
+            if (v >= numVertices)
+                fatal("'", path, "' row ", u, " names neighbor ", v,
+                      " of only ", numVertices, " vertices");
             if (u <= v)
                 edges.emplace_back(static_cast<VertexId>(u), v);
         }

@@ -18,7 +18,9 @@ namespace gopim::graph {
 /**
  * Parse a text edge list: one "u v" pair per line, '#' comments and
  * blank lines ignored; vertex count is max id + 1 unless a
- * "# vertices N" header is present. fatal() on malformed input.
+ * "# vertices N" header is present. fatal(), naming the line, on
+ * malformed input, on an id past the largest VertexId a graph can
+ * hold (2^32 - 2), and on a header over 2^32 - 1 vertices.
  */
 Graph readEdgeList(std::istream &in);
 
@@ -34,7 +36,11 @@ void writeEdgeList(const Graph &g, std::ostream &out);
  */
 void saveBinary(const Graph &g, const std::string &path);
 
-/** Load a binary CSR snapshot; fatal() on bad magic or truncation. */
+/**
+ * Load a binary CSR snapshot; fatal() on bad magic, truncation, a
+ * vertex count over 2^32 - 1, a neighbor id past the vertex count, or
+ * an edge count that disagrees with the rows.
+ */
 Graph loadBinary(const std::string &path);
 
 } // namespace gopim::graph

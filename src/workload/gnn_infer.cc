@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <queue>
+#include <utility>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/math_utils.hh"
@@ -94,13 +98,20 @@ profilePartitioning(const graph::Graph &g, Partitioning strategy,
     }
     case Partitioning::NnzBalanced: {
         // LPT: rows in descending-degree order each go to the
-        // currently least-loaded partition. Near-perfect balance; the
-        // gather indirection costs one extra window pass.
+        // currently least-loaded partition, the lowest index among
+        // ties. Near-perfect balance; the gather indirection costs
+        // one extra window pass.
+        using Load = std::pair<uint64_t, uint32_t>; // (nnz, partition)
+        std::priority_queue<Load, std::vector<Load>, std::greater<>>
+            lightest;
+        for (uint32_t p = 0; p < parts; ++p)
+            lightest.emplace(0, p);
         for (const graph::VertexId u : g.verticesByDegreeDesc()) {
-            const auto lightest = std::min_element(partNnz.begin(),
-                                                   partNnz.end());
+            const auto [load, p] = lightest.top();
+            lightest.pop();
             const uint32_t d = g.degree(u);
-            *lightest += d;
+            partNnz[p] = load + d;
+            lightest.emplace(load + d, p);
             totalNnz += d;
         }
         profile.mergeWindows = 1;

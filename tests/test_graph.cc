@@ -1,14 +1,16 @@
 /**
  * @file
- * Unit tests for the graph substrate: CSR construction, generators
- * (degree targets, determinism), the Table III dataset catalog, and
- * the degree ranking.
+ * Unit tests for the graph substrate: CSR construction (pinned to
+ * the sort-based builder it replaced), generators (degree targets,
+ * determinism), the Table III dataset catalog, and the degree ranking.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hh"
 #include "graph/datasets.hh"
@@ -77,6 +79,140 @@ TEST(Graph, VerticesByDegreeDescIsStable)
     // Equal degrees (0 and 1) keep id order.
     EXPECT_LT(std::find(order.begin(), order.end(), 0u),
               std::find(order.begin(), order.end(), 1u));
+}
+
+/** A CSR's raw arrays, rebuilt from the public accessors. */
+struct Csr
+{
+    std::vector<uint64_t> rowPtr;
+    std::vector<VertexId> colIdx;
+    uint64_t numEdges = 0;
+
+    bool operator==(const Csr &) const = default;
+};
+
+Csr
+csrOf(const Graph &g)
+{
+    Csr csr;
+    csr.rowPtr.push_back(0);
+    for (VertexId v = 0; v < g.numVertices(); ++v) {
+        const auto nbrs = g.neighbors(v);
+        csr.colIdx.insert(csr.colIdx.end(), nbrs.begin(), nbrs.end());
+        csr.rowPtr.push_back(csr.colIdx.size());
+    }
+    csr.numEdges = g.numEdges();
+    return csr;
+}
+
+/**
+ * The CSR builder Graph::fromEdges must match bit for bit: both
+ * directions of every edge in one comparison sort, then unique.
+ */
+Csr
+sortBuilderReference(VertexId numVertices,
+                     const std::vector<std::pair<VertexId, VertexId>> &edges)
+{
+    std::vector<std::pair<VertexId, VertexId>> directed;
+    for (auto [u, v] : edges) {
+        directed.emplace_back(u, v);
+        if (u != v)
+            directed.emplace_back(v, u);
+    }
+    std::sort(directed.begin(), directed.end());
+    directed.erase(std::unique(directed.begin(), directed.end()),
+                   directed.end());
+
+    Csr csr;
+    csr.rowPtr.assign(static_cast<size_t>(numVertices) + 1, 0);
+    uint64_t selfLoops = 0;
+    for (auto [u, v] : directed) {
+        ++csr.rowPtr[u + 1];
+        csr.colIdx.push_back(v);
+        selfLoops += u == v;
+    }
+    std::partial_sum(csr.rowPtr.begin(), csr.rowPtr.end(),
+                     csr.rowPtr.begin());
+    csr.numEdges = (directed.size() - selfLoops) / 2 + selfLoops;
+    return csr;
+}
+
+TEST(CsrBuild, EdgeCasesMatchSortBuilder)
+{
+    const std::vector<
+        std::pair<VertexId, std::vector<std::pair<VertexId, VertexId>>>>
+        cases = {
+            {0, {}},
+            {5, {}},
+            {1, {}},
+            {1, {{0, 0}}},
+            {1, {{0, 0}, {0, 0}, {0, 0}}},
+            {2, {{1, 0}, {0, 1}, {1, 0}, {1, 1}, {0, 0}}},
+            {6, {{3, 1}, {1, 3}, {2, 2}}},
+        };
+    for (const auto &[n, edges] : cases)
+        EXPECT_EQ(csrOf(Graph::fromEdges(n, edges)),
+                  sortBuilderReference(n, edges))
+            << n << " vertices, " << edges.size() << " edges";
+}
+
+TEST(CsrBuild, RandomEdgeListsMatchSortBuilder)
+{
+    // Duplicates, reversed repeats, self-loops and trailing vertices
+    // no edge touches, over 300 seeded lists.
+    for (uint64_t seed = 0; seed < 300; ++seed) {
+        Rng rng(seed);
+        const auto n = static_cast<VertexId>(1 + rng.uniformInt(200));
+        const auto touched =
+            static_cast<VertexId>(1 + rng.uniformInt(uint64_t{n}));
+        const uint64_t m = rng.uniformInt(uint64_t{4} * n);
+        std::vector<std::pair<VertexId, VertexId>> edges;
+        for (uint64_t i = 0; i < m; ++i) {
+            const double kind = rng.uniform();
+            if (!edges.empty() && kind < 0.15) {
+                edges.push_back(edges[rng.uniformInt(edges.size())]);
+            } else if (!edges.empty() && kind < 0.3) {
+                const auto [u, v] =
+                    edges[rng.uniformInt(edges.size())];
+                edges.emplace_back(v, u);
+            } else {
+                const auto u =
+                    static_cast<VertexId>(rng.uniformInt(touched));
+                const auto v =
+                    kind < 0.4 ? u
+                               : static_cast<VertexId>(
+                                     rng.uniformInt(touched));
+                edges.emplace_back(u, v);
+            }
+        }
+        EXPECT_EQ(csrOf(Graph::fromEdges(n, edges)),
+                  sortBuilderReference(n, edges))
+            << "seed " << seed;
+    }
+}
+
+TEST(CsrBuild, GnnInferInstancesMatchSortBuilder)
+{
+    // The catalog graphs at the gnn-infer profiling cap of 32768
+    // vertices, sampled exactly as DatasetCatalog::materialize does.
+    constexpr double kCap = 32768.0;
+    for (const char *name : {"Cora", "collab", "arxiv"}) {
+        const DatasetSpec &spec = DatasetCatalog::byName(name);
+        const double scale =
+            std::min(1.0, kCap / static_cast<double>(spec.numVertices));
+        Rng rng(1);
+        const auto degrees =
+            DatasetCatalog::degreeSequence(spec, scale, rng);
+        const auto edges = chungLuEdges(degrees, rng);
+        const auto n = static_cast<VertexId>(degrees.size());
+        const Csr built = csrOf(Graph::fromEdges(n, edges));
+        EXPECT_EQ(built, sortBuilderReference(n, edges)) << name;
+
+        Rng again(1);
+        EXPECT_EQ(csrOf(DatasetCatalog::materialize(spec, scale, again)),
+                  built)
+            << name;
+    }
 }
 
 /** The comparison sort orderByDegreeDesc must match bit for bit. */

@@ -10,6 +10,8 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/rng.hh"
 #include "graph/generators.hh"
@@ -74,6 +76,62 @@ TEST(GraphIoDeath, MalformedLineIsFatal)
 {
     std::stringstream in("0 notanumber\n");
     EXPECT_DEATH(readEdgeList(in), "malformed");
+}
+
+TEST(GraphIoDeath, VertexIdsPastTheLimitAreFatal)
+{
+    // 2^32 used to wrap to vertex 0; 2^32 - 1 overflowed the vertex
+    // count to 0 and tripped an assertion.
+    std::stringstream wraps("0 1\n4294967296 1\n");
+    EXPECT_DEATH(readEdgeList(wraps),
+                 "line 2: vertex id 4294967296 exceeds the largest id "
+                 "4294967294");
+    std::stringstream overflows("# c\n1 4294967295\n");
+    EXPECT_DEATH(readEdgeList(overflows), "line 2: vertex id 4294967295");
+    std::stringstream header("# vertices 4294967296\n0 1\n");
+    EXPECT_DEATH(readEdgeList(header),
+                 "line 1: 4294967296 vertices exceed the limit");
+}
+
+/** Writes a binary graph header plus raw 64- and 32-bit words. */
+void
+writeBinaryGraph(const std::string &path, uint64_t numVertices,
+                 uint64_t numEdges, const std::vector<uint64_t> &degrees,
+                 const std::vector<VertexId> &neighbors)
+{
+    std::ofstream out(path, std::ios::binary);
+    const uint64_t header[] = {0x47504D4743535200ULL, numVertices,
+                               numEdges};
+    out.write(reinterpret_cast<const char *>(header), sizeof(header));
+    size_t next = 0;
+    for (const uint64_t degree : degrees) {
+        out.write(reinterpret_cast<const char *>(&degree),
+                  sizeof(degree));
+        for (uint64_t i = 0; i < degree; ++i, ++next)
+            out.write(reinterpret_cast<const char *>(&neighbors[next]),
+                      sizeof(VertexId));
+    }
+}
+
+TEST(GraphIoDeath, BinaryCountsPastTheLimitAreFatal)
+{
+    // Each file ends where its bad value takes effect; an unchecked
+    // header count used to size an allocation or reach an assertion.
+    TempFile huge(".gpg");
+    writeBinaryGraph(huge.path(), uint64_t{1} << 32, uint64_t{1} << 60,
+                     {}, {});
+    EXPECT_DEATH(loadBinary(huge.path()),
+                 "declares 4294967296 vertices, over the limit");
+
+    TempFile wild(".gpg");
+    writeBinaryGraph(wild.path(), 3, 2, {1, 2, 1}, {1, 0, 7, 1});
+    EXPECT_DEATH(loadBinary(wild.path()),
+                 "row 1 names neighbor 7 of only 3 vertices");
+
+    TempFile hugeEdges(".gpg");
+    writeBinaryGraph(hugeEdges.path(), 2, uint64_t{1} << 60, {1, 1},
+                     {1, 0});
+    EXPECT_DEATH(loadBinary(hugeEdges.path()), "edge count mismatch");
 }
 
 TEST(GraphIo, BinaryRoundTrip)

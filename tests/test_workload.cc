@@ -1,14 +1,22 @@
 /**
  * @file
  * Workload-family subsystem tests: registry spellings, plan
- * determinism, the PyGim partitioning properties, the gcn-train
- * family's bit-identity with the accelerator path, per-family disk
- * trace replay, the serve-layer request schema, and the StreamBuilder
- * misuse diagnostics (each failure mode has a distinct message).
+ * determinism, the PyGim partitioning properties and their
+ * min_element LPT reference, the gnn-infer plan's pinned time bits,
+ * the gcn-train family's bit-identity with the accelerator path,
+ * per-family disk trace replay, the serve-layer request schema, and
+ * the StreamBuilder misuse diagnostics (each failure mode has a
+ * distinct message).
  */
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <fstream>
+#include <iterator>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -136,6 +144,249 @@ TEST(Partitioning, ProfilesAreDeterministic)
         EXPECT_EQ(a.imbalance, b.imbalance);
         EXPECT_EQ(a.mergeWindows, b.mergeWindows);
     }
+}
+
+namespace {
+
+/**
+ * profilePartitioning as first written, with the nnz-balanced LPT as
+ * a linear min_element scan per row: the lightest partition, lowest
+ * index among ties.
+ */
+workload::PartitionProfile
+referenceProfile(const graph::Graph &g, workload::Partitioning strategy,
+                 uint32_t parts)
+{
+    const uint64_t v = g.numVertices();
+    const uint64_t span = std::max<uint64_t>(1, (v + parts - 1) / parts);
+    std::vector<uint64_t> partNnz(parts, 0);
+    uint64_t totalNnz = 0;
+    workload::PartitionProfile profile;
+    profile.strategy = strategy;
+    profile.parts = parts;
+    switch (strategy) {
+    case workload::Partitioning::RowSplit:
+        for (graph::VertexId u = 0; u < v; ++u) {
+            partNnz[std::min<uint64_t>(u / span, parts - 1)] +=
+                g.degree(u);
+            totalNnz += g.degree(u);
+        }
+        profile.mergeWindows = 0;
+        break;
+    case workload::Partitioning::ColSplit:
+        for (graph::VertexId u = 0; u < v; ++u) {
+            for (const graph::VertexId n : g.neighbors(u))
+                ++partNnz[std::min<uint64_t>(n / span, parts - 1)];
+            totalNnz += g.degree(u);
+        }
+        profile.mergeWindows = static_cast<uint32_t>(std::ceil(
+            std::log2(static_cast<double>(std::max(2u, parts)))));
+        break;
+    case workload::Partitioning::NnzBalanced:
+        for (const graph::VertexId u : g.verticesByDegreeDesc()) {
+            *std::min_element(partNnz.begin(), partNnz.end()) +=
+                g.degree(u);
+            totalNnz += g.degree(u);
+        }
+        profile.mergeWindows = 1;
+        break;
+    }
+    if (totalNnz > 0) {
+        const double mean = static_cast<double>(totalNnz) /
+                            static_cast<double>(parts);
+        profile.imbalance = std::max(
+            1.0,
+            static_cast<double>(
+                *std::max_element(partNnz.begin(), partNnz.end())) /
+                mean);
+    }
+    return profile;
+}
+
+} // namespace
+
+TEST(Partitioning, ProfilesMatchTheMinElementReference)
+{
+    // Skewed graphs, a regular graph (every LPT step ties), an edgeless
+    // one, and partition counts from 1 to more than the vertex count.
+    std::vector<graph::Graph> graphs = {testGraph(4096, 7),
+                                        testGraph(3000, 19)};
+    std::vector<std::pair<graph::VertexId, graph::VertexId>> cycle;
+    for (graph::VertexId u = 0; u < 97; ++u)
+        cycle.emplace_back(u, (u + 1) % 97);
+    graphs.push_back(graph::Graph::fromEdges(97, cycle));
+    graphs.push_back(graph::Graph::fromEdges(40, {}));
+    for (size_t i = 0; i < graphs.size(); ++i) {
+        for (const auto &info : workload::partitionRegistry()) {
+            for (const uint32_t parts : {1u, 2u, 7u, 16u, 256u, 5000u}) {
+                const auto got = workload::profilePartitioning(
+                    graphs[i], info.kind, parts);
+                const auto want =
+                    referenceProfile(graphs[i], info.kind, parts);
+                EXPECT_EQ(std::bit_cast<uint64_t>(got.imbalance),
+                          std::bit_cast<uint64_t>(want.imbalance))
+                    << "graph " << i << ", " << info.canonical << ", "
+                    << parts << " parts";
+                EXPECT_EQ(got.mergeWindows, want.mergeWindows);
+                EXPECT_EQ(got.parts, parts);
+                EXPECT_EQ(got.strategy, info.kind);
+            }
+        }
+    }
+}
+
+namespace {
+
+/** The stage times of one gnn-infer plan as IEEE-754 bit patterns. */
+struct GnnPlanBits
+{
+    const char *dataset;
+    const char *partition;
+    uint64_t seed;
+    std::vector<uint64_t> scalable;
+    std::vector<uint64_t> fixed;
+};
+
+std::string
+formatPlanBits(const GnnPlanBits &bits)
+{
+    std::ostringstream out;
+    out << "{\"" << bits.dataset << "\", \"" << bits.partition << "\", "
+        << bits.seed << ",\n {" << std::hex << std::showbase;
+    for (size_t i = 0; i < bits.scalable.size(); ++i)
+        out << (i ? ", " : "") << bits.scalable[i];
+    out << "},\n {";
+    for (size_t i = 0; i < bits.fixed.size(); ++i)
+        out << (i ? ", " : "") << bits.fixed[i];
+    out << "}},";
+    return out.str();
+}
+
+GnnPlanBits
+gnnPlanBits(const char *dataset, const char *partition, uint64_t seed)
+{
+    workload::WorkloadSpec spec;
+    spec.family = workload::FamilyKind::GnnInfer;
+    spec.dataset = dataset;
+    spec.partition = workload::partitioningFromString(partition);
+    spec.seed = seed;
+    const auto plan = workload::familyFor(spec.family).plan(
+        spec, reram::AcceleratorConfig::paperDefault());
+    GnnPlanBits bits{dataset, partition, seed, {}, {}};
+    for (const double t : plan.scalableTimesNs)
+        bits.scalable.push_back(std::bit_cast<uint64_t>(t));
+    for (const double t : plan.fixedTimesNs)
+        bits.fixed.push_back(std::bit_cast<uint64_t>(t));
+    return bits;
+}
+
+/**
+ * gnn-infer plans on the catalog graphs at their profiling cap,
+ * produced by the sort-based CSR builder and the min_element LPT.
+ */
+const GnnPlanBits kGnnPlanGolden[] = {
+    {"Cora", "row-split", 1,
+     {0x40dd4f5c28f5c28f, 0x40cd4f5c28f5c28f, 0x40dd4f5c28f5c28f,
+      0x40cd4f5c28f5c28f, 0x40dd4f5c28f5c28f, 0x40cd4f5c28f5c28f},
+     {0x407fe5a98306e465, 0, 0x407fe5a98306e465, 0, 0x407fe5a98306e465,
+      0}},
+    {"Cora", "row-split", 2,
+     {0x40dd4f5c28f5c28f, 0x40cd4f5c28f5c28f, 0x40dd4f5c28f5c28f,
+      0x40cd4f5c28f5c28f, 0x40dd4f5c28f5c28f, 0x40cd4f5c28f5c28f},
+     {0x40855699510c1a1f, 0, 0x40855699510c1a1f, 0, 0x40855699510c1a1f,
+      0}},
+    {"Cora", "col-split", 1,
+     {0x40dd4f5c28f5c28f, 0x40cd4f5c28f5c28f, 0x40dd4f5c28f5c28f,
+      0x40cd4f5c28f5c28f, 0x40dd4f5c28f5c28f, 0x40cd4f5c28f5c28f},
+     {0x40a458a12f6d01b3, 0, 0x40a458a12f6d01b3, 0, 0x40a458a12f6d01b3,
+      0}},
+    {"Cora", "col-split", 2,
+     {0x40dd4f5c28f5c28f, 0x40cd4f5c28f5c28f, 0x40dd4f5c28f5c28f,
+      0x40cd4f5c28f5c28f, 0x40dd4f5c28f5c28f, 0x40cd4f5c28f5c28f},
+     {0x40a5b192534f2bae, 0, 0x40a5b192534f2bae, 0, 0x40a5b192534f2bae,
+      0}},
+    {"Cora", "nnz-balanced", 1,
+     {0x40dd4f5c28f5c28f, 0x40cd4f5c28f5c28f, 0x40dd4f5c28f5c28f,
+      0x40cd4f5c28f5c28f, 0x40dd4f5c28f5c28f, 0x40cd4f5c28f5c28f},
+     {0x4075dce590758eed, 0, 0x4075dce590758eed, 0, 0x4075dce590758eed,
+      0}},
+    {"Cora", "nnz-balanced", 2,
+     {0x40dd4f5c28f5c28f, 0x40cd4f5c28f5c28f, 0x40dd4f5c28f5c28f,
+      0x40cd4f5c28f5c28f, 0x40dd4f5c28f5c28f, 0x40cd4f5c28f5c28f},
+     {0x4075f608680410a7, 0, 0x4075f608680410a7, 0, 0x4075f608680410a7,
+      0}},
+    {"collab", "row-split", 1,
+     {0x413a8feb851eb852, 0x40cd4f5c28f5c28f, 0x413a8feb851eb852,
+      0x40cd4f5c28f5c28f, 0x413a8feb851eb852, 0x40cd4f5c28f5c28f},
+     {0x40b4df3480290e54, 0, 0x40b4df3480290e54, 0, 0x40b4df3480290e54,
+      0}},
+    {"collab", "row-split", 2,
+     {0x413a8feb851eb852, 0x40cd4f5c28f5c28f, 0x413a8feb851eb852,
+      0x40cd4f5c28f5c28f, 0x413a8feb851eb852, 0x40cd4f5c28f5c28f},
+     {0x40bcbd968d635381, 0, 0x40bcbd968d635381, 0, 0x40bcbd968d635381,
+      0}},
+    {"collab", "col-split", 1,
+     {0x413a8feb851eb852, 0x40cd4f5c28f5c28f, 0x413a8feb851eb852,
+      0x40cd4f5c28f5c28f, 0x413a8feb851eb852, 0x40cd4f5c28f5c28f},
+     {0x40b6b42a42b86a7d, 0, 0x40b6b42a42b86a7d, 0, 0x40b6b42a42b86a7d,
+      0}},
+    {"collab", "col-split", 2,
+     {0x413a8feb851eb852, 0x40cd4f5c28f5c28f, 0x413a8feb851eb852,
+      0x40cd4f5c28f5c28f, 0x413a8feb851eb852, 0x40cd4f5c28f5c28f},
+     {0x40be928c4ff2afaa, 0, 0x40be928c4ff2afaa, 0, 0x40be928c4ff2afaa,
+      0}},
+    {"collab", "nnz-balanced", 1,
+     {0x413a8feb851eb852, 0x40cd4f5c28f5c28f, 0x413a8feb851eb852,
+      0x40cd4f5c28f5c28f, 0x413a8feb851eb852, 0x40cd4f5c28f5c28f},
+     {0x404df2394b1745d6, 0, 0x404df2394b1745d6, 0, 0x404df2394b1745d6,
+      0}},
+    {"collab", "nnz-balanced", 2,
+     {0x413a8feb851eb852, 0x40cd4f5c28f5c28f, 0x413a8feb851eb852,
+      0x40cd4f5c28f5c28f, 0x413a8feb851eb852, 0x40cd4f5c28f5c28f},
+     {0x404e061f2abbb7c8, 0, 0x404e061f2abbb7c8, 0, 0x404e061f2abbb7c8,
+      0}},
+    {"arxiv", "row-split", 1,
+     {0x41330175c28f5c29, 0x40cd4f5c28f5c28f, 0x41330175c28f5c29,
+      0x40cd4f5c28f5c28f, 0x41330175c28f5c29, 0x40cd4f5c28f5c28f},
+     {0x40ae221ded9d8b02, 0, 0x40ae221ded9d8b02, 0, 0x40ae221ded9d8b02,
+      0}},
+    {"arxiv", "row-split", 2,
+     {0x41330175c28f5c29, 0x40cd4f5c28f5c28f, 0x41330175c28f5c29,
+      0x40cd4f5c28f5c28f, 0x41330175c28f5c29, 0x40cd4f5c28f5c28f},
+     {0x40b443fb1ed99d7d, 0, 0x40b443fb1ed99d7d, 0, 0x40b443fb1ed99d7d,
+      0}},
+    {"arxiv", "col-split", 1,
+     {0x41330175c28f5c29, 0x40cd4f5c28f5c28f, 0x41330175c28f5c29,
+      0x40cd4f5c28f5c28f, 0x41330175c28f5c29, 0x40cd4f5c28f5c28f},
+     {0x40b0e604b95e21aa, 0, 0x40b0e604b95e21aa, 0, 0x40b0e604b95e21aa,
+      0}},
+    {"arxiv", "col-split", 2,
+     {0x41330175c28f5c29, 0x40cd4f5c28f5c28f, 0x41330175c28f5c29,
+      0x40cd4f5c28f5c28f, 0x41330175c28f5c29, 0x40cd4f5c28f5c28f},
+     {0x40b618f0e168f9a6, 0, 0x40b618f0e168f9a6, 0, 0x40b618f0e168f9a6,
+      0}},
+    {"arxiv", "nnz-balanced", 1,
+     {0x41330175c28f5c29, 0x40cd4f5c28f5c28f, 0x41330175c28f5c29,
+      0x40cd4f5c28f5c28f, 0x41330175c28f5c29, 0x40cd4f5c28f5c28f},
+     {0x404eac7bf3106617, 0, 0x404eac7bf3106617, 0, 0x404eac7bf3106617,
+      0}},
+    {"arxiv", "nnz-balanced", 2,
+     {0x41330175c28f5c29, 0x40cd4f5c28f5c28f, 0x41330175c28f5c29,
+      0x40cd4f5c28f5c28f, 0x41330175c28f5c29, 0x40cd4f5c28f5c28f},
+     {0x404dc580def76ca2, 0, 0x404dc580def76ca2, 0, 0x404dc580def76ca2,
+      0}},
+};
+
+} // namespace
+
+TEST(WorkloadPlans, GnnInferTimesMatchTable)
+{
+    ASSERT_EQ(std::size(kGnnPlanGolden), 18u);
+    for (const auto &golden : kGnnPlanGolden)
+        EXPECT_EQ(formatPlanBits(gnnPlanBits(golden.dataset,
+                                             golden.partition,
+                                             golden.seed)),
+                  formatPlanBits(golden));
 }
 
 TEST(WorkloadPlans, AreDeterministicPerSpec)
