@@ -42,6 +42,7 @@ Router::Router(RouterConfig config)
                    : std::make_shared<obs::MetricsRegistry>()),
       admission_(config_.admission, *metrics_,
                  config_.shards.size()),
+      requestCount_(&metrics_->counter("cluster.request.count")),
       chaosRng_(config_.chaosSeed)
 {
     shards_.reserve(config_.shards.size());
@@ -364,7 +365,7 @@ Router::dispatchLine(const std::string &line, StreamStats *stats)
 {
     ++requests_;
     ++stats->requests;
-    metrics_->counter("cluster.request.count").add();
+    requestCount_->add();
 
     // The parse/validate path below mirrors serve::Service::dispatch
     // byte for byte: a request rejected at the router produces the

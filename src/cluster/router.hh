@@ -204,6 +204,8 @@ class Router
     RouterConfig config_;
     std::shared_ptr<obs::MetricsRegistry> metrics_;
     AdmissionController admission_;
+    /** Resolved once: dispatchLine bumps it on every request. */
+    obs::Counter *requestCount_;
     std::vector<std::string> names_;
     std::vector<std::unique_ptr<Shard>> shards_;
     std::string defaultsFp_;

@@ -68,7 +68,7 @@ struct SystemConfig
  * plan built once can be re-executed under many sim contexts
  * (different engines/seeds) with bit-identical results to planning
  * from scratch each time. That is the contract the memoized
- * runGrid path (core::PlanCache) relies on.
+ * runGrid path (core::PlanMemo) relies on.
  */
 struct StagePlan
 {

@@ -1,13 +1,12 @@
 #include "core/harness.hh"
 
-#include "common/hash.hh"
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
 #include "core/report.hh"
 #include "obs/metrics.hh"
 #include "obs/profile.hh"
+#include "sim/engine.hh"
 #include "sim/replay.hh"
-#include "sim/timeline_cache.hh"
 
 namespace gopim::core {
 
@@ -15,7 +14,7 @@ ComparisonHarness::ComparisonHarness(reram::AcceleratorConfig hw,
                                      sim::SimContext simContext)
     : hw_(hw), sim_(std::move(simContext)),
       lowerCache_(std::make_shared<sim::ReplayLowerCache>()),
-      timelineCache_(std::make_shared<sim::TimelineCache>())
+      timelineCache_(std::make_shared<sim::TimelineMemo>())
 {
     hw_.validate();
 }
@@ -74,21 +73,34 @@ ComparisonHarness::datasetEntry(const std::string &name) const
     return entry;
 }
 
+std::shared_ptr<const StagePlan>
+memoizedPlan(PlanMemo *memo, const Accelerator &accel,
+             const gcn::Workload &workload,
+             const std::function<const gcn::VertexProfile &()> &profile)
+{
+    const auto build = [&] {
+        return accel.buildPlan(workload, profile());
+    };
+    if (!memo)
+        return std::make_shared<const StagePlan>(build());
+    // The full canonical prefix is compared inside the fingerprint
+    // bucket, so a collision between two configs cannot alias plans.
+    return memo->getOrBuild(
+        planConfigPrefix(accel.system(), accel.hardware(), workload)
+            .canonical(),
+        build);
+}
+
 RunResult
 ComparisonHarness::runMemoized(const Accelerator &accel,
                                const gcn::Workload &workload,
                                const gcn::VertexProfile &profile) const
 {
-    // Two-level key: the FNV fingerprint buckets, the full canonical
-    // prefix string verifies — a fingerprint collision between two
-    // different configs can never alias their plans.
-    const std::string key =
-        planConfigPrefix(accel.system(), hw_, workload).canonical();
-    const uint64_t fingerprint = fnv1a64(key);
-    if (const StagePlan *plan = planCache_.find(fingerprint, key))
-        return accel.executePlan(*plan, workload);
-    const StagePlan *plan = planCache_.insert(
-        fingerprint, key, accel.buildPlan(workload, profile));
+    const auto plan =
+        memoizedPlan(&planCache_, accel, workload,
+                     [&]() -> const gcn::VertexProfile & {
+                         return profile;
+                     });
     return accel.executePlan(*plan, workload);
 }
 

@@ -7,14 +7,16 @@
 #ifndef GOPIM_CORE_HARNESS_HH
 #define GOPIM_CORE_HARNESS_HH
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "common/memo_table.hh"
 #include "common/table.hh"
-#include "core/plan_cache.hh"
+#include "core/accelerator.hh"
 #include "core/result.hh"
 #include "core/systems.hh"
 #include "fault/model.hh"
@@ -24,10 +26,24 @@
 
 namespace gopim::sim {
 class ReplayLowerCache;
-class TimelineCache;
 } // namespace gopim::sim
 
 namespace gopim::core {
+
+/** Sim-independent StagePlans keyed by planConfigPrefix(). */
+using PlanMemo = MemoTable<StagePlan>;
+
+/**
+ * accel.buildPlan(workload, profile()) through `memo` (null = build
+ * every time). The key is planConfigPrefix(accel.system(),
+ * accel.hardware(), workload).canonical() and its FNV-1a fingerprint
+ * buckets it. `profile` is called only on a miss, so a hit skips
+ * profile build, mapping, costing, fault planning and allocation.
+ */
+std::shared_ptr<const StagePlan>
+memoizedPlan(PlanMemo *memo, const Accelerator &accel,
+             const gcn::Workload &workload,
+             const std::function<const gcn::VertexProfile &()> &profile);
 
 /** Results of one dataset across several systems. */
 struct ComparisonRow
@@ -60,7 +76,9 @@ class ComparisonHarness
      * workloads/profiles are built once per dataset name, and the
      * replay engine's self-replay mode skips re-lowering schedules
      * it has seen; the event path memoizes whole timelines when the
-     * schedule is provably seed-independent (sim/timeline_cache.hh).
+     * schedule is provably seed-independent (sim::TimelineMemo).
+     * Both plan and timeline memos are unbounded MemoTables: a
+     * harness sweeps a fixed grid, so they hold one entry per cell.
      * setSimContext deliberately preserves all these caches: the sim
      * context is exactly what the cache keys exclude (or pack
      * explicitly, for the timeline memo's event knobs), so sweeping
@@ -73,8 +91,8 @@ class ComparisonHarness
     void setMemoize(bool on) { memoize_ = on; }
     bool memoize() const { return memoize_; }
 
-    /** Plan-cache statistics (hits/misses/size) for tests/benches. */
-    const PlanCache &planCache() const { return planCache_; }
+    /** Plan-memo statistics (hits/misses/size) for tests/benches. */
+    const PlanMemo &planCache() const { return planCache_; }
 
     /** Run one system on one workload. */
     RunResult runOne(SystemKind kind, const gcn::Workload &workload) const;
@@ -136,9 +154,9 @@ class ComparisonHarness
     sim::SimContext sim_;
     fault::FaultConfig fault_;
     bool memoize_ = true;
-    mutable PlanCache planCache_;
+    mutable PlanMemo planCache_;
     std::shared_ptr<sim::ReplayLowerCache> lowerCache_;
-    std::shared_ptr<sim::TimelineCache> timelineCache_;
+    std::shared_ptr<sim::TimelineMemo> timelineCache_;
     mutable std::mutex datasetMutex_;
     mutable std::map<std::string, std::shared_ptr<const DatasetEntry>>
         datasets_;

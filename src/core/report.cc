@@ -75,6 +75,22 @@ gridToJson(const std::vector<ComparisonRow> &rows)
 }
 
 json::Value
+hardwareJson(const reram::AcceleratorConfig &hw)
+{
+    json::Value hardware = json::Value::object();
+    hardware.set("crossbar_rows", hw.crossbar.rows);
+    hardware.set("crossbar_cols", hw.crossbar.cols);
+    hardware.set("bits_per_cell", hw.crossbar.bitsPerCell);
+    hardware.set("value_bits", hw.crossbar.valueBits);
+    hardware.set("read_latency_ns", hw.crossbar.readLatencyNs);
+    hardware.set("write_latency_ns", hw.crossbar.writeLatencyNs);
+    hardware.set("crossbars_per_pe", hw.pe.crossbarsPerPe);
+    hardware.set("pes_per_tile", hw.tile.pesPerTile);
+    hardware.set("tiles_per_chip", hw.chip.tilesPerChip);
+    return hardware;
+}
+
+json::Value
 planConfigPrefix(const SystemConfig &system,
                  const reram::AcceleratorConfig &hw,
                  const gcn::Workload &workload)
@@ -116,17 +132,6 @@ planConfigPrefix(const SystemConfig &system,
     faultCfg.set("spare_rows", system.fault.spareRowFraction);
     faultCfg.set("refresh_period_mb", system.fault.refreshPeriodMb);
 
-    json::Value hardware = json::Value::object();
-    hardware.set("crossbar_rows", hw.crossbar.rows);
-    hardware.set("crossbar_cols", hw.crossbar.cols);
-    hardware.set("bits_per_cell", hw.crossbar.bitsPerCell);
-    hardware.set("value_bits", hw.crossbar.valueBits);
-    hardware.set("read_latency_ns", hw.crossbar.readLatencyNs);
-    hardware.set("write_latency_ns", hw.crossbar.writeLatencyNs);
-    hardware.set("crossbars_per_pe", hw.pe.crossbarsPerPe);
-    hardware.set("pes_per_tile", hw.tile.pesPerTile);
-    hardware.set("tiles_per_chip", hw.chip.tilesPerChip);
-
     json::Value config = json::Value::object();
     config.set("dataset", std::move(dataset));
     config.set("model", std::move(model));
@@ -141,7 +146,7 @@ planConfigPrefix(const SystemConfig &system,
     config.set("micro_batches_per_batch", system.microBatchesPerBatch);
     config.set("policy", std::move(policy));
     config.set("fault", std::move(faultCfg));
-    config.set("hardware", std::move(hardware));
+    config.set("hardware", hardwareJson(hw));
     return config;
 }
 

@@ -47,13 +47,16 @@ json::Value canonicalRunConfig(const SystemConfig &system,
                                const reram::AcceleratorConfig &hw,
                                const gcn::Workload &workload);
 
+/** The hardware section every canonical run and plan key carries. */
+json::Value hardwareJson(const reram::AcceleratorConfig &hw);
+
 /**
  * The sim-independent prefix of canonicalRunConfig: every input that
  * determines the Accelerator's *plan* (mapping artifacts, stage
  * costs, fault/repair planning, replica allocation) but not how the
  * plan is timed. The sim section — engine, seed, event knobs — only
  * affects scheduling, so two runs with equal prefixes can share one
- * StagePlan (core::PlanCache keys on this). canonicalRunConfig is
+ * StagePlan (core::PlanMemo keys on this). canonicalRunConfig is
  * this prefix plus the "sim" section.
  */
 json::Value planConfigPrefix(const SystemConfig &system,

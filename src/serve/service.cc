@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <utility>
 
@@ -24,6 +25,29 @@ Service::Service(ServiceConfig config)
 {
     if (maxQueue_ == 0)
         maxQueue_ = 2 * pool_.threadCount();
+    if (config_.cacheCapacity > 0) {
+        trainPlans_ =
+            std::make_unique<core::PlanMemo>(config_.cacheCapacity);
+        familyPlans_ =
+            std::make_unique<workload::PlanMemo>(config_.cacheCapacity);
+    }
+    if (obs::MetricsRegistry *m = config_.metrics.get()) {
+        Instruments &i = instruments_;
+        i.requests = &m->counter("serve.request.count");
+        i.errors = &m->counter("serve.request.error.count");
+        i.hits = &m->counter("serve.cache.hit.count");
+        i.misses = &m->counter("serve.cache.miss.count");
+        i.inflightMax = &m->gauge("serve.inflight.max");
+        i.queueWaitUs = &m->histogram(
+            "serve.queue.wait_us", obs::ProfileSpan::latencyBoundsUs());
+        i.latencyUs = &m->histogram(
+            "serve.request.latency_us",
+            obs::ProfileSpan::latencyBoundsUs());
+        i.memoHits = &m->gauge("serve.plan_memo.hits");
+        i.memoMisses = &m->gauge("serve.plan_memo.misses");
+        i.memoEvictions = &m->gauge("serve.plan_memo.evictions");
+        i.memoEntries = &m->gauge("serve.plan_memo.entries");
+    }
 }
 
 Service::~Service()
@@ -96,20 +120,30 @@ Service::simulate(const ResolvedRequest &resolved) const
     // The inference families compile to a StagePlan and run through
     // the workload runner; gcn-train keeps the accelerator path with
     // its fault machinery (parseRequest rejects fault knobs for the
-    // others).
+    // others). Either way the plan comes from a memo when caching is
+    // on, and only the scheduling half re-runs. The system and the
+    // baseline share one lazily built vertex profile, so a request
+    // builds it at most once, and only on a gcn-train plan miss.
     const bool familyRun =
         resolved.request.family != workload::FamilyKind::GcnTrain;
-    core::RunResult run;
-    gcn::VertexProfile profile;
-    if (familyRun) {
-        run = workload::runFamily(resolved.spec, system, config_.hw);
-    } else {
-        profile = gcn::VertexProfile::build(resolved.workload.dataset,
-                                            resolved.workload.seed);
-        core::Accelerator accel(config_.hw, system);
-        run = accel.run(resolved.workload, profile);
-    }
+    std::optional<gcn::VertexProfile> profile;
+    const auto buildProfile = [&]() -> const gcn::VertexProfile & {
+        if (!profile)
+            profile = gcn::VertexProfile::build(
+                resolved.workload.dataset, resolved.workload.seed);
+        return *profile;
+    };
+    const auto runOn = [&](const core::SystemConfig &sys) {
+        if (familyRun)
+            return workload::runFamily(resolved.spec, sys, config_.hw,
+                                       {}, familyPlans_.get());
+        const core::Accelerator accel(config_.hw, sys);
+        const auto plan = core::memoizedPlan(
+            trainPlans_.get(), accel, resolved.workload, buildProfile);
+        return accel.executePlan(*plan, resolved.workload);
+    };
 
+    const core::RunResult run = runOn(system);
     json::Value result = core::runResultToJson(run);
     if (resolved.hasBaseline) {
         core::SystemConfig base = core::makeSystem(resolved.baseline);
@@ -117,14 +151,7 @@ Service::simulate(const ResolvedRequest &resolved) const
         // The baseline runs in the same fault environment, so the
         // speedup isolates the system, not the device health.
         base.fault = resolved.request.fault;
-        core::RunResult baseRun;
-        if (familyRun) {
-            baseRun = workload::runFamily(resolved.spec, base,
-                                          config_.hw);
-        } else {
-            core::Accelerator baseAccel(config_.hw, base);
-            baseRun = baseAccel.run(resolved.workload, profile);
-        }
+        const core::RunResult baseRun = runOn(base);
         result.set("baseline", baseRun.systemName);
         result.set("speedup", run.speedupOver(baseRun));
         result.set("energy_saving", run.energySavingOver(baseRun));
@@ -139,10 +166,11 @@ Service::Output
 Service::dispatch(const std::string &line, Envelope envelope)
 {
     Output output;
-    const bool metricsOn = config_.metrics != nullptr;
+    const Instruments &metrics = instruments_;
+    const bool metricsOn = metrics.requests != nullptr;
     if (metricsOn) {
         output.dispatchedUs = obs::profileNowUs();
-        config_.metrics->counter("serve.request.count").add();
+        metrics.requests->add();
     }
 
     json::Value body;
@@ -253,12 +281,9 @@ Service::dispatch(const std::string &line, Envelope envelope)
         hitsNow = hits_;
         missesNow = misses_;
         if (metricsOn) {
-            config_.metrics
-                ->counter(cached ? "serve.cache.hit.count"
-                                 : "serve.cache.miss.count")
-                .add();
-            config_.metrics->gauge("serve.inflight.max")
-                .recordMax(static_cast<int64_t>(inflight_.size()));
+            (cached ? metrics.hits : metrics.misses)->add();
+            metrics.inflightMax->recordMax(
+                static_cast<int64_t>(inflight_.size()));
         }
     }
 
@@ -267,10 +292,8 @@ Service::dispatch(const std::string &line, Envelope envelope)
         if (metricsOn) {
             const double waitStartUs = obs::profileNowUs();
             acquireQueueSlot();
-            config_.metrics
-                ->histogram("serve.queue.wait_us",
-                            obs::ProfileSpan::latencyBoundsUs())
-                .observe(obs::profileNowUs() - waitStartUs);
+            metrics.queueWaitUs->observe(obs::profileNowUs() -
+                                         waitStartUs);
         } else {
             acquireQueueSlot();
         }
@@ -356,14 +379,27 @@ Service::retireInflight(const std::string &key)
 void
 Service::observeEmitted(const Output &output)
 {
-    if (!config_.metrics || output.raw)
+    const Instruments &metrics = instruments_;
+    if (!metrics.requests || output.raw)
         return;
     if (!output.error.ok())
-        config_.metrics->counter("serve.request.error.count").add();
-    config_.metrics
-        ->histogram("serve.request.latency_us",
-                    obs::ProfileSpan::latencyBoundsUs())
-        .observe(obs::profileNowUs() - output.dispatchedUs);
+        metrics.errors->add();
+    metrics.latencyUs->observe(obs::profileNowUs() -
+                               output.dispatchedUs);
+    // Running totals, raised monotonically so a stale read can never
+    // lower them; the last response of a stream leaves them exact.
+    if (trainPlans_) {
+        const auto train = trainPlans_->stats();
+        const auto family = familyPlans_->stats();
+        metrics.memoHits->recordMax(
+            static_cast<int64_t>(train.hits + family.hits));
+        metrics.memoMisses->recordMax(
+            static_cast<int64_t>(train.misses + family.misses));
+        metrics.memoEvictions->recordMax(
+            static_cast<int64_t>(train.evictions + family.evictions));
+        metrics.memoEntries->set(
+            static_cast<int64_t>(train.entries + family.entries));
+    }
 }
 
 Service::Pending

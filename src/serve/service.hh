@@ -30,10 +30,12 @@
 #include <unordered_map>
 
 #include "common/thread_pool.hh"
+#include "core/harness.hh"
 #include "obs/metrics.hh"
 #include "reram/config.hh"
 #include "serve/cache.hh"
 #include "serve/request.hh"
+#include "workload/runner.hh"
 
 namespace gopim::serve {
 
@@ -59,7 +61,10 @@ struct ServiceConfig
 {
     /** Simulation worker threads (0 = all hardware threads). */
     size_t jobs = 1;
-    /** Resident entries in the result cache. */
+    /**
+     * Resident entries in the result cache and in each plan memo
+     * (gcn-train and family plans). 0 disables all three.
+     */
     size_t cacheCapacity = 256;
     /**
      * Backpressure bound: max simulations submitted but not yet
@@ -201,9 +206,35 @@ class Service
     /** Record request latency/outcome (no-op without a registry). */
     void observeEmitted(const Output &output);
 
+    /** Metric handles, resolved once (all null without a registry). */
+    struct Instruments
+    {
+        obs::Counter *requests = nullptr;
+        obs::Counter *errors = nullptr;
+        obs::Counter *hits = nullptr;
+        obs::Counter *misses = nullptr;
+        obs::Gauge *inflightMax = nullptr;
+        obs::Histogram *queueWaitUs = nullptr;
+        obs::Histogram *latencyUs = nullptr;
+        /** Plan-memo totals over both memos (serve.plan_memo.*). */
+        obs::Gauge *memoHits = nullptr;
+        obs::Gauge *memoMisses = nullptr;
+        obs::Gauge *memoEvictions = nullptr;
+        obs::Gauge *memoEntries = nullptr;
+    };
+
     ServiceConfig config_;
     size_t maxQueue_;
     ResultCache cache_;
+    /**
+     * Plans a result-cache miss reuses (null when cacheCapacity is
+     * 0): gcn-train core::StagePlans keyed like the harness memo,
+     * and inference-family plans keyed by workload::familyPlanKey.
+     * Both hold at most cacheCapacity entries.
+     */
+    std::unique_ptr<core::PlanMemo> trainPlans_;
+    std::unique_ptr<workload::PlanMemo> familyPlans_;
+    Instruments instruments_;
 
     /** Serializes dispatch: counters + coalescing map. */
     mutable std::mutex dispatchMutex_;

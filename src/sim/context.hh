@@ -22,6 +22,11 @@
 
 #include "common/rng.hh"
 
+namespace gopim {
+template <typename V>
+class MemoTable;
+} // namespace gopim
+
 namespace gopim::obs {
 class MetricsRegistry;
 } // namespace gopim::obs
@@ -34,8 +39,11 @@ namespace gopim::sim {
 
 class ReplayLowerCache;
 class ScheduleEngine;
-class TimelineCache;
+struct StageTimeline;
 class TraceSink;
+
+/** Event-path timelines keyed by everything the simulator reads. */
+using TimelineMemo = MemoTable<StageTimeline>;
 
 /** Timing backend selector. */
 enum class EngineKind
@@ -152,13 +160,14 @@ struct SimContext
      */
     std::shared_ptr<ReplayLowerCache> lowerCache;
     /**
-     * Optional memo for the event path (sim/timeline_cache.hh): when
-     * a schedule's timeline is seed-independent (no write-retry
+     * Optional memo for the event path (scheduleEventPath): when a
+     * schedule's timeline is seed-independent (no write-retry
      * sampling) and carries no per-run windows, scheduleEventPath
-     * returns the cached timeline instead of re-simulating.
-     * Internally locked; hits are bit-identical by construction.
+     * returns the memoized timeline instead of re-simulating. The
+     * key packs every input the simulator reads, so hits are
+     * bit-identical by construction. Internally locked.
      */
-    std::shared_ptr<TimelineCache> timelineCache;
+    std::shared_ptr<TimelineMemo> timelineCache;
 
     /** Fresh deterministic generator for one run. */
     Rng makeRng() const { return Rng(seed); }

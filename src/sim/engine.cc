@@ -1,14 +1,15 @@
 #include "sim/engine.hh"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/hash.hh"
 #include "common/logging.hh"
 #include "common/math_utils.hh"
+#include "common/memo_table.hh"
 #include "obs/metrics.hh"
 #include "sim/pipeline_sim.hh"
 #include "sim/replay.hh"
-#include "sim/timeline_cache.hh"
 
 namespace gopim::sim {
 
@@ -172,6 +173,45 @@ recordScheduleMetrics(const SimContext &ctx,
                 static_cast<int64_t>(timeline.maxEventQueueDepth));
 }
 
+/** Append the raw bytes of a fixed-width value to a memo key. */
+template <typename T>
+void
+packRaw(std::string *out, T v)
+{
+    char bytes[sizeof v];
+    std::memcpy(bytes, &v, sizeof v);
+    out->append(bytes, sizeof v);
+}
+
+/**
+ * Byte-exact memo key of one (request, event knobs) pair: every input
+ * the event path reads when no RNG is drawn. Doubles pack as bit
+ * patterns (-0.0 and 0.0 key differently on purpose), and vector
+ * lengths delimit the variable sections so two requests can never
+ * concatenate to the same bytes.
+ */
+std::string
+timelineMemoKey(const ScheduleRequest &request, const SimContext &ctx)
+{
+    std::string key;
+    key.reserve(32 + 8 * request.stageTimesNs.size() +
+                4 * request.replicas.size());
+    key.push_back(static_cast<char>(request.regime));
+    packRaw<uint32_t>(&key, request.totalMicroBatches);
+    packRaw<uint32_t>(&key, request.microBatchesPerBatch);
+    packRaw<uint32_t>(&key, ctx.event.inputBufferSlots);
+    key.push_back(ctx.event.replicasAsServers ? 1 : 0);
+    packRaw<uint32_t>(&key, ctx.event.refreshEveryMicroBatches);
+    packRaw<double>(&key, ctx.event.refreshStallNs);
+    packRaw<uint64_t>(&key, request.stageTimesNs.size());
+    for (double t : request.stageTimesNs)
+        packRaw<double>(&key, t);
+    packRaw<uint64_t>(&key, request.replicas.size());
+    for (uint32_t r : request.replicas)
+        packRaw<uint32_t>(&key, r);
+    return key;
+}
+
 } // namespace
 
 StageTimeline
@@ -258,10 +298,10 @@ scheduleEventPath(const ScheduleRequest &request,
     std::string memoKey;
     uint64_t memoFingerprint = 0;
     if (memoizable) {
-        memoKey = timelineCacheKey(request, ctx);
+        memoKey = timelineMemoKey(request, ctx);
         memoFingerprint = fnv1a64(memoKey);
-        if (const StageTimeline *cached =
-                ctx.timelineCache->find(memoFingerprint, memoKey)) {
+        if (const auto cached =
+                ctx.timelineCache->lookup(memoFingerprint, memoKey)) {
             StageTimeline timeline = *cached;
             recordScheduleMetrics(ctx, request, timeline, metricsTag);
             return timeline;

@@ -4,6 +4,7 @@
 
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "core/report.hh"
 #include "obs/metrics.hh"
 #include "sim/engine.hh"
 #include "sim/trace.hh"
@@ -190,18 +191,39 @@ runPlan(const StagePlan &plan, const core::SystemConfig &system,
     return result;
 }
 
+std::string
+familyPlanKey(const WorkloadSpec &spec,
+              const reram::AcceleratorConfig &hw)
+{
+    json::Value key = json::Value::object();
+    key.set("family", toString(spec.family));
+    key.set("dataset", spec.dataset);
+    key.set("micro_batch", spec.microBatchSize);
+    key.set("epochs", spec.epochs);
+    if (spec.family != FamilyKind::CnnInfer)
+        key.set("seed", spec.seed);
+    if (spec.family == FamilyKind::GnnInfer)
+        key.set("partition", toString(spec.partition));
+    key.set("hardware", core::hardwareJson(hw));
+    return key.canonical();
+}
+
 core::RunResult
 runFamily(const WorkloadSpec &spec, const core::SystemConfig &system,
           const reram::AcceleratorConfig &hw,
-          const std::vector<double> &estimatedStageTimesNs)
+          const std::vector<double> &estimatedStageTimesNs,
+          PlanMemo *plans)
 {
     const WorkloadFamily &family = familyFor(spec.family);
     if (const std::string problem = family.validateSpec(spec);
         !problem.empty())
         fatal(family.name(), ": ", problem);
-    const StagePlan plan = family.plan(spec, hw);
+    const auto build = [&] { return family.plan(spec, hw); };
+    const auto plan =
+        plans ? plans->getOrBuild(familyPlanKey(spec, hw), build)
+              : std::make_shared<const StagePlan>(build());
     core::RunResult result =
-        runPlan(plan, system, hw, estimatedStageTimesNs);
+        runPlan(*plan, system, hw, estimatedStageTimesNs);
     result.datasetName = spec.dataset;
     return result;
 }

@@ -18,12 +18,27 @@
 #ifndef GOPIM_WORKLOAD_RUNNER_HH
 #define GOPIM_WORKLOAD_RUNNER_HH
 
+#include <string>
+
 #include "alloc/allocator.hh"
+#include "common/memo_table.hh"
 #include "core/accelerator.hh"
 #include "core/result.hh"
 #include "workload/family.hh"
 
 namespace gopim::workload {
+
+/** Compiled family plans keyed by familyPlanKey(). */
+using PlanMemo = MemoTable<StagePlan>;
+
+/**
+ * Canonical key of every spec field family.plan(spec, hw) reads — the
+ * family, dataset, micro-batch and epoch count, the seed where a
+ * graph is sampled (not for cnn-infer), the partitioning for
+ * gnn-infer — plus the hardware section the run-config keys carry.
+ */
+std::string familyPlanKey(const WorkloadSpec &spec,
+                          const reram::AcceleratorConfig &hw);
 
 /**
  * Build the replica-allocation problem for a plan on `hw`. fatal()s
@@ -58,11 +73,14 @@ runPlan(const StagePlan &plan, const core::SystemConfig &system,
  * Compile and run: validate the spec against its family (fatal() with
  * the family's diagnostic on bad specs), build the plan, and execute
  * it under `system`. The one-call entry point for tools and serving.
+ * With `plans`, the plan comes from that memo (keyed by
+ * familyPlanKey) and is compiled only on a miss.
  */
 core::RunResult
 runFamily(const WorkloadSpec &spec, const core::SystemConfig &system,
           const reram::AcceleratorConfig &hw,
-          const std::vector<double> &estimatedStageTimesNs = {});
+          const std::vector<double> &estimatedStageTimesNs = {},
+          PlanMemo *plans = nullptr);
 
 } // namespace gopim::workload
 

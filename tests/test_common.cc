@@ -1,18 +1,23 @@
 /**
  * @file
  * Unit tests for the common infrastructure: RNG determinism and
- * distribution sanity, streaming statistics, histograms, tables, and
- * math helpers.
+ * distribution sanity, streaming statistics, histograms, tables,
+ * math helpers, and the MemoTable memo primitive.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <set>
 #include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/math_utils.hh"
+#include "common/memo_table.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
@@ -288,6 +293,138 @@ TEST(Format, HumanReadableUnits)
     EXPECT_EQ(formatTimeNs(1.5e6), "1.50 ms");
     EXPECT_EQ(formatEnergyPj(2.5e6), "2.50 uJ");
     EXPECT_EQ(formatRatio(3.25, 2), "3.25x");
+}
+
+// ---------------------------------------------------------------
+// MemoTable
+// ---------------------------------------------------------------
+
+TEST(MemoTable, CountsHitsMissesAndEntries)
+{
+    MemoTable<int> memo;
+    EXPECT_EQ(memo.lookup(1, "a"), nullptr);
+    EXPECT_EQ(*memo.insert(1, "a", 10), 10);
+    EXPECT_EQ(*memo.lookup(1, "a"), 10);
+    EXPECT_EQ(*memo.lookup(1, "a"), 10);
+    EXPECT_EQ(memo.lookup(1, "b"), nullptr);
+    const auto stats = memo.stats();
+    EXPECT_EQ(stats.entries, 1u);
+    EXPECT_EQ(stats.hits, 2u);
+    EXPECT_EQ(stats.misses, 2u);
+    EXPECT_EQ(stats.evictions, 0u);
+    EXPECT_EQ(memo.capacity(), 0u);
+
+    memo.clear();
+    EXPECT_EQ(memo.size(), 0u);
+    EXPECT_EQ(memo.hits() + memo.misses() + memo.evictions(), 0u);
+    EXPECT_EQ(memo.lookup(1, "a"), nullptr);
+}
+
+TEST(MemoTable, UnboundedTableNeverEvicts)
+{
+    MemoTable<int> memo;
+    for (int i = 0; i < 100; ++i)
+        memo.insert(static_cast<uint64_t>(i), std::to_string(i), i);
+    EXPECT_EQ(memo.size(), 100u);
+    EXPECT_EQ(memo.evictions(), 0u);
+    // Raw pointers are stable on an unbounded table.
+    const int *first = memo.find(0, "0");
+    ASSERT_NE(first, nullptr);
+    memo.insert(100, "100", 100);
+    EXPECT_EQ(memo.find(0, "0"), first);
+}
+
+TEST(MemoTable, CapacityOneKeepsOnlyTheNewest)
+{
+    MemoTable<int> memo(1);
+    memo.insert(1, "a", 1);
+    memo.insert(2, "b", 2);
+    EXPECT_EQ(memo.size(), 1u);
+    EXPECT_EQ(memo.evictions(), 1u);
+    EXPECT_EQ(memo.lookup(1, "a"), nullptr);
+    EXPECT_EQ(*memo.lookup(2, "b"), 2);
+    memo.insert(1, "a", 1);
+    EXPECT_EQ(memo.lookup(2, "b"), nullptr);
+    EXPECT_EQ(memo.evictions(), 2u);
+}
+
+TEST(MemoTable, CapacityTwoEvictsLeastRecentlyUsed)
+{
+    MemoTable<int> memo(2);
+    memo.insert(1, "a", 1);
+    memo.insert(2, "b", 2);
+    // A hit on "a" makes "b" the least recently used entry.
+    ASSERT_NE(memo.lookup(1, "a"), nullptr);
+    memo.insert(3, "c", 3);
+    EXPECT_EQ(memo.evictions(), 1u);
+    EXPECT_EQ(memo.lookup(2, "b"), nullptr);
+    EXPECT_EQ(*memo.lookup(1, "a"), 1);
+    EXPECT_EQ(*memo.lookup(3, "c"), 3);
+    // "a" then "c" were touched last, so "a" goes next.
+    memo.insert(4, "d", 4);
+    EXPECT_EQ(memo.lookup(1, "a"), nullptr);
+    EXPECT_EQ(*memo.lookup(3, "c"), 3);
+    EXPECT_EQ(*memo.lookup(4, "d"), 4);
+    EXPECT_EQ(memo.size(), 2u);
+    EXPECT_EQ(memo.evictions(), 2u);
+}
+
+TEST(MemoTable, EvictionKeepsCollidingNeighborsApart)
+{
+    // Two keys share one fingerprint bucket; evicting one must leave
+    // the other reachable under its own key only.
+    MemoTable<int> memo(2);
+    memo.insert(7, "a", 1);
+    memo.insert(7, "b", 2);
+    memo.insert(8, "c", 3);
+    EXPECT_EQ(memo.lookup(7, "a"), nullptr);
+    EXPECT_EQ(*memo.lookup(7, "b"), 2);
+    EXPECT_EQ(memo.lookup(7, "c"), nullptr);
+    EXPECT_EQ(*memo.lookup(8, "c"), 3);
+}
+
+TEST(MemoTable, HandleOutlivesItsEviction)
+{
+    MemoTable<std::vector<int>> memo(1);
+    const auto held = memo.insert(1, "a", std::vector<int>(64, 7));
+    memo.insert(2, "b", std::vector<int>(64, 9));
+    EXPECT_EQ(memo.lookup(1, "a"), nullptr);
+    memo.clear();
+    // The evicted value is still alive through the handle (ASan
+    // reports a use-after-free here if the table owned it alone).
+    ASSERT_EQ(held->size(), 64u);
+    EXPECT_EQ(held->front(), 7);
+    EXPECT_EQ(held->back(), 7);
+}
+
+TEST(MemoTable, RacingInsertsReturnTheFirstEntry)
+{
+    MemoTable<int> memo(4);
+    constexpr int kThreads = 8;
+    std::vector<std::shared_ptr<const int>> got(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+        threads.emplace_back(
+            [&, t] { got[t] = memo.insert(5, "same", t); });
+    for (auto &thread : threads)
+        thread.join();
+    // Exactly one value won, and every racer got that same object.
+    EXPECT_EQ(memo.size(), 1u);
+    const auto stored = memo.lookup(5, "same");
+    ASSERT_NE(stored, nullptr);
+    for (const auto &handle : got)
+        EXPECT_EQ(handle, stored);
+
+    // A later insert under the key keeps the first value.
+    EXPECT_EQ(memo.insert(5, "same", 99), stored);
+}
+
+TEST(MemoTableDeath, RawPointersRequireAnUnboundedTable)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    MemoTable<int> memo(2);
+    memo.insert(1, "a", 1);
+    EXPECT_DEATH(memo.find(1, "a"), "bounded memo");
 }
 
 } // namespace

@@ -15,7 +15,6 @@
 
 #include "core/accelerator.hh"
 #include "core/harness.hh"
-#include "core/plan_cache.hh"
 #include "core/report.hh"
 #include "core/systems.hh"
 #include "gcn/workload.hh"
@@ -273,7 +272,7 @@ TEST(PlanCache, FingerprintCollisionsCannotAliasPlans)
     // fingerprint) must keep separate state — the full prefix key
     // is compared inside the bucket, so a lookup can only ever
     // return the plan inserted under its own key.
-    PlanCache cache;
+    PlanMemo cache;
     StagePlan a;
     a.totalMicroBatches = 111;
     a.stageTimesNs = {1.0, 2.0};
@@ -302,7 +301,7 @@ TEST(PlanCache, FingerprintCollisionsCannotAliasPlans)
     // is deterministic; racing builders produce identical plans).
     StagePlan aAgain;
     aAgain.totalMicroBatches = 333;
-    EXPECT_EQ(cache.insert(fp, "config-a", aAgain), gotA);
+    EXPECT_EQ(cache.insert(fp, "config-a", aAgain).get(), gotA);
     EXPECT_EQ(cache.find(fp, "config-a")->totalMicroBatches, 111u);
 }
 

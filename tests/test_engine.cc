@@ -14,13 +14,13 @@
 #include <limits>
 #include <sstream>
 
+#include "common/memo_table.hh"
 #include "core/accelerator.hh"
 #include "core/harness.hh"
 #include "core/options.hh"
 #include "core/systems.hh"
 #include "gcn/workload.hh"
 #include "sim/engine.hh"
-#include "sim/timeline_cache.hh"
 #include "sim/trace.hh"
 
 namespace gopim {
@@ -144,7 +144,7 @@ TEST(TimelineMemo, HitsAreBitIdenticalAcrossSeeds)
     // With no write-retry sampling the event timeline is
     // seed-independent, so the memo may answer — and a hit must be
     // the exact timeline a fresh simulation would produce.
-    auto cache = std::make_shared<sim::TimelineCache>();
+    auto cache = std::make_shared<sim::TimelineMemo>();
     sim::SimContext event;
     event.engine = sim::EngineKind::EventDriven;
     event.timelineCache = cache;
@@ -173,7 +173,7 @@ TEST(TimelineMemo, SeedDependentRunsBypassTheCache)
     // writeRetryProb > 0 makes the timeline a function of the seed;
     // the memo must refuse to serve (or record) those runs, so two
     // seeds still diverge with a cache installed.
-    auto cache = std::make_shared<sim::TimelineCache>();
+    auto cache = std::make_shared<sim::TimelineMemo>();
     sim::SimContext event;
     event.engine = sim::EngineKind::EventDriven;
     event.timelineCache = cache;

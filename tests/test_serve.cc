@@ -861,5 +861,191 @@ TEST(ServiceTest, MetricsRecordLatenciesAndOutcomes)
     EXPECT_EQ(m.findHistogram("serve.queue.wait_us")->count(), 1u);
 }
 
+// ---------------------------------------------------------------
+// Service: plan memo
+// ---------------------------------------------------------------
+
+/** One Stable response from a fresh service with no caches at all. */
+std::string
+uncachedStable(const std::string &line)
+{
+    serve::ServiceConfig config;
+    config.jobs = 1;
+    config.cacheCapacity = 0;
+    serve::Service service(config);
+    return service.handleLine(line, serve::Envelope::Stable);
+}
+
+/** A gauge's value, or -1 when the registry does not hold it. */
+int64_t
+gaugeValue(const obs::MetricsRegistry &m, const std::string &name)
+{
+    const obs::Gauge *gauge = m.findGauge(name);
+    return gauge ? gauge->value() : -1;
+}
+
+TEST(ServicePlanMemo, HitsMatchFreshRunBytesForEveryFamily)
+{
+    // Each request first runs on the closed form (planning it), then
+    // on the event engine: a result-cache miss whose plan is a memo
+    // hit. Its bytes must equal a run on a service without memos.
+    struct Case
+    {
+        std::string body;
+        int64_t plans; ///< distinct plans: gcn-train plans per system
+    };
+    const std::vector<Case> cases = {
+        {R"("dataset":"Cora","baseline":"Serial")", 2},
+        {R"("workload":"gnn-infer","dataset":"Cora","partition":"row")", 1},
+        {R"("workload":"gnn-infer","dataset":"Cora","partition":"col")", 1},
+        {R"("workload":"gnn-infer","dataset":"Cora","partition":"nnz")", 1},
+        // A family plan does not depend on the system, so the
+        // baseline run reuses it.
+        {R"("workload":"cnn-infer","baseline":"Serial")", 1},
+    };
+    for (const Case &c : cases) {
+        serve::ServiceConfig config;
+        config.jobs = 1;
+        config.metrics = std::make_shared<obs::MetricsRegistry>();
+        serve::Service service(config);
+        const std::string planned = service.handleLine(
+            "{" + c.body + R"(,"engine":"closed"})",
+            serve::Envelope::Stable);
+        const std::string line = "{" + c.body + R"(,"engine":"event"})";
+        const std::string memoHit =
+            service.handleLine(line, serve::Envelope::Stable);
+        EXPECT_TRUE(lineSays(planned, "\"type\":\"result\"")) << planned;
+        EXPECT_EQ(service.hits(), 0u) << c.body;
+        EXPECT_EQ(memoHit, uncachedStable(line)) << c.body;
+        const bool baseline = lineSays(c.body, "baseline");
+        const int64_t lookups = baseline ? 4 : 2;
+        const auto &m = *config.metrics;
+        EXPECT_EQ(gaugeValue(m, "serve.plan_memo.misses"), c.plans)
+            << c.body;
+        EXPECT_EQ(gaugeValue(m, "serve.plan_memo.hits"),
+                  lookups - c.plans)
+            << c.body;
+        EXPECT_EQ(gaugeValue(m, "serve.plan_memo.entries"), c.plans)
+            << c.body;
+        EXPECT_EQ(gaugeValue(m, "serve.plan_memo.evictions"), 0)
+            << c.body;
+    }
+}
+
+/** A mixed stream: every family, repeats, engines and baselines. */
+std::string
+mixedMemoStream()
+{
+    std::string stream;
+    for (int pass = 0; pass < 2; ++pass) {
+        for (const char *engine : {"closed", "event", "replay"}) {
+            const std::string e =
+                std::string(R"("engine":")") + engine + "\"";
+            stream += R"({"dataset":"Cora",)" + e + "}\n";
+            stream += R"({"dataset":"ddi","baseline":"Serial",)" + e +
+                      "}\n";
+            stream += R"({"dataset":"Cora","theta":0.5,)" + e + "}\n";
+            stream += R"({"workload":"gnn","dataset":"Cora","partition":")" +
+                      std::string(pass == 0 ? "nnz" : "col") + R"(",)" +
+                      e + "}\n";
+            stream += R"({"workload":"cnn","baseline":"Serial",)" + e +
+                      "}\n";
+        }
+        stream += R"({"dataset":"Cora","seed":7})" "\n";
+        stream += R"({"workload":"gnn","dataset":"Cora","seed":)" +
+                  std::to_string(3 + pass) + "}\n";
+        stream += R"({"dataset":"Cora","repair":"ecc-dup",)"
+                  R"("stuck_on_rate":0.001})" "\n";
+    }
+    return stream;
+}
+
+TEST(ServicePlanMemo, MixedStreamIsIdenticalAcrossCapacitiesAndJobs)
+{
+    const std::string stream = mixedMemoStream();
+    std::string reference;
+    for (const size_t capacity : {0, 1, 64}) {
+        for (const size_t jobs : {1, 4}) {
+            serve::ServiceConfig config;
+            config.jobs = jobs;
+            config.cacheCapacity = capacity;
+            serve::Service service(config);
+            std::istringstream in(stream);
+            std::ostringstream out;
+            const auto stats = service.processStream(
+                in, out, false, serve::Envelope::Stable);
+            EXPECT_EQ(stats.errors, 0u) << out.str();
+            if (reference.empty())
+                reference = out.str();
+            EXPECT_EQ(out.str(), reference)
+                << "capacity " << capacity << ", jobs " << jobs;
+        }
+    }
+}
+
+TEST(ServicePlanMemo, FaultKnobsAndThetaNeverSharePlans)
+{
+    // Each request differs from the first only in one plan input, on
+    // a different engine so the result cache cannot answer: every one
+    // must plan afresh (a miss) and match a memo-free run.
+    serve::ServiceConfig config;
+    config.jobs = 1;
+    config.metrics = std::make_shared<obs::MetricsRegistry>();
+    serve::Service service(config);
+    service.handleLine(R"({"dataset":"Cora","engine":"closed"})");
+    const std::vector<std::string> variants = {
+        R"({"dataset":"Cora","engine":"event","theta":0.5})",
+        R"({"dataset":"Cora","engine":"event","theta":0.25})",
+        R"({"dataset":"Cora","engine":"event","stuck_on_rate":0.001})",
+        R"({"dataset":"Cora","engine":"event","stuck_off_rate":0.001})",
+        R"({"dataset":"Cora","engine":"event","drift_rate":0.01})",
+        R"({"dataset":"Cora","engine":"event","stuck_on_rate":0.001,)"
+        R"("repair":"spare-rows"})",
+        R"({"dataset":"Cora","engine":"event","stuck_on_rate":0.001,)"
+        R"("spare_rows":0.1})",
+    };
+    const auto &m = *config.metrics;
+    for (size_t i = 0; i < variants.size(); ++i) {
+        const std::string line =
+            service.handleLine(variants[i], serve::Envelope::Stable);
+        EXPECT_EQ(line, uncachedStable(variants[i])) << variants[i];
+        EXPECT_EQ(gaugeValue(m, "serve.plan_memo.hits"), 0)
+            << variants[i];
+        EXPECT_EQ(gaugeValue(m, "serve.plan_memo.misses"),
+                  static_cast<int64_t>(i + 2))
+            << variants[i];
+    }
+    // The unchanged configuration on another engine does hit.
+    service.handleLine(R"({"dataset":"Cora","engine":"event"})");
+    EXPECT_EQ(gaugeValue(m, "serve.plan_memo.hits"), 1);
+}
+
+TEST(ServicePlanMemo, BoundedByCacheCapacityAndOutOfResponseBytes)
+{
+    serve::ServiceConfig config;
+    config.jobs = 1;
+    config.cacheCapacity = 2;
+    config.metrics = std::make_shared<obs::MetricsRegistry>();
+    serve::Service service(config);
+    std::string responses;
+    for (int seed = 1; seed <= 5; ++seed)
+        responses += service.handleLine(
+            R"({"dataset":"Cora","seed":)" + std::to_string(seed) + "}");
+    responses += service.handleLine(R"({"type":"stats"})");
+    const auto &m = *config.metrics;
+    EXPECT_EQ(gaugeValue(m, "serve.plan_memo.entries"), 2);
+    EXPECT_EQ(gaugeValue(m, "serve.plan_memo.evictions"), 3);
+    EXPECT_FALSE(lineSays(responses, "plan_memo")) << responses;
+
+    // Capacity 0 turns the memos off with the result cache.
+    config.cacheCapacity = 0;
+    config.metrics = std::make_shared<obs::MetricsRegistry>();
+    serve::Service off(config);
+    off.handleLine(R"({"dataset":"Cora"})");
+    off.handleLine(R"({"dataset":"Cora","engine":"event"})");
+    EXPECT_EQ(gaugeValue(*config.metrics, "serve.plan_memo.misses"), 0);
+    EXPECT_EQ(gaugeValue(*config.metrics, "serve.plan_memo.hits"), 0);
+}
+
 } // namespace
 } // namespace gopim

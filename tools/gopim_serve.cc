@@ -199,7 +199,8 @@ main(int argc, char **argv)
                     "request; what the cluster compares)");
     flags.addInt("cache-capacity", 256,
                  "resident entries in the content-addressed result "
-                 "cache");
+                 "cache and in each plan memo (0 disables all "
+                 "three)");
     flags.setIntRange("cache-capacity", 0, 1 << 24);
     flags.addInt("max-queue", 0,
                  "backpressure bound: max in-flight simulations "
