@@ -250,17 +250,7 @@ productsRequest(core::SystemKind kind, bool replicasAsServers)
     request.replicas = plan.effectiveReplicas;
     request.totalMicroBatches = plan.totalMicroBatches;
     request.microBatchesPerBatch = system.microBatchesPerBatch;
-    switch (system.pipelineMode) {
-      case core::PipelineMode::Serial:
-        request.regime = sim::Regime::Serial;
-        break;
-      case core::PipelineMode::IntraBatch:
-        request.regime = sim::Regime::IntraBatch;
-        break;
-      case core::PipelineMode::IntraInterBatch:
-        request.regime = sim::Regime::IntraInterBatch;
-        break;
-    }
+    request.regime = core::regimeFor(system.pipelineMode);
     return request;
 }
 
@@ -320,7 +310,7 @@ BM_GnnInferPlan(benchmark::State &state)
     const auto hw = reram::AcceleratorConfig::paperDefault();
     const auto &family = workload::familyFor(spec.family);
 
-    workload::StagePlan plan;
+    core::StageCosts plan;
     for (auto _ : state) {
         plan = family.plan(spec, hw);
         benchmark::DoNotOptimize(plan.fixedTimesNs.data());

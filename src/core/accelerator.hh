@@ -1,9 +1,14 @@
 /**
  * @file
- * The top-level accelerator: composes the ReRAM substrate, the stage
- * time model, a mapping/selective-update policy, a replica allocator,
- * and a pipelining regime into a runnable system that produces time,
- * energy, and utilization results for a workload.
+ * The one run path every workload takes, and the gcn-train
+ * accelerator on top of it. A run prices its pipeline stages
+ * (StageCosts), allocates replicas under the chip budget
+ * (allocatePlan, Algorithm 1 plus the fault hooks), then pipelines the
+ * plan on the configured engine and accounts energy (executePlan).
+ * gcnTrainCosts prices the paper's GCN-training stages; the workload
+ * families (workload/family.hh) price theirs and run through the same
+ * pair. Accelerator is the gcn-train adapter: it adds fault, wear and
+ * repair planning and keeps the (workload, profile) signatures.
  */
 
 #ifndef GOPIM_CORE_ACCELERATOR_HH
@@ -11,7 +16,6 @@
 
 #include <memory>
 #include <string>
-
 #include <vector>
 
 #include "alloc/allocator.hh"
@@ -22,8 +26,7 @@
 #include "gcn/workload.hh"
 #include "pipeline/stage.hh"
 #include "reram/config.hh"
-#include "reram/energy.hh"
-#include "sim/context.hh"
+#include "sim/engine.hh"
 
 namespace gopim::core {
 
@@ -34,6 +37,9 @@ enum class PipelineMode
     IntraBatch,     ///< pipeline within a batch, drain between batches
     IntraInterBatch ///< pipeline across batch boundaries too (GoPIM)
 };
+
+/** The engine regime a pipelining mode schedules under. */
+sim::Regime regimeFor(PipelineMode mode);
 
 /** Full system description: policy + allocator + pipelining. */
 struct SystemConfig
@@ -58,6 +64,56 @@ struct SystemConfig
      */
     fault::FaultConfig fault;
 };
+
+/**
+ * A workload's per-stage costs before allocation, per micro-batch and
+ * in pipeline-stage order: what a workload family compiles a spec
+ * into and what allocatePlan consumes.
+ */
+struct StageCosts
+{
+    /** Names the run on ISA streams, traces and errors ("ddi"). */
+    std::string label;
+    std::vector<pipeline::Stage> stages;
+    /** Replica-divisible compute time per stage (ns/micro-batch). */
+    std::vector<double> scalableTimesNs;
+    /** Fixed time not reduced by replication (ns/micro-batch). */
+    std::vector<double> fixedTimesNs;
+    /** Crossbars one replica of each stage occupies. */
+    std::vector<uint64_t> crossbarsPerReplica;
+    /** Energy event counts per micro-batch, per stage. */
+    std::vector<uint64_t> activationsPerMb;
+    std::vector<uint64_t> rowWritesPerMb;
+    std::vector<uint64_t> bufferBytesPerMb;
+    uint32_t totalMicroBatches = 1;
+    /** Micro-batches covering the input once (allocator horizon). */
+    uint32_t microBatchesPerEpoch = 1;
+    /**
+     * Effective-parallelism ceiling (required, > 0): a stage has at
+     * most a few micro-batches' worth of inputs in flight, so
+     * replicas beyond this cannot shorten it.
+     */
+    uint32_t maxUsefulReplicas = 0;
+
+    size_t numStages() const { return stages.size(); }
+
+    /** Panics on inconsistent array sizes, non-finite times, a
+     *  zero-crossbar stage or a missing replica ceiling. */
+    void validate() const;
+};
+
+/**
+ * Price the GCN-training stages of `workload` under `policy`: map the
+ * profile (gcn::MappingArtifacts), cost every stage
+ * (StageTimeModel::allCosts) and label the costs with the dataset
+ * name. `artifacts`, when given, receives the mapping for fault
+ * planning.
+ */
+StageCosts gcnTrainCosts(const gcn::Workload &workload,
+                         const gcn::VertexProfile &profile,
+                         const gcn::ExecutionPolicy &policy,
+                         const reram::AcceleratorConfig &hw,
+                         gcn::MappingArtifacts *artifacts = nullptr);
 
 /**
  * The sim-independent half of a run, fully planned: stage chain,
@@ -99,7 +155,36 @@ struct StagePlan
     uint64_t replicatedWrites = 0;
 };
 
-/** A configured accelerator ready to run workloads. */
+/**
+ * Allocate replicas for `costs` under `system`'s allocator (single
+ * replicas when it has none) on `hw`'s crossbar budget, and fold the
+ * allocation into final stage times and energy event totals. fatal()s
+ * when single replicas of every stage exceed the budget.
+ *
+ * `estimatedStageTimesNs`, when non-empty, steers only the allocation
+ * decision (scalable and fixed parts keep their modeled proportions
+ * under the estimated totals); final times stay exact. `repair`, when
+ * given, applies the fault hooks: overhead-inflated crossbars for the
+ * allocation, write-amplified fixed times and writes, and refresh
+ * writes.
+ */
+StagePlan allocatePlan(const StageCosts &costs, const SystemConfig &system,
+                       const reram::AcceleratorConfig &hw,
+                       const fault::RepairPlan *repair = nullptr,
+                       const std::vector<double> &estimatedStageTimesNs = {});
+
+/**
+ * Time an allocated plan on `system`'s sim context (its pipelining
+ * regime and engine, ISA recording and trace sink riding along),
+ * record the alloc and fault metrics, and account energy. `label`
+ * names the run: the result's dataset, the trace's dataset track and
+ * the ISA stream label ("<system> on <label>").
+ */
+RunResult executePlan(const StagePlan &plan, const SystemConfig &system,
+                      const reram::AcceleratorConfig &hw,
+                      const std::string &label);
+
+/** A configured accelerator ready to run GCN-training workloads. */
 class Accelerator
 {
   public:
@@ -128,9 +213,9 @@ class Accelerator
         const std::vector<double> &estimatedStageTimesNs) const;
 
     /**
-     * The planning half of a run: map, cost, plan repairs, allocate
-     * replicas. Depends on everything EXCEPT the sim context, so the
-     * result can be cached across engine/seed changes (StagePlan).
+     * The planning half of a run: gcnTrainCosts, fault planning,
+     * allocatePlan. Depends on everything EXCEPT the sim context, so
+     * the result can be cached across engine/seed changes (StagePlan).
      */
     StagePlan buildPlan(
         const gcn::Workload &workload,
@@ -138,8 +223,8 @@ class Accelerator
         const std::vector<double> &estimatedStageTimesNs = {}) const;
 
     /**
-     * The scheduling half: time a prebuilt plan on this system's sim
-     * context and account energy. run(w, p) is exactly
+     * The scheduling half: core::executePlan labelled with the
+     * workload's dataset name. run(w, p) is exactly
      * executePlan(buildPlan(w, p), w); callers may only pass plans
      * built by an Accelerator with the same hardware, workload, and
      * sim-independent system configuration.
@@ -153,8 +238,6 @@ class Accelerator
   private:
     reram::AcceleratorConfig hw_;
     SystemConfig system_;
-    gcn::StageTimeModel timeModel_;
-    reram::EnergyModel energyModel_;
 };
 
 } // namespace gopim::core

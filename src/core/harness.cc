@@ -13,7 +13,7 @@ namespace gopim::core {
 ComparisonHarness::ComparisonHarness(reram::AcceleratorConfig hw,
                                      sim::SimContext simContext)
     : hw_(hw), sim_(std::move(simContext)),
-      lowerCache_(std::make_shared<sim::ReplayLowerCache>()),
+      lowerCache_(std::make_shared<sim::LowerMemo>()),
       timelineCache_(std::make_shared<sim::TimelineMemo>())
 {
     hw_.validate();

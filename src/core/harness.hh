@@ -24,10 +24,6 @@
 #include "reram/config.hh"
 #include "sim/context.hh"
 
-namespace gopim::sim {
-class ReplayLowerCache;
-} // namespace gopim::sim
-
 namespace gopim::core {
 
 /** Sim-independent StagePlans keyed by planConfigPrefix(). */
@@ -155,7 +151,7 @@ class ComparisonHarness
     fault::FaultConfig fault_;
     bool memoize_ = true;
     mutable PlanMemo planCache_;
-    std::shared_ptr<sim::ReplayLowerCache> lowerCache_;
+    std::shared_ptr<sim::LowerMemo> lowerCache_;
     std::shared_ptr<sim::TimelineMemo> timelineCache_;
     mutable std::mutex datasetMutex_;
     mutable std::map<std::string, std::shared_ptr<const DatasetEntry>>

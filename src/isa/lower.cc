@@ -81,7 +81,7 @@ lowerSchedule(const ScheduleDesc &desc, std::string label)
 void
 applyRepairPlan(ScheduleDesc &desc, const fault::RepairPlan &plan)
 {
-    // Mirrors core::Accelerator::runWithEstimates: only an active
+    // Mirrors the refresh hook in core::executePlan: only an active
     // refresh cadence reaches the scheduling problem.
     if (plan.refreshEveryMicroBatches > 0) {
         desc.refreshEveryMicroBatches = plan.refreshEveryMicroBatches;

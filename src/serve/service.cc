@@ -117,11 +117,13 @@ Service::simulate(const ResolvedRequest &resolved) const
         system.sim.traceSink = sink;
     }
 
-    // The inference families compile to a StagePlan and run through
-    // the workload runner; gcn-train keeps the accelerator path with
-    // its fault machinery (parseRequest rejects fault knobs for the
-    // others). Either way the plan comes from a memo when caching is
-    // on, and only the scheduling half re-runs. The system and the
+    // The inference families compile to core::StageCosts and run
+    // through the workload runner; gcn-train keeps the accelerator
+    // path with its fault machinery (parseRequest rejects fault knobs
+    // for the others). Both end in the same core allocation and
+    // execution. A family hit skips compiling its costs; a gcn-train
+    // hit skips planning entirely, and only the scheduling half
+    // re-runs. The system and the
     // baseline share one lazily built vertex profile, so a request
     // builds it at most once, and only on a gcn-train plan miss.
     const bool familyRun =
@@ -136,7 +138,7 @@ Service::simulate(const ResolvedRequest &resolved) const
     const auto runOn = [&](const core::SystemConfig &sys) {
         if (familyRun)
             return workload::runFamily(resolved.spec, sys, config_.hw,
-                                       {}, familyPlans_.get());
+                                       familyPlans_.get());
         const core::Accelerator accel(config_.hw, sys);
         const auto plan = core::memoizedPlan(
             trainPlans_.get(), accel, resolved.workload, buildProfile);

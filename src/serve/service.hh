@@ -229,7 +229,8 @@ class Service
     /**
      * Plans a result-cache miss reuses (null when cacheCapacity is
      * 0): gcn-train core::StagePlans keyed like the harness memo,
-     * and inference-family plans keyed by workload::familyPlanKey.
+     * and inference-family core::StageCosts (compiled, not yet
+     * allocated) keyed by workload::familyPlanKey.
      * Both hold at most cacheCapacity entries.
      */
     std::unique_ptr<core::PlanMemo> trainPlans_;

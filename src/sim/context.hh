@@ -37,13 +37,19 @@ class StreamRecorder;
 
 namespace gopim::sim {
 
-class ReplayLowerCache;
 class ScheduleEngine;
 struct StageTimeline;
 class TraceSink;
 
 /** Event-path timelines keyed by everything the simulator reads. */
 using TimelineMemo = MemoTable<StageTimeline>;
+
+/**
+ * Schedules the replay engine's self-replay mode has already lowered
+ * and validated, keyed by the packed seed-zeroed desc (sim/replay.hh).
+ * Presence is the whole record; the stored flag is never read.
+ */
+using LowerMemo = MemoTable<bool>;
 
 /** Timing backend selector. */
 enum class EngineKind
@@ -158,7 +164,7 @@ struct SimContext
      * a cache hit replays the exact desc the lowered stream would
      * have carried, so results stay bit-identical.
      */
-    std::shared_ptr<ReplayLowerCache> lowerCache;
+    std::shared_ptr<LowerMemo> lowerCache;
     /**
      * Optional memo for the event path (scheduleEventPath): when a
      * schedule's timeline is seed-independent (no write-retry

@@ -183,13 +183,8 @@ packRaw(std::string *out, T v)
     out->append(bytes, sizeof v);
 }
 
-/**
- * Byte-exact memo key of one (request, event knobs) pair: every input
- * the event path reads when no RNG is drawn. Doubles pack as bit
- * patterns (-0.0 and 0.0 key differently on purpose), and vector
- * lengths delimit the variable sections so two requests can never
- * concatenate to the same bytes.
- */
+} // namespace
+
 std::string
 timelineMemoKey(const ScheduleRequest &request, const SimContext &ctx)
 {
@@ -211,8 +206,6 @@ timelineMemoKey(const ScheduleRequest &request, const SimContext &ctx)
         packRaw<uint32_t>(&key, r);
     return key;
 }
-
-} // namespace
 
 StageTimeline
 ClosedFormEngine::schedule(const ScheduleRequest &request,

@@ -138,6 +138,17 @@ StageTimeline scheduleEventPath(const ScheduleRequest &request,
                                 const std::string &metricsTag);
 
 /**
+ * Byte-exact memo key of one (request, event knobs) pair: every input
+ * the event path reads when no RNG is drawn (the seed and the
+ * write-retry knobs are left out). Doubles pack as bit patterns
+ * (-0.0 and 0.0 key differently on purpose), and vector lengths
+ * delimit the variable sections so two requests can never
+ * concatenate to the same bytes.
+ */
+std::string timelineMemoKey(const ScheduleRequest &request,
+                            const SimContext &ctx);
+
+/**
  * Lower `request` under `ctx`'s knobs and record the command stream
  * into ctx.isaRecorder (no-op when none is attached). Every engine
  * calls this on entry so --isa-trace-out captures any run.

@@ -4,6 +4,7 @@
 
 #include "common/hash.hh"
 #include "common/logging.hh"
+#include "common/memo_table.hh"
 #include "isa/lower.hh"
 #include "isa/verify.hh"
 
@@ -39,70 +40,23 @@ fromIsaRegime(isa::Regime regime)
     panic("unknown regime");
 }
 
-/** Field-wise equality; doubles compare by value (deterministic
- *  producers emit identical bits for identical schedules). */
-bool
-sameDesc(const isa::ScheduleDesc &a, const isa::ScheduleDesc &b)
+/**
+ * Key of `desc` in the LowerMemo: timelineMemoKey's packing of the
+ * desc's schedule and knobs plus the write-retry knobs it leaves out.
+ * The seed is not packed, so every seed of a schedule shares a key.
+ */
+std::string
+lowerMemoKey(const isa::ScheduleDesc &desc)
 {
-    return a.stageTimesNs == b.stageTimesNs &&
-           a.replicas == b.replicas && a.regime == b.regime &&
-           a.totalMicroBatches == b.totalMicroBatches &&
-           a.microBatchesPerBatch == b.microBatchesPerBatch &&
-           a.seed == b.seed && a.bufferSlots == b.bufferSlots &&
-           a.replicasAsServers == b.replicasAsServers &&
-           a.writeRetryProb == b.writeRetryProb &&
-           a.writeFraction == b.writeFraction &&
-           a.refreshEveryMicroBatches == b.refreshEveryMicroBatches &&
-           a.refreshStallNs == b.refreshStallNs;
-}
-
-isa::ScheduleDesc
-seedZeroed(const isa::ScheduleDesc &desc)
-{
-    isa::ScheduleDesc key = desc;
-    key.seed = 0;
+    SimContext knobs;
+    applyDescKnobs(desc, &knobs);
+    std::string key = timelineMemoKey(requestFromDesc(desc), knobs);
+    for (const double p : {desc.writeRetryProb, desc.writeFraction})
+        key.append(reinterpret_cast<const char *>(&p), sizeof p);
     return key;
 }
 
 } // namespace
-
-bool
-ReplayLowerCache::contains(const isa::ScheduleDesc &desc) const
-{
-    const isa::ScheduleDesc key = seedZeroed(desc);
-    const uint64_t fp = key.fingerprint();
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = buckets_.find(fp);
-    if (it == buckets_.end())
-        return false;
-    for (const isa::ScheduleDesc &known : it->second)
-        if (sameDesc(known, key))
-            return true;
-    return false;
-}
-
-void
-ReplayLowerCache::add(const isa::ScheduleDesc &desc)
-{
-    isa::ScheduleDesc key = seedZeroed(desc);
-    const uint64_t fp = key.fingerprint();
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<isa::ScheduleDesc> &bucket = buckets_[fp];
-    for (const isa::ScheduleDesc &known : bucket)
-        if (sameDesc(known, key))
-            return;
-    bucket.push_back(std::move(key));
-}
-
-size_t
-ReplayLowerCache::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    size_t n = 0;
-    for (const auto &[fp, bucket] : buckets_)
-        n += bucket.size();
-    return n;
-}
 
 isa::ScheduleDesc
 descFromRequest(const ScheduleRequest &request, const SimContext &ctx)
@@ -183,7 +137,9 @@ ReplayEngine::schedule(const ScheduleRequest &request,
         if (ctx.lowerCache) {
             const isa::ScheduleDesc desc =
                 descFromRequest(request, ctx);
-            if (ctx.lowerCache->contains(desc)) {
+            const std::string key = lowerMemoKey(desc);
+            const uint64_t fingerprint = fnv1a64(key);
+            if (ctx.lowerCache->lookup(fingerprint, key)) {
                 // This schedule (seed aside) already survived one
                 // lower + validate round-trip; replay straight from
                 // the desc. The stream would have carried this exact
@@ -196,7 +152,7 @@ ReplayEngine::schedule(const ScheduleRequest &request,
             const isa::CommandStream stream =
                 lowerRequest(request, ctx, ctx.isaStreamLabel);
             const StageTimeline timeline = replayStream(stream, ctx);
-            ctx.lowerCache->add(stream.desc);
+            ctx.lowerCache->insert(fingerprint, key, true);
             return timeline;
         }
         return replayStream(

@@ -15,7 +15,12 @@
  *  - default-constructed (the registry instance behind
  *    --engine=replay): lowers each incoming request on the fly and
  *    replays the stream — a structural self-check that exercises
- *    lowering + validation on every run;
+ *    lowering + validation on every run. With a SimContext::lowerCache
+ *    attached (the memoized harness does), a schedule that already
+ *    passed lowering + validation under any seed replays straight
+ *    from its desc: lowering is seed-independent (the seed only rides
+ *    in the stream header), and the stream stores that same desc
+ *    verbatim, so the timeline is bit-identical;
  *  - constructed from a TraceBundle (--isa-trace-in): looks the
  *    request up by desc fingerprint and replays the recorded stream;
  *    a request the trace does not cover is a fatal user error.
@@ -27,45 +32,12 @@
 #ifndef GOPIM_SIM_REPLAY_HH
 #define GOPIM_SIM_REPLAY_HH
 
-#include <cstdint>
-#include <map>
-#include <mutex>
 #include <string>
-#include <vector>
 
 #include "isa/trace_io.hh"
 #include "sim/engine.hh"
 
 namespace gopim::sim {
-
-/**
- * Thread-safe memo of scheduling descriptors the self-replay mode
- * has already lowered and validated, keyed by the seed-zeroed desc:
- * lowering is seed-independent (the seed only rides in the stream
- * header), so one lower+validate pass covers every seed of the same
- * schedule. On a hit the engine replays straight from the desc —
- * bit-identical to replaying the lowered stream, because the stream
- * stores that same desc verbatim — skipping lowerSchedule and
- * validateStream entirely. Attach via SimContext::lowerCache (the
- * memoized harness does); entries bucket by desc fingerprint with a
- * full field comparison inside the bucket, so fingerprint collisions
- * can never alias two different schedules.
- */
-class ReplayLowerCache
-{
-  public:
-    /** True when an equal desc (seed ignored) is already known. */
-    bool contains(const isa::ScheduleDesc &desc) const;
-
-    /** Record a desc whose lowering + validation succeeded. */
-    void add(const isa::ScheduleDesc &desc);
-
-    size_t size() const;
-
-  private:
-    mutable std::mutex mutex_;
-    std::map<uint64_t, std::vector<isa::ScheduleDesc>> buckets_;
-};
 
 /** Snapshot a request + context knobs as a stream header. */
 isa::ScheduleDesc descFromRequest(const ScheduleRequest &request,

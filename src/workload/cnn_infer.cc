@@ -70,7 +70,7 @@ CnnInferFamily::validateSpec(const WorkloadSpec &spec) const
     return "";
 }
 
-StagePlan
+core::StageCosts
 CnnInferFamily::plan(const WorkloadSpec &spec,
                      const reram::AcceleratorConfig &hw) const
 {
@@ -81,7 +81,7 @@ CnnInferFamily::plan(const WorkloadSpec &spec,
     const reram::LatencyModel latency(hw);
     const uint64_t mb = spec.microBatchSize;
 
-    StagePlan plan;
+    core::StageCosts plan;
     plan.label = "cnn-infer[" + std::string(preset.name) + "]";
     uint32_t inC = preset.inChannels;
     uint32_t height = preset.inHeight;
@@ -126,9 +126,7 @@ CnnInferFamily::plan(const WorkloadSpec &spec,
     plan.microBatchesPerEpoch =
         static_cast<uint32_t>(ceilDiv(preset.numImages, mb));
     plan.totalMicroBatches = plan.microBatchesPerEpoch * spec.epochs;
-    plan.regime = sim::Regime::IntraInterBatch;
     plan.maxUsefulReplicas = spec.microBatchSize * 4;
-    plan.validate();
     return plan;
 }
 

@@ -60,8 +60,8 @@ class CnnInferFamily final : public WorkloadFamily
   public:
     FamilyKind kind() const override { return FamilyKind::CnnInfer; }
     std::string validateSpec(const WorkloadSpec &spec) const override;
-    StagePlan plan(const WorkloadSpec &spec,
-                   const reram::AcceleratorConfig &hw) const override;
+    core::StageCosts plan(const WorkloadSpec &spec,
+                          const reram::AcceleratorConfig &hw) const override;
 };
 
 } // namespace gopim::workload

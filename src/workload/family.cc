@@ -1,7 +1,5 @@
 #include "workload/family.hh"
 
-#include <cmath>
-
 #include "common/logging.hh"
 #include "workload/cnn_infer.hh"
 #include "workload/gcn_train.hh"
@@ -157,32 +155,6 @@ toString(Partitioning strategy)
         if (info.kind == strategy)
             return info.canonical;
     panic("unregistered partitioning strategy");
-}
-
-void
-StagePlan::validate() const
-{
-    const size_t n = stages.size();
-    GOPIM_ASSERT(n > 0, "stage plan has no stages");
-    GOPIM_ASSERT(scalableTimesNs.size() == n &&
-                     fixedTimesNs.size() == n &&
-                     crossbarsPerReplica.size() == n &&
-                     activationsPerMb.size() == n &&
-                     rowWritesPerMb.size() == n &&
-                     bufferBytesPerMb.size() == n,
-                 "stage plan arrays disagree on stage count");
-    GOPIM_ASSERT(totalMicroBatches > 0,
-                 "stage plan has no micro-batches");
-    for (size_t i = 0; i < n; ++i) {
-        GOPIM_ASSERT(std::isfinite(scalableTimesNs[i]) &&
-                         scalableTimesNs[i] >= 0.0,
-                     "non-finite scalable stage time");
-        GOPIM_ASSERT(std::isfinite(fixedTimesNs[i]) &&
-                         fixedTimesNs[i] >= 0.0,
-                     "non-finite fixed stage time");
-        GOPIM_ASSERT(crossbarsPerReplica[i] > 0,
-                     "stage occupies zero crossbars");
-    }
 }
 
 const WorkloadFamily &

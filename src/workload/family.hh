@@ -3,12 +3,12 @@
  * Workload families: the front-ends that turn a workload description
  * into a scheduling problem on the PIM substrate (ROADMAP item 3).
  *
- * A WorkloadFamily compiles a WorkloadSpec into a StagePlan — stage
- * descriptors, per-micro-batch scalable/fixed times, crossbar
- * footprints, and energy event counts — the backend-independent
- * contract the runner (workload/runner.hh) feeds through replica
- * allocation, the scheduling engines, and ISA lowering. Three
- * concrete families are registered:
+ * A WorkloadFamily compiles a WorkloadSpec into core::StageCosts —
+ * stage descriptors, per-micro-batch scalable/fixed times, crossbar
+ * footprints, and energy event counts — which the runner
+ * (workload/runner.hh) sends through the core run path (replica
+ * allocation, the scheduling engines with ISA lowering, energy) every
+ * workload shares. Three concrete families are registered:
  *
  *  - gcn-train   the paper's GCN-training pipeline, re-expressed as
  *                a family (workload/gcn_train.hh);
@@ -33,9 +33,8 @@
 #include <string>
 #include <vector>
 
-#include "pipeline/stage.hh"
+#include "core/accelerator.hh"
 #include "reram/config.hh"
-#include "sim/engine.hh"
 
 namespace gopim::workload {
 
@@ -133,42 +132,8 @@ struct WorkloadSpec
 };
 
 /**
- * A family's compiled scheduling problem: everything the runner
- * needs to allocate replicas, time the pipeline on any engine, and
- * account energy — per micro-batch, in pipeline-stage order.
- */
-struct StagePlan
-{
-    /** Human label ("gnn-infer[nnz-balanced] on Cora"). */
-    std::string label;
-    std::vector<pipeline::Stage> stages;
-    /** Replica-divisible compute time per stage (ns/micro-batch). */
-    std::vector<double> scalableTimesNs;
-    /** Fixed time not reduced by replication (ns/micro-batch). */
-    std::vector<double> fixedTimesNs;
-    /** Crossbars one replica of each stage occupies. */
-    std::vector<uint64_t> crossbarsPerReplica;
-    /** Energy event counts per micro-batch, per stage. */
-    std::vector<uint64_t> activationsPerMb;
-    std::vector<uint64_t> rowWritesPerMb;
-    std::vector<uint64_t> bufferBytesPerMb;
-    uint32_t totalMicroBatches = 1;
-    /** Micro-batches covering the input once (allocator horizon). */
-    uint32_t microBatchesPerEpoch = 1;
-    uint32_t microBatchesPerBatch = 8;
-    sim::Regime regime = sim::Regime::IntraInterBatch;
-    /** Effective-parallelism ceiling fed to the allocator (0 = off). */
-    uint32_t maxUsefulReplicas = 0;
-
-    size_t numStages() const { return stages.size(); }
-
-    /** Panics on inconsistent array sizes or non-finite times. */
-    void validate() const;
-};
-
-/**
- * A workload family: compiles specs into stage plans. Implementations
- * are stateless and shared (familyFor), so plans can be built
+ * A workload family: compiles specs into stage costs. Implementations
+ * are stateless and shared (familyFor), so costs can be built
  * concurrently from grid workers.
  */
 class WorkloadFamily
@@ -189,13 +154,14 @@ class WorkloadFamily
     virtual std::string validateSpec(const WorkloadSpec &spec) const = 0;
 
     /**
-     * Compile the spec into a stage plan on `hw`. Deterministic:
-     * equal (spec, hw) pairs produce identical plans, which is what
-     * makes family runs cacheable and replayable. Panics on a spec
-     * that validateSpec rejects.
+     * Compile the spec into stage costs on `hw` (core::allocatePlan
+     * validates them). Deterministic: equal (spec, hw) pairs produce
+     * identical costs, which is what makes family runs cacheable and
+     * replayable. Panics on a spec that validateSpec rejects.
      */
-    virtual StagePlan plan(const WorkloadSpec &spec,
-                           const reram::AcceleratorConfig &hw) const = 0;
+    virtual core::StageCosts
+    plan(const WorkloadSpec &spec,
+         const reram::AcceleratorConfig &hw) const = 0;
 };
 
 /** Shared immutable family instance for a kind (never null). */

@@ -1,27 +1,11 @@
 #include "workload/gcn_train.hh"
 
 #include "common/logging.hh"
-#include "gcn/time_model.hh"
+#include "core/systems.hh"
 #include "gcn/workload.hh"
 #include "graph/datasets.hh"
 
 namespace gopim::workload {
-
-namespace {
-
-/** The paper's GoPIM execution policy (core/systems.cc, GoPim). */
-gcn::ExecutionPolicy
-goPimPolicy()
-{
-    gcn::ExecutionPolicy policy;
-    policy.mapStrategy = mapping::VertexMapStrategy::Interleaved;
-    policy.selectiveUpdate = true;
-    policy.intraBatchPipeline = true;
-    policy.interBatchPipeline = true;
-    return policy;
-}
-
-} // namespace
 
 std::string
 GcnTrainFamily::validateSpec(const WorkloadSpec &spec) const
@@ -36,7 +20,7 @@ GcnTrainFamily::validateSpec(const WorkloadSpec &spec) const
     return "";
 }
 
-StagePlan
+core::StageCosts
 GcnTrainFamily::plan(const WorkloadSpec &spec,
                      const reram::AcceleratorConfig &hw) const
 {
@@ -48,31 +32,11 @@ GcnTrainFamily::plan(const WorkloadSpec &spec,
     w.epochs = spec.epochs;
     w.seed = spec.seed;
 
-    const gcn::ExecutionPolicy policy = goPimPolicy();
-    const auto profile =
-        gcn::VertexProfile::build(w.dataset, w.seed);
-    const auto artifacts = gcn::MappingArtifacts::build(
-        profile, policy, w.dataset, hw.crossbar.rows);
-    const gcn::StageTimeModel timeModel(hw);
-    const auto costs = timeModel.allCosts(w, policy, artifacts);
-
-    StagePlan plan;
-    plan.label = "gcn-train on " + spec.dataset;
-    plan.stages = pipeline::buildTrainingStages(w.model.numLayers);
-    for (const auto &cost : costs) {
-        plan.scalableTimesNs.push_back(cost.scalableNs);
-        plan.fixedTimesNs.push_back(cost.fixedNs);
-        plan.crossbarsPerReplica.push_back(cost.crossbarsPerReplica);
-        plan.activationsPerMb.push_back(cost.activationsPerMb);
-        plan.rowWritesPerMb.push_back(cost.rowWritesPerMb);
-        plan.bufferBytesPerMb.push_back(cost.bufferBytesPerMb);
-    }
-    plan.totalMicroBatches = w.microBatchesPerEpoch() * w.epochs;
-    plan.microBatchesPerEpoch = w.microBatchesPerEpoch();
-    plan.regime = sim::Regime::IntraInterBatch;
-    plan.maxUsefulReplicas = w.microBatchSize * 4;
-    plan.validate();
-    return plan;
+    core::StageCosts costs = core::gcnTrainCosts(
+        w, gcn::VertexProfile::build(w.dataset, w.seed),
+        core::makeSystem(core::SystemKind::GoPim).policy, hw);
+    costs.label = "gcn-train on " + spec.dataset;
+    return costs;
 }
 
 } // namespace gopim::workload

@@ -1,17 +1,17 @@
 /**
  * @file
- * GCN training re-expressed as a workload family: the paper's 4L-stage
- * CO/AG/LC/GC pipeline under the GoPIM execution policy (interleaved
- * vertex mapping + selective updating), compiled through the same
- * StageTimeModel the accelerator core uses.
+ * GCN training as a workload family: the paper's 4L-stage CO/AG/LC/GC
+ * pipeline priced by core::gcnTrainCosts, the costing core::Accelerator
+ * uses, under the GoPIM execution policy (interleaved vertex mapping +
+ * selective updating).
  *
  * The family view fixes the execution policy to the paper's GoPIM
- * preset so the plan is a pure function of the spec — what varies
+ * preset so the costs are a pure function of the spec — what varies
  * across runs is the allocator and pipelining regime the runner
  * applies on top. Fault injection and the non-GoPIM policy presets
- * stay on the core::Accelerator path (core/systems.hh); the family's
- * fault-free plan is asserted bit-identical to that path in
- * tests/test_workload.cc.
+ * stay on the core::Accelerator path (core/systems.hh);
+ * tests/test_workload.cc pins the family's fault-free run to that
+ * path byte for byte.
  */
 
 #ifndef GOPIM_WORKLOAD_GCN_TRAIN_HH
@@ -27,8 +27,8 @@ class GcnTrainFamily final : public WorkloadFamily
   public:
     FamilyKind kind() const override { return FamilyKind::GcnTrain; }
     std::string validateSpec(const WorkloadSpec &spec) const override;
-    StagePlan plan(const WorkloadSpec &spec,
-                   const reram::AcceleratorConfig &hw) const override;
+    core::StageCosts plan(const WorkloadSpec &spec,
+                          const reram::AcceleratorConfig &hw) const override;
 };
 
 } // namespace gopim::workload

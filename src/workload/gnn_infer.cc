@@ -136,7 +136,7 @@ GnnInferFamily::validateSpec(const WorkloadSpec &spec) const
     return "";
 }
 
-StagePlan
+core::StageCosts
 GnnInferFamily::plan(const WorkloadSpec &spec,
                      const reram::AcceleratorConfig &hw) const
 {
@@ -173,7 +173,7 @@ GnnInferFamily::plan(const WorkloadSpec &spec,
                            latency.windowLatencyNs() /
                            static_cast<double>(split.parts);
 
-    StagePlan plan;
+    core::StageCosts plan;
     plan.label = "gnn-infer[" + toString(spec.partition) + "] on " +
                  spec.dataset;
     for (uint32_t layer = 1; layer <= w.model.numLayers; ++layer) {
@@ -225,9 +225,7 @@ GnnInferFamily::plan(const WorkloadSpec &spec,
 
     plan.totalMicroBatches = w.microBatchesPerEpoch() * w.epochs;
     plan.microBatchesPerEpoch = w.microBatchesPerEpoch();
-    plan.regime = sim::Regime::IntraInterBatch;
     plan.maxUsefulReplicas = w.microBatchSize * 4;
-    plan.validate();
     return plan;
 }
 

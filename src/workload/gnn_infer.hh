@@ -63,8 +63,8 @@ class GnnInferFamily final : public WorkloadFamily
   public:
     FamilyKind kind() const override { return FamilyKind::GnnInfer; }
     std::string validateSpec(const WorkloadSpec &spec) const override;
-    StagePlan plan(const WorkloadSpec &spec,
-                   const reram::AcceleratorConfig &hw) const override;
+    core::StageCosts plan(const WorkloadSpec &spec,
+                          const reram::AcceleratorConfig &hw) const override;
 };
 
 } // namespace gopim::workload

@@ -16,6 +16,7 @@
 #include "core/systems.hh"
 #include "gcn/workload.hh"
 #include "pipeline/schedule.hh"
+#include "reram/energy.hh"
 #include "sim/pipeline_sim.hh"
 
 namespace gopim::core {

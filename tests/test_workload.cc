@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include "core/accelerator.hh"
+#include "core/report.hh"
 #include "core/systems.hh"
 #include "gcn/workload.hh"
 #include "graph/generators.hh"
@@ -447,54 +448,35 @@ TEST(WorkloadPlans, FamiliesRejectBadSpecs)
 TEST(WorkloadRunner, GcnTrainFamilyMatchesTheAcceleratorPath)
 {
     const auto hw = reram::AcceleratorConfig::paperDefault();
-    const auto system = core::makeSystem(core::SystemKind::GoPim);
-
     workload::WorkloadSpec spec;
     spec.family = workload::FamilyKind::GcnTrain;
     spec.dataset = "ddi";
-    const auto familyRun = workload::runFamily(spec, system, hw);
-
     const auto w = gcn::Workload::paperDefault("ddi");
     const auto profile =
         gcn::VertexProfile::build(w.dataset, w.seed);
-    const core::Accelerator accel(hw, system);
-    const auto accelRun = accel.run(w, profile);
 
-    EXPECT_EQ(familyRun.makespanNs, accelRun.makespanNs);
-    EXPECT_EQ(familyRun.energyPj, accelRun.energyPj);
-    EXPECT_EQ(familyRun.idleFraction, accelRun.idleFraction);
-    EXPECT_EQ(familyRun.blockedNs, accelRun.blockedNs);
+    for (const auto &info : sim::engineRegistry()) {
+        auto system = core::makeSystem(core::SystemKind::GoPim);
+        system.sim.engine = info.kind;
+        const auto familyRun = workload::runFamily(spec, system, hw);
+        const auto accelRun =
+            core::Accelerator(hw, system).run(w, profile);
+        EXPECT_EQ(core::runResultToJson(familyRun).dump(),
+                  core::runResultToJson(accelRun).dump())
+            << info.canonical;
+    }
 }
 
-TEST(WorkloadRunner, PerturbedEstimatesAreSeededAndBounded)
+TEST(WorkloadPlansDeath, ReplicaCeilingIsRequired)
 {
-    const auto hw = reram::AcceleratorConfig::paperDefault();
     workload::WorkloadSpec spec;
-    spec.family = workload::FamilyKind::GnnInfer;
-    spec.dataset = "Cora";
-    const auto plan = workload::familyFor(spec.family).plan(spec, hw);
-
-    const auto a = workload::perturbedEstimates(plan, 0.2, 42);
-    const auto b = workload::perturbedEstimates(plan, 0.2, 42);
-    const auto c = workload::perturbedEstimates(plan, 0.2, 43);
-    ASSERT_EQ(a.size(), plan.numStages());
-    EXPECT_EQ(a, b);
-    EXPECT_NE(a, c);
-    for (size_t i = 0; i < a.size(); ++i) {
-        const double exact =
-            plan.scalableTimesNs[i] + plan.fixedTimesNs[i];
-        EXPECT_GE(a[i], exact * 0.8 - 1e-9);
-        EXPECT_LE(a[i], exact * 1.2 + 1e-9);
-    }
-
-    // Estimates steer allocation only; the run itself still reports
-    // exact model times, so a mildly-wrong predictor perturbs the
-    // makespan, not the accounting.
-    const auto system = core::makeSystem(core::SystemKind::GoPim);
-    const auto exactRun = workload::runPlan(plan, system, hw);
-    const auto estRun = workload::runPlan(plan, system, hw, a);
-    EXPECT_GT(estRun.makespanNs, 0.0);
-    EXPECT_GE(estRun.makespanNs, exactRun.makespanNs * 0.5);
+    spec.family = workload::FamilyKind::CnnInfer;
+    spec.dataset = "mnist";
+    auto costs = workload::familyFor(spec.family)
+                     .plan(spec, reram::AcceleratorConfig::paperDefault());
+    costs.validate();
+    costs.maxUsefulReplicas = 0;
+    EXPECT_DEATH(costs.validate(), "positive replica ceiling");
 }
 
 TEST(WorkloadReplay, EveryFamilyReplaysBitIdenticallyFromDisk)

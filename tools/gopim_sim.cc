@@ -193,7 +193,7 @@ runWorkloadMode(const Flags &flags, workload::FamilyKind family,
         return 0;
     }
 
-    const workload::StagePlan plan =
+    const core::StageCosts plan =
         workload::familyFor(family).plan(spec, hw);
     std::cout << run.systemName << " running " << plan.label << " ("
               << plan.numStages() << " stages, micro-batch "
@@ -231,7 +231,7 @@ runWorkloadMode(const Flags &flags, workload::FamilyKind family,
         sim::ScheduleRequest request;
         request.stageTimesNs = run.stageTimesNs;
         request.replicas = run.replicas;
-        request.regime = plan.regime;
+        request.regime = sim::Regime::IntraInterBatch;
         request.totalMicroBatches =
             std::min(plan.totalMicroBatches, 16u);
         sim::SimContext ganttCtx = ctx;
