@@ -40,37 +40,14 @@ ComparisonHarness::configureSystem(SystemKind kind) const
     // The replay lower-cache outlives setSimContext on purpose: the
     // schedules it memoizes are keyed by their full (seed-zeroed)
     // descriptor, which the sim context cannot alias.
-    if (memoize_ && !system.sim.lowerCache)
+    if (!system.sim.lowerCache)
         system.sim.lowerCache = lowerCache_;
     // Same for the timeline memo: its key packs the event knobs and
     // the request bit for bit, and scheduleEventPath refuses to use
     // it at all when the timeline is seed-dependent.
-    if (memoize_ && !system.sim.timelineCache)
+    if (!system.sim.timelineCache)
         system.sim.timelineCache = timelineCache_;
     return system;
-}
-
-std::shared_ptr<const ComparisonHarness::DatasetEntry>
-ComparisonHarness::datasetEntry(const std::string &name) const
-{
-    if (memoize_) {
-        std::lock_guard<std::mutex> lock(datasetMutex_);
-        const auto it = datasets_.find(name);
-        if (it != datasets_.end())
-            return it->second;
-    }
-    auto entry = std::make_shared<DatasetEntry>();
-    entry->workload = gcn::Workload::paperDefault(name);
-    entry->profile = gcn::VertexProfile::build(
-        entry->workload.dataset, entry->workload.seed);
-    if (memoize_) {
-        std::lock_guard<std::mutex> lock(datasetMutex_);
-        // First builder wins; a racing duplicate is identical anyway
-        // (paperDefault and profile building are deterministic).
-        const auto [it, inserted] = datasets_.emplace(name, entry);
-        return it->second;
-    }
-    return entry;
 }
 
 std::shared_ptr<const StagePlan>
@@ -89,19 +66,6 @@ memoizedPlan(PlanMemo *memo, const Accelerator &accel,
         planConfigPrefix(accel.system(), accel.hardware(), workload)
             .canonical(),
         build);
-}
-
-RunResult
-ComparisonHarness::runMemoized(const Accelerator &accel,
-                               const gcn::Workload &workload,
-                               const gcn::VertexProfile &profile) const
-{
-    const auto plan =
-        memoizedPlan(&planCache_, accel, workload,
-                     [&]() -> const gcn::VertexProfile & {
-                         return profile;
-                     });
-    return accel.executePlan(*plan, workload);
 }
 
 RunResult
@@ -131,12 +95,18 @@ ComparisonHarness::runGrid(
 
     // Workloads and vertex profiles are built once per dataset and
     // shared read-only by that dataset's cells (profile building
-    // dominates setup cost for the large catalog entries). With
-    // memoization on they persist across runGrid calls too.
+    // dominates setup cost for the large catalog entries), and they
+    // persist across runGrid calls.
     std::vector<std::shared_ptr<const DatasetEntry>> entries(
         numDatasets);
     parallelFor(numDatasets, jobs, [&](size_t d) {
-        entries[d] = datasetEntry(datasetNames[d]);
+        entries[d] = datasets_.getOrBuild(datasetNames[d], [&] {
+            DatasetEntry entry;
+            entry.workload = gcn::Workload::paperDefault(datasetNames[d]);
+            entry.profile = gcn::VertexProfile::build(
+                entry.workload.dataset, entry.workload.seed);
+            return entry;
+        });
     });
 
     // Every (dataset, system) cell is independent and stateless:
@@ -153,12 +123,14 @@ ComparisonHarness::runGrid(
         parallelFor(numDatasets * numSystems, jobs, [&](size_t cell) {
             const size_t d = cell / numSystems;
             const size_t s = cell % numSystems;
-            Accelerator accel(hw_, configureSystem(systems[s]));
-            rows[d].results[s] =
-                memoize_ ? runMemoized(accel, entries[d]->workload,
-                                       entries[d]->profile)
-                         : accel.run(entries[d]->workload,
-                                     entries[d]->profile);
+            const Accelerator accel(hw_, configureSystem(systems[s]));
+            const DatasetEntry &entry = *entries[d];
+            const auto plan = memoizedPlan(
+                &planCache_, accel, entry.workload,
+                [&]() -> const gcn::VertexProfile & {
+                    return entry.profile;
+                });
+            rows[d].results[s] = accel.executePlan(*plan, entry.workload);
         });
     }
     if (sim_.metrics) {

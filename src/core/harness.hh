@@ -8,9 +8,7 @@
 #define GOPIM_CORE_HARNESS_HH
 
 #include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -66,28 +64,17 @@ class ComparisonHarness
     const fault::FaultConfig &faultConfig() const { return fault_; }
 
     /**
-     * Memoized re-simulation across runGrid calls (on by default).
-     * Grid cells that share a sim-independent config prefix
-     * (core::planConfigPrefix) reuse one StagePlan, dataset
-     * workloads/profiles are built once per dataset name, and the
-     * replay engine's self-replay mode skips re-lowering schedules
-     * it has seen; the event path memoizes whole timelines when the
-     * schedule is provably seed-independent (sim::TimelineMemo).
-     * Both plan and timeline memos are unbounded MemoTables: a
-     * harness sweeps a fixed grid, so they hold one entry per cell.
-     * setSimContext deliberately preserves all these caches: the sim
-     * context is exactly what the cache keys exclude (or pack
-     * explicitly, for the timeline memo's event knobs), so sweeping
-     * engines/seeds over one harness hits.
-     * Results are bit-identical with memoization on or off (pinned
-     * by tests/test_core.cc); turn it off to benchmark the uncached
-     * path. setFaultConfig changes the plan key, so stale hits are
-     * impossible — but the dataset cache it cannot affect at all.
+     * Plan-memo statistics (hits/misses/size) for tests/benches.
+     * runGrid memoizes across calls: cells sharing a sim-independent
+     * prefix (core::planConfigPrefix) reuse one StagePlan, each
+     * dataset's workload and profile are built once, and self-replay
+     * lowerings and seed-independent event timelines are reused
+     * (sim::LowerMemo, sim::TimelineMemo). All are unbounded: a
+     * harness sweeps a fixed grid. They survive setSimContext (their
+     * keys exclude or pack the sim context) and setFaultConfig
+     * changes the plan key, so results stay bit-identical to plain
+     * Accelerator runs (pinned by tests/test_core.cc).
      */
-    void setMemoize(bool on) { memoize_ = on; }
-    bool memoize() const { return memoize_; }
-
-    /** Plan-memo statistics (hits/misses/size) for tests/benches. */
     const PlanMemo &planCache() const { return planCache_; }
 
     /** Run one system on one workload. */
@@ -132,30 +119,14 @@ class ComparisonHarness
         gcn::VertexProfile profile;
     };
 
-    /**
-     * The paper-default workload + vertex profile for `name`, via
-     * the dataset cache when memoization is on. Safe to key by name
-     * because runGrid only ever runs paper-default workloads, which
-     * are a pure function of the name.
-     */
-    std::shared_ptr<const DatasetEntry>
-    datasetEntry(const std::string &name) const;
-
-    /** One grid cell through the plan cache (memoize_ is on). */
-    RunResult runMemoized(const Accelerator &accel,
-                          const gcn::Workload &workload,
-                          const gcn::VertexProfile &profile) const;
-
     reram::AcceleratorConfig hw_;
     sim::SimContext sim_;
     fault::FaultConfig fault_;
-    bool memoize_ = true;
     mutable PlanMemo planCache_;
     std::shared_ptr<sim::LowerMemo> lowerCache_;
     std::shared_ptr<sim::TimelineMemo> timelineCache_;
-    mutable std::mutex datasetMutex_;
-    mutable std::map<std::string, std::shared_ptr<const DatasetEntry>>
-        datasets_;
+    /** Keyed by name: paper-default workloads are a function of it. */
+    mutable MemoTable<DatasetEntry> datasets_;
 };
 
 } // namespace gopim::core

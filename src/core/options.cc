@@ -60,7 +60,7 @@ addSimFlags(Flags &flags)
     flags.setDoubleRange("drift-rate", 0.0, 1.0,
                          /*maxExclusive=*/true);
     flags.addString("repair", "none",
-                    "fault repair policy: none, spare, ecc, refresh");
+                    "fault repair policy: " + fault::repairNameList());
     flags.addDouble("spare-rows", 0.05,
                     "fault: fraction of rows provisioned as spares "
                     "(with --repair=spare)");

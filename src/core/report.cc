@@ -5,12 +5,6 @@
 
 namespace gopim::core {
 
-std::string
-jsonEscape(const std::string &s)
-{
-    return json::escape(s);
-}
-
 namespace {
 
 template <typename T>

@@ -78,9 +78,6 @@ void writeGridJson(const std::vector<ComparisonRow> &rows,
 void writeGridCsv(const std::vector<ComparisonRow> &rows,
                   std::ostream &os);
 
-/** Escape a string for embedding in JSON. */
-std::string jsonEscape(const std::string &s);
-
 } // namespace gopim::core
 
 #endif // GOPIM_CORE_REPORT_HH

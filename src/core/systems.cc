@@ -60,11 +60,12 @@ SystemKind
 systemFromName(const std::string &name)
 {
     SystemKind kind;
-    if (!systemFromString(name, &kind))
-        fatal("unknown system '", name,
-              "' (try GoPIM, Serial, SlimGNN-like, ReGraphX, ReFlip, "
-              "GoPIM-Vanilla)");
-    return kind;
+    if (systemFromString(name, &kind))
+        return kind;
+    std::string hint;
+    for (const SystemKind known : allSystemKinds())
+        hint += (hint.empty() ? "" : ", ") + toString(known);
+    fatal("unknown system '", name, "' (try ", hint, ")");
 }
 
 SystemConfig

@@ -25,26 +25,34 @@ toString(RepairKind kind)
     panic("unknown repair kind");
 }
 
+namespace {
+
+/** Short spellings in allRepairKinds() order: the one hint list. */
+constexpr const char *kRepairAliases[] = {"none", "spare", "ecc",
+                                          "refresh"};
+
+} // namespace
+
 bool
 tryRepairKindFromString(const std::string &name, RepairKind *out)
 {
-    if (name == "none") {
-        *out = RepairKind::None;
-        return true;
-    }
-    if (name == "spare" || name == "spare-rows") {
-        *out = RepairKind::SpareRows;
-        return true;
-    }
-    if (name == "ecc" || name == "ecc-dup") {
-        *out = RepairKind::EccDuplicate;
-        return true;
-    }
-    if (name == "refresh") {
-        *out = RepairKind::Refresh;
-        return true;
+    for (size_t i = 0; i < allRepairKinds().size(); ++i) {
+        const RepairKind kind = allRepairKinds()[i];
+        if (name == kRepairAliases[i] || name == toString(kind)) {
+            *out = kind;
+            return true;
+        }
     }
     return false;
+}
+
+std::string
+repairNameList()
+{
+    std::string out;
+    for (const char *alias : kRepairAliases)
+        out += (out.empty() ? "" : ", ") + std::string(alias);
+    return out;
 }
 
 RepairKind
@@ -52,8 +60,8 @@ repairKindFromString(const std::string &name)
 {
     RepairKind kind;
     if (!tryRepairKindFromString(name, &kind))
-        fatal("unknown repair policy '", name,
-              "' (try none, spare, ecc, refresh)");
+        fatal("unknown repair policy '", name, "' (try ",
+              repairNameList(), ")");
     return kind;
 }
 

@@ -55,8 +55,11 @@ enum class RepairKind
 
 std::string toString(RepairKind kind);
 
-/** Non-fatal parse of "none"/"spare"/"ecc"/"refresh" (+ long forms). */
+/** Non-fatal parse of a repairNameList() spelling or a long form. */
 bool tryRepairKindFromString(const std::string &name, RepairKind *out);
+
+/** The short spellings, comma-separated ("none, spare, ecc, refresh"). */
+std::string repairNameList();
 
 /** Parse or fatal() — the CLI entry-point form. */
 RepairKind repairKindFromString(const std::string &name);

@@ -78,15 +78,4 @@ lowerSchedule(const ScheduleDesc &desc, std::string label)
     return stream;
 }
 
-void
-applyRepairPlan(ScheduleDesc &desc, const fault::RepairPlan &plan)
-{
-    // Mirrors the refresh hook in core::executePlan: only an active
-    // refresh cadence reaches the scheduling problem.
-    if (plan.refreshEveryMicroBatches > 0) {
-        desc.refreshEveryMicroBatches = plan.refreshEveryMicroBatches;
-        desc.refreshStallNs = plan.refreshStallNs;
-    }
-}
-
 } // namespace gopim::isa

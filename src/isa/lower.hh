@@ -35,7 +35,6 @@
 
 #include <string>
 
-#include "fault/repair.hh"
 #include "isa/isa.hh"
 
 namespace gopim::isa {
@@ -46,17 +45,6 @@ namespace gopim::isa {
  */
 CommandStream lowerSchedule(const ScheduleDesc &desc,
                             std::string label = "");
-
-/**
- * Fold a fault-repair timing plan into the desc the way the
- * accelerator folds it into the engine knobs: an active refresh
- * cadence overrides the desc's, an inactive plan leaves it alone.
- * (Write amplification and remap stalls act on stage times / the
- * final makespan outside the scheduling problem, so they are already
- * reflected in `stageTimesNs` by the time a desc is built.)
- */
-void applyRepairPlan(ScheduleDesc &desc,
-                     const fault::RepairPlan &plan);
 
 } // namespace gopim::isa
 

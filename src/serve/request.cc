@@ -6,6 +6,7 @@
 
 #include "common/hash.hh"
 #include "common/logging.hh"
+#include "core/accelerator.hh"
 #include "core/options.hh"
 #include "core/report.hh"
 #include "graph/datasets.hh"
@@ -166,6 +167,27 @@ unknownField(const std::string &key)
     return {"unknown_field", key, message};
 }
 
+/** The first unknown dataset, system or baseline name, if any. */
+RequestError
+checkNames(const Request &req)
+{
+    if (req.family == workload::FamilyKind::CnnInfer) {
+        if (!workload::findCnnPreset(req.dataset))
+            return unknownName("dataset", req.dataset,
+                               "cnn-infer presets: " +
+                                   workload::cnnPresetNameList());
+    } else if (!graph::DatasetCatalog::findByName(req.dataset)) {
+        return unknownName("dataset", req.dataset, "");
+    }
+    core::SystemKind kind;
+    if (!core::systemFromString(req.system, &kind))
+        return unknownName("system", req.system, "");
+    if (!req.baseline.empty() &&
+        !core::systemFromString(req.baseline, &kind))
+        return unknownName("baseline", req.baseline, "");
+    return RequestError::none();
+}
+
 } // namespace
 
 RequestError
@@ -292,7 +314,7 @@ parseRequest(const json::Value &body, const Request &defaults,
             if (!fault::tryRepairKindFromString(name,
                                                 &req.fault.repair))
                 return unknownName("repair", name,
-                                   "try none, spare, ecc, refresh");
+                                   "try " + fault::repairNameList());
             faultField = key;
         } else if (key == "spare_rows") {
             if (!getUnitRate(value, &req.fault.spareRowFraction, &err,
@@ -329,28 +351,24 @@ parseRequest(const json::Value &body, const Request &defaults,
                 "field '" + faultField +
                     "' applies to the gcn-train family only"};
 
-    if (req.family == workload::FamilyKind::CnnInfer) {
-        // cnn-infer datasets are CNN presets, not graphs; an absent
-        // key means "the default preset", not the server's default
-        // graph.
-        if (!req.datasetSet)
-            req.dataset = workload::defaultCnnPreset();
-        if (!workload::findCnnPreset(req.dataset))
-            return unknownName("dataset", req.dataset,
-                               "cnn-infer presets: " +
-                                   workload::cnnPresetNameList());
-    } else if (!graph::DatasetCatalog::findByName(req.dataset)) {
-        return unknownName("dataset", req.dataset, "");
-    }
-    core::SystemKind kind;
-    if (!core::systemFromString(req.system, &kind))
-        return unknownName("system", req.system, "");
-    if (!req.baseline.empty() &&
-        !core::systemFromString(req.baseline, &kind))
-        return unknownName("baseline", req.baseline, "");
+    // cnn-infer datasets are CNN presets, not graphs; an absent key
+    // means "the default preset", not the server's default graph.
+    if (req.family == workload::FamilyKind::CnnInfer && !req.datasetSet)
+        req.dataset = workload::defaultCnnPreset();
+    if (RequestError err = checkNames(req); !err.ok())
+        return err;
 
     *out = std::move(req);
     return RequestError::none();
+}
+
+Request
+requestDefaults(const Flags &flags)
+{
+    Request defaults;
+    defaults.sim = core::simContextFromFlags(flags);
+    defaults.fault = core::faultConfigFromFlags(flags);
+    return defaults;
 }
 
 RequestError
@@ -358,24 +376,14 @@ resolveRequest(const Request &request, ResolvedRequest *out)
 {
     ResolvedRequest resolved;
     resolved.request = request;
-    const bool cnn =
-        request.family == workload::FamilyKind::CnnInfer;
-    if (cnn) {
-        if (!workload::findCnnPreset(request.dataset))
-            return unknownName("dataset", request.dataset,
-                               "cnn-infer presets: " +
-                                   workload::cnnPresetNameList());
-    } else if (!graph::DatasetCatalog::findByName(request.dataset)) {
-        return unknownName("dataset", request.dataset, "");
-    }
-    if (!core::systemFromString(request.system, &resolved.system))
-        return unknownName("system", request.system, "");
+    if (RequestError err = checkNames(request); !err.ok())
+        return err;
+    core::systemFromString(request.system, &resolved.system);
     resolved.hasBaseline = !request.baseline.empty();
-    if (resolved.hasBaseline &&
-        !core::systemFromString(request.baseline, &resolved.baseline))
-        return unknownName("baseline", request.baseline, "");
+    if (resolved.hasBaseline)
+        core::systemFromString(request.baseline, &resolved.baseline);
 
-    if (cnn) {
+    if (request.family == workload::FamilyKind::CnnInfer) {
         // No catalog graph behind a preset: the workload view is a
         // stub that carries only the fields canonicalRunConfig
         // serializes, so cache keys stay well defined.
@@ -413,13 +421,66 @@ configuredSystem(const ResolvedRequest &resolved)
     core::SystemConfig system = core::makeSystem(resolved.system);
     system.sim = resolved.request.sim;
     system.fault = resolved.request.fault;
-    // Mirror gopim_sim's --theta semantics: a positive threshold
-    // forces selective updating on.
+    // A positive threshold forces selective updating on.
     if (resolved.request.theta > 0.0) {
         system.policy.selectiveUpdate = true;
         system.policy.theta = resolved.request.theta;
     }
     return system;
+}
+
+RequestRun
+runRequest(const ResolvedRequest &resolved,
+           const reram::AcceleratorConfig &hw,
+           core::PlanMemo *trainPlans, workload::PlanMemo *familyPlans)
+{
+    RequestRun out;
+    core::SystemConfig system = configuredSystem(resolved);
+    // A per-request trace_out gets its own sink so the file holds
+    // only this run; otherwise the context's sink (if any) records.
+    if (!resolved.request.traceOut.empty()) {
+        out.trace = std::make_shared<sim::ChromeTraceSink>();
+        system.sim.traceSink = out.trace;
+    }
+
+    // Both branches end in the same core allocation and execution;
+    // parseRequest rejects fault knobs for the inference families.
+    const bool familyRun =
+        resolved.request.family != workload::FamilyKind::GcnTrain;
+    std::optional<gcn::VertexProfile> profile;
+    const auto buildProfile = [&]() -> const gcn::VertexProfile & {
+        if (!profile)
+            profile = gcn::VertexProfile::build(
+                resolved.workload.dataset, resolved.workload.seed);
+        return *profile;
+    };
+    const auto runOn = [&](const core::SystemConfig &sys,
+                           PlanFacts *facts) {
+        if (familyRun) {
+            const auto costs =
+                workload::familyCosts(resolved.spec, hw, familyPlans);
+            if (facts)
+                *facts = {costs->label, costs->numStages(),
+                          costs->totalMicroBatches};
+            return workload::runCosts(resolved.spec, *costs, sys, hw);
+        }
+        const core::Accelerator accel(hw, sys);
+        const auto plan = core::memoizedPlan(
+            trainPlans, accel, resolved.workload, buildProfile);
+        if (facts)
+            *facts = {resolved.workload.dataset.name,
+                      plan->stages.size(), plan->totalMicroBatches};
+        return accel.executePlan(*plan, resolved.workload);
+    };
+
+    out.run = runOn(system, &out.facts);
+    if (resolved.hasBaseline) {
+        core::SystemConfig base = core::makeSystem(resolved.baseline);
+        base.sim = resolved.request.sim;
+        base.fault = resolved.request.fault;
+        out.baseline = runOn(base, nullptr);
+    }
+    return out;
 }
 
 std::string

@@ -4,22 +4,28 @@
  * simulation, strictly validated (unknown fields and out-of-range
  * values are rejected with the same semantics as the CLI flags
  * declared by core::addSimFlags), resolved onto the existing
- * workload/system machinery, and hashed into a content-addressed
- * cache key.
+ * workload/system machinery, hashed into a content-addressed cache
+ * key, and run by runRequest, which the service and gopim_sim share.
  */
 
 #ifndef GOPIM_SERVE_REQUEST_HH
 #define GOPIM_SERVE_REQUEST_HH
 
+#include <memory>
+#include <optional>
 #include <string>
 
+#include "common/flags.hh"
 #include "common/json.hh"
+#include "core/harness.hh"
 #include "core/systems.hh"
 #include "fault/model.hh"
 #include "gcn/workload.hh"
 #include "reram/config.hh"
 #include "sim/context.hh"
+#include "sim/trace.hh"
 #include "workload/family.hh"
+#include "workload/runner.hh"
 
 namespace gopim::serve {
 
@@ -78,6 +84,14 @@ struct Request
                                   ///< excluded from the cache key
 };
 
+/**
+ * Request defaults from the shared simulation flags
+ * (core::addSimFlags): their sim context and fault config. Every
+ * binary takes its defaults from here, so the cluster hello's
+ * defaultsFingerprint compares exactly these flags.
+ */
+Request requestDefaults(const Flags &flags);
+
 /** A request bound to concrete catalog/system/engine objects. */
 struct ResolvedRequest
 {
@@ -130,12 +144,45 @@ RequestError resolveRequest(const Request &request,
                             ResolvedRequest *out);
 
 /**
- * The exact SystemConfig the service runs for a resolved request:
- * makeSystem(kind) with the request's sim context and theta policy
- * applied. Shared by the runner and the cache key so the key always
- * describes what would actually execute.
+ * The exact SystemConfig runRequest runs for a resolved request:
+ * makeSystem(kind) with the request's sim context, faults and theta
+ * policy applied. Shared by runRequest and the cache key so the key
+ * always describes what would actually execute.
  */
 core::SystemConfig configuredSystem(const ResolvedRequest &resolved);
+
+/** What the text report's header says about the system's plan. */
+struct PlanFacts
+{
+    std::string label; ///< the plan's label ("ddi", "cnn-infer[cifar]")
+    size_t numStages = 0;
+    uint32_t totalMicroBatches = 0;
+};
+
+/** One request's runs. */
+struct RequestRun
+{
+    core::RunResult run;
+    std::optional<core::RunResult> baseline; ///< if the request names one
+    PlanFacts facts;
+    /** The system run's trace when trace_out is set; caller writes it. */
+    std::shared_ptr<sim::ChromeTraceSink> trace;
+};
+
+/**
+ * Run a resolved request on `hw`: configuredSystem(resolved), then
+ * the baseline (when named) in the same sim context and fault
+ * environment, so the speedup isolates the system. gcn-train plans
+ * through core::Accelerator; the inference families run their
+ * compiled costs. `trainPlans` and `familyPlans`, when given, memoize
+ * those plans across calls (a gcn-train hit skips planning, a family
+ * hit skips compiling). The vertex profile is built lazily, at most
+ * once, and shared with the baseline.
+ */
+RequestRun runRequest(const ResolvedRequest &resolved,
+                      const reram::AcceleratorConfig &hw,
+                      core::PlanMemo *trainPlans = nullptr,
+                      workload::PlanMemo *familyPlans = nullptr);
 
 /**
  * Content-addressed cache key: hex FNV-1a digest of the canonical

@@ -2,18 +2,14 @@
 
 #include <chrono>
 #include <istream>
-#include <optional>
 #include <ostream>
 #include <utility>
 
 #include <deque>
 
 #include "common/logging.hh"
-#include "core/accelerator.hh"
 #include "core/report.hh"
 #include "obs/profile.hh"
-#include "sim/trace.hh"
-#include "workload/runner.hh"
 
 namespace gopim::serve {
 
@@ -107,60 +103,17 @@ Service::inflightSize() const
 std::string
 Service::simulate(const ResolvedRequest &resolved) const
 {
-    core::SystemConfig system = configuredSystem(resolved);
-
-    // A per-request trace_out gets its own sink so the file holds
-    // only this run; otherwise the server-wide sink (if any) records.
-    std::shared_ptr<sim::ChromeTraceSink> sink;
-    if (!resolved.request.traceOut.empty()) {
-        sink = std::make_shared<sim::ChromeTraceSink>();
-        system.sim.traceSink = sink;
+    const RequestRun out = runRequest(
+        resolved, config_.hw, trainPlans_.get(), familyPlans_.get());
+    json::Value result = core::runResultToJson(out.run);
+    if (out.baseline) {
+        result.set("baseline", out.baseline->systemName);
+        result.set("speedup", out.run.speedupOver(*out.baseline));
+        result.set("energy_saving",
+                   out.run.energySavingOver(*out.baseline));
     }
-
-    // The inference families compile to core::StageCosts and run
-    // through the workload runner; gcn-train keeps the accelerator
-    // path with its fault machinery (parseRequest rejects fault knobs
-    // for the others). Both end in the same core allocation and
-    // execution. A family hit skips compiling its costs; a gcn-train
-    // hit skips planning entirely, and only the scheduling half
-    // re-runs. The system and the
-    // baseline share one lazily built vertex profile, so a request
-    // builds it at most once, and only on a gcn-train plan miss.
-    const bool familyRun =
-        resolved.request.family != workload::FamilyKind::GcnTrain;
-    std::optional<gcn::VertexProfile> profile;
-    const auto buildProfile = [&]() -> const gcn::VertexProfile & {
-        if (!profile)
-            profile = gcn::VertexProfile::build(
-                resolved.workload.dataset, resolved.workload.seed);
-        return *profile;
-    };
-    const auto runOn = [&](const core::SystemConfig &sys) {
-        if (familyRun)
-            return workload::runFamily(resolved.spec, sys, config_.hw,
-                                       familyPlans_.get());
-        const core::Accelerator accel(config_.hw, sys);
-        const auto plan = core::memoizedPlan(
-            trainPlans_.get(), accel, resolved.workload, buildProfile);
-        return accel.executePlan(*plan, resolved.workload);
-    };
-
-    const core::RunResult run = runOn(system);
-    json::Value result = core::runResultToJson(run);
-    if (resolved.hasBaseline) {
-        core::SystemConfig base = core::makeSystem(resolved.baseline);
-        base.sim = resolved.request.sim;
-        // The baseline runs in the same fault environment, so the
-        // speedup isolates the system, not the device health.
-        base.fault = resolved.request.fault;
-        const core::RunResult baseRun = runOn(base);
-        result.set("baseline", baseRun.systemName);
-        result.set("speedup", run.speedupOver(baseRun));
-        result.set("energy_saving", run.energySavingOver(baseRun));
-    }
-
-    if (sink)
-        sink->writeFile(resolved.request.traceOut);
+    if (out.trace)
+        out.trace->writeFile(resolved.request.traceOut);
     return result.dump();
 }
 

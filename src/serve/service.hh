@@ -6,7 +6,9 @@
  * repeated requests from a content-addressed LRU result cache, and
  * emits JSONL responses in request order. A {"type":"stats"} line
  * is answered in place with a live stats snapshot (same shape as
- * the --stats trailer) without touching the simulation path.
+ * the --stats trailer) without touching the simulation path. A miss
+ * runs through serve::runRequest, the same runner gopim_sim uses,
+ * with this service's plan memos attached.
  *
  * Determinism contract: request parsing and the hit/miss decision
  * happen serially in input order on the dispatcher thread (repeats
@@ -74,7 +76,7 @@ struct ServiceConfig
     size_t maxQueue = 0;
     reram::AcceleratorConfig hw =
         reram::AcceleratorConfig::paperDefault();
-    /** Per-request defaults (typically from core::addSimFlags). */
+    /** Per-request defaults (typically serve::requestDefaults). */
     Request defaults;
     /**
      * Optional metrics registry (latency/queue-wait histograms,
@@ -197,7 +199,7 @@ class Service
     /** Drop `key`'s coalescing entry once its future is ready. */
     void retireInflight(const std::string &key);
 
-    /** Run one simulation and serialize its result object. */
+    /** runRequest with the plan memos, write trace_out, serialize. */
     std::string simulate(const ResolvedRequest &resolved) const;
 
     void acquireQueueSlot();

@@ -138,16 +138,6 @@ tryPartitioningFromString(const std::string &name, Partitioning *out)
     return false;
 }
 
-Partitioning
-partitioningFromString(const std::string &name)
-{
-    Partitioning strategy;
-    if (!tryPartitioningFromString(name, &strategy))
-        fatal("unknown partitioning '", name, "' (expected one of ",
-              partitionNameList(), ")");
-    return strategy;
-}
-
 std::string
 toString(Partitioning strategy)
 {

@@ -104,9 +104,6 @@ std::string partitionNameList();
 /** Multi-line --partition help text derived from the registry. */
 std::string partitionFlagHelp();
 
-/** Parse an alias or canonical name; fatal() otherwise. */
-Partitioning partitioningFromString(const std::string &name);
-
 /** Non-fatal parse; returns false on unknown names. */
 bool tryPartitioningFromString(const std::string &name,
                                Partitioning *out);

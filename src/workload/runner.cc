@@ -22,22 +22,35 @@ familyPlanKey(const WorkloadSpec &spec,
     return key.canonical();
 }
 
-core::RunResult
-runFamily(const WorkloadSpec &spec, const core::SystemConfig &system,
-          const reram::AcceleratorConfig &hw, PlanMemo *plans)
+std::shared_ptr<const core::StageCosts>
+familyCosts(const WorkloadSpec &spec, const reram::AcceleratorConfig &hw,
+            PlanMemo *plans)
 {
     const WorkloadFamily &family = familyFor(spec.family);
     if (const std::string problem = family.validateSpec(spec);
         !problem.empty())
         fatal(family.name(), ": ", problem);
     const auto build = [&] { return family.plan(spec, hw); };
-    const auto costs =
-        plans ? plans->getOrBuild(familyPlanKey(spec, hw), build)
-              : std::make_shared<const core::StageCosts>(build());
+    return plans ? plans->getOrBuild(familyPlanKey(spec, hw), build)
+                 : std::make_shared<const core::StageCosts>(build());
+}
+
+core::RunResult
+runCosts(const WorkloadSpec &spec, const core::StageCosts &costs,
+         const core::SystemConfig &system,
+         const reram::AcceleratorConfig &hw)
+{
     core::RunResult result = core::executePlan(
-        core::allocatePlan(*costs, system, hw), system, hw, costs->label);
+        core::allocatePlan(costs, system, hw), system, hw, costs.label);
     result.datasetName = spec.dataset;
     return result;
+}
+
+core::RunResult
+runFamily(const WorkloadSpec &spec, const core::SystemConfig &system,
+          const reram::AcceleratorConfig &hw, PlanMemo *plans)
+{
+    return runCosts(spec, *familyCosts(spec, hw, plans), system, hw);
 }
 
 } // namespace gopim::workload

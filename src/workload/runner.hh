@@ -12,6 +12,7 @@
 #ifndef GOPIM_WORKLOAD_RUNNER_HH
 #define GOPIM_WORKLOAD_RUNNER_HH
 
+#include <memory>
 #include <string>
 
 #include "common/memo_table.hh"
@@ -34,13 +35,26 @@ std::string familyPlanKey(const WorkloadSpec &spec,
                           const reram::AcceleratorConfig &hw);
 
 /**
- * Compile and run: validate the spec against its family (fatal() with
- * the family's diagnostic on bad specs), compile its costs, allocate
- * and execute them under `system`. The one-call entry point for tools
- * and serving. With `plans`, the costs come from that memo (keyed by
- * familyPlanKey) and are compiled only on a miss. The result names
- * the spec's dataset; ISA streams and traces carry the costs' label.
+ * The spec's compiled costs: validated against its family (fatal()
+ * with the family's diagnostic on bad specs), then taken from `plans`
+ * (keyed by familyPlanKey) and compiled only on a miss, or compiled
+ * directly when `plans` is null.
  */
+std::shared_ptr<const core::StageCosts>
+familyCosts(const WorkloadSpec &spec, const reram::AcceleratorConfig &hw,
+            PlanMemo *plans = nullptr);
+
+/**
+ * Allocate and execute compiled `costs` under `system`. The result
+ * names the spec's dataset; ISA streams and traces carry the costs'
+ * label.
+ */
+core::RunResult runCosts(const WorkloadSpec &spec,
+                         const core::StageCosts &costs,
+                         const core::SystemConfig &system,
+                         const reram::AcceleratorConfig &hw);
+
+/** runCosts on familyCosts: the one-call compile-and-run entry point. */
 core::RunResult runFamily(const WorkloadSpec &spec,
                           const core::SystemConfig &system,
                           const reram::AcceleratorConfig &hw,

@@ -56,6 +56,23 @@ TEST(Systems, NamesMatchPaper)
     EXPECT_EQ(toString(SystemKind::GoPim), "GoPIM");
 }
 
+TEST(Systems, UnknownNameHintListsEveryKind)
+{
+    // The fatal hint derives from allSystemKinds(), so no system can
+    // go missing from it.
+    for (const SystemKind kind : allSystemKinds()) {
+        std::string name;
+        for (const char c : toString(kind)) {
+            if (c == '+')
+                name += '\\';
+            name += c;
+        }
+        EXPECT_DEATH(systemFromName("no-such-system"),
+                     "[ (]" + name + "[,)]")
+            << toString(kind);
+    }
+}
+
 TEST(Systems, PresetKnobs)
 {
     const auto serial = makeSystem(SystemKind::Serial);
@@ -209,12 +226,33 @@ TEST(Harness, GridAndTables)
     EXPECT_EQ(energy.rows(), 2u);
 }
 
+/** The grid runGrid computes, one fresh memo-free run per cell. */
+std::vector<ComparisonRow>
+uncachedGrid(const std::vector<SystemKind> &systems,
+             const std::vector<std::string> &datasets,
+             const sim::SimContext &ctx)
+{
+    const auto hw = reram::AcceleratorConfig::paperDefault();
+    std::vector<ComparisonRow> rows;
+    for (const std::string &name : datasets) {
+        ComparisonRow row{name, {}};
+        const auto workload = gcn::Workload::paperDefault(name);
+        for (const SystemKind kind : systems) {
+            SystemConfig system = makeSystem(kind);
+            system.sim = ctx;
+            row.results.push_back(Accelerator(hw, system).run(workload));
+        }
+        rows.push_back(std::move(row));
+    }
+    return rows;
+}
+
 TEST(Harness, MemoizedGridIsByteIdenticalToUncached)
 {
     // The memoized path (plan cache + dataset cache + replay lower
-    // cache, on by default) must be invisible in the results: the
+    // cache + timeline memo) must be invisible in the results: the
     // serialized grid — the exact bytes --json-out writes — has to
-    // match the uncached path, across engines and seeds.
+    // match plain Accelerator runs, across engines and seeds.
     const auto systems = figure13Systems();
     const std::vector<std::string> datasets = {"ddi", "Cora"};
 
@@ -227,17 +265,13 @@ TEST(Harness, MemoizedGridIsByteIdenticalToUncached)
 
         ComparisonHarness memoized(
             reram::AcceleratorConfig::paperDefault(), ctx);
-        ASSERT_TRUE(memoized.memoize());
-        ComparisonHarness uncached(
-            reram::AcceleratorConfig::paperDefault(), ctx);
-        uncached.setMemoize(false);
 
         // Two sweeps on the memoized harness: the second hits the
         // caches (same prefix, sim context unchanged) and must still
-        // match the always-cold harness byte for byte.
+        // match the cold reference byte for byte.
         const auto warmup = memoized.runGrid(systems, datasets, 2);
         const auto hot = memoized.runGrid(systems, datasets, 2);
-        const auto cold = uncached.runGrid(systems, datasets, 2);
+        const auto cold = uncachedGrid(systems, datasets, ctx);
         EXPECT_GT(memoized.planCache().hits(), 0u);
 
         std::ostringstream hotJson, coldJson, warmupJson;
@@ -253,10 +287,8 @@ TEST(Harness, MemoizedGridIsByteIdenticalToUncached)
         // sim context) and still matches a cold run bit for bit.
         ctx.seed = 99;
         memoized.setSimContext(ctx);
-        uncached.setSimContext(ctx);
         const auto hotReseeded = memoized.runGrid(systems, datasets, 2);
-        const auto coldReseeded =
-            uncached.runGrid(systems, datasets, 2);
+        const auto coldReseeded = uncachedGrid(systems, datasets, ctx);
         std::ostringstream hotJson2, coldJson2;
         writeGridJson(hotReseeded, hotJson2);
         writeGridJson(coldReseeded, coldJson2);

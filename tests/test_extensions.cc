@@ -9,6 +9,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "common/json.hh"
 #include "common/rng.hh"
 #include "core/harness.hh"
 #include "core/report.hh"
@@ -137,10 +138,10 @@ TEST_F(ReportTest, CsvHasHeaderAndRows)
 
 TEST(JsonEscape, HandlesSpecials)
 {
-    EXPECT_EQ(core::jsonEscape("a\"b"), "a\\\"b");
-    EXPECT_EQ(core::jsonEscape("a\\b"), "a\\\\b");
-    EXPECT_EQ(core::jsonEscape("a\nb"), "a\\nb");
-    EXPECT_EQ(core::jsonEscape("plain"), "plain");
+    EXPECT_EQ(json::escape("a\"b"), "a\\\"b");
+    EXPECT_EQ(json::escape("a\\b"), "a\\\\b");
+    EXPECT_EQ(json::escape("a\nb"), "a\\nb");
+    EXPECT_EQ(json::escape("plain"), "plain");
 }
 
 // ------------------------- graph analysis ----------------------- //

@@ -221,23 +221,6 @@ TEST(Lowering, ValidateStreamCatchesTampering)
     EXPECT_NE(isa::validateStream(mutated), "");
 }
 
-TEST(Lowering, ApplyRepairPlanMirrorsAccelerator)
-{
-    isa::ScheduleDesc desc;
-    desc.stageTimesNs = {10.0};
-
-    fault::RepairPlan inactive;
-    isa::applyRepairPlan(desc, inactive);
-    EXPECT_EQ(desc.refreshEveryMicroBatches, 0u);
-
-    fault::RepairPlan refresh;
-    refresh.refreshEveryMicroBatches = 16;
-    refresh.refreshStallNs = 2500.0;
-    isa::applyRepairPlan(desc, refresh);
-    EXPECT_EQ(desc.refreshEveryMicroBatches, 16u);
-    EXPECT_DOUBLE_EQ(desc.refreshStallNs, 2500.0);
-}
-
 TEST(Lowering, NominalTimingMatchesReplayForDefaultKnobs)
 {
     // Deterministic streams (no retries) time identically through

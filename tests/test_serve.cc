@@ -22,7 +22,9 @@
 #include <gtest/gtest.h>
 
 #include "common/hash.hh"
+#include "common/flags.hh"
 #include "common/json.hh"
+#include "core/options.hh"
 #include "obs/metrics.hh"
 #include "serve/cache.hh"
 #include "serve/request.hh"
@@ -285,6 +287,43 @@ TEST(RequestTest, DefaultsFingerprintTracksExecutionDefaults)
     b.sim.seed = a.sim.seed + 1;
     EXPECT_NE(serve::defaultsFingerprint(a, hw),
               serve::defaultsFingerprint(b, hw));
+}
+
+TEST(RequestTest, RequestDefaultsDependOnlyOnSharedSimFlags)
+{
+    // gopim_serve and gopim_router declare different tool flags on
+    // top of core::addSimFlags. The cluster hello compares their
+    // defaultsFingerprint, so the defaults must come from the shared
+    // flags alone, and a shared flag such as --seed or
+    // --stuck-on-rate must move the fingerprint.
+    const auto fingerprint = [](bool router,
+                                std::vector<const char *> args) {
+        Flags flags(router ? "gopim_router" : "gopim_serve", "test");
+        if (router) {
+            flags.addInt("workers", 0, "shards to spawn");
+            flags.addInt("max-inflight", 64, "admission bound");
+        } else {
+            flags.addInt("cache-capacity", 256, "cache entries");
+            flags.addString("envelope", "full", "envelope mode");
+        }
+        core::addSimFlags(flags);
+        args.insert(args.begin(), "test");
+        EXPECT_TRUE(
+            flags.parse(static_cast<int>(args.size()), args.data()));
+        return serve::defaultsFingerprint(
+            serve::requestDefaults(flags),
+            reram::AcceleratorConfig::paperDefault());
+    };
+    const std::string serveFp = fingerprint(
+        false, {"--engine=event", "--cache-capacity=8",
+                "--envelope=stable"});
+    EXPECT_EQ(serveFp,
+              fingerprint(true, {"--engine=event", "--workers=3",
+                                 "--max-inflight=4"}));
+    EXPECT_NE(serveFp,
+              fingerprint(false, {"--engine=event", "--seed=2"}));
+    EXPECT_NE(serveFp, fingerprint(true, {"--engine=event",
+                                          "--stuck-on-rate=0.01"}));
 }
 
 TEST(RequestTest, FaultKnobsParseAndValidate)

@@ -104,8 +104,6 @@ TEST(WorkloadRegistry, UnknownNamesAreFatalInTheCliForm)
 {
     EXPECT_DEATH(workload::familyFromString("bogus"),
                  "unknown workload family");
-    EXPECT_DEATH(workload::partitioningFromString("diagonal"),
-                 "unknown partitioning");
 }
 
 TEST(Partitioning, ProfilesMeasureTheExpectedMergeAndBalance)
@@ -269,7 +267,8 @@ gnnPlanBits(const char *dataset, const char *partition, uint64_t seed)
     workload::WorkloadSpec spec;
     spec.family = workload::FamilyKind::GnnInfer;
     spec.dataset = dataset;
-    spec.partition = workload::partitioningFromString(partition);
+    EXPECT_TRUE(
+        workload::tryPartitioningFromString(partition, &spec.partition));
     spec.seed = seed;
     const auto plan = workload::familyFor(spec.family).plan(
         spec, reram::AcceleratorConfig::paperDefault());

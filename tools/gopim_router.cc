@@ -41,6 +41,7 @@
 #include "common/logging.hh"
 #include "common/net.hh"
 #include "core/options.hh"
+#include "serve/request.hh"
 
 namespace {
 
@@ -166,14 +167,11 @@ main(int argc, char **argv)
     if (!flags.parse(argc, argv))
         return 0;
 
-    const sim::SimContext defaultCtx = core::simContextFromFlags(flags);
-
     cluster::RouterConfig config;
     config.shards = shardSpecs(flags);
-    config.defaults.sim = defaultCtx;
-    config.defaults.fault = core::faultConfigFromFlags(flags);
-    config.defaults.microBatch = 64;
-    config.defaults.epochs = 1;
+    config.defaults = serve::requestDefaults(flags);
+    // A copy: config moves into the router below.
+    const sim::SimContext defaultCtx = config.defaults.sim;
     config.admission.maxInflightPerShard =
         static_cast<size_t>(flags.getInt("max-inflight"));
     config.admission.shedAbove =

@@ -221,16 +221,13 @@ main(int argc, char **argv)
         fatal("unknown --envelope '", name,
               "' (expected full or stable)");
 
-    const sim::SimContext defaultCtx = core::simContextFromFlags(flags);
     serve::ServiceConfig config;
     config.jobs = core::jobsFromFlags(flags);
     config.cacheCapacity =
         static_cast<size_t>(flags.getInt("cache-capacity"));
     config.maxQueue = static_cast<size_t>(flags.getInt("max-queue"));
-    config.defaults.sim = defaultCtx;
-    config.defaults.fault = core::faultConfigFromFlags(flags);
-    config.defaults.microBatch = 64;
-    config.defaults.epochs = 1;
+    config.defaults = serve::requestDefaults(flags);
+    const sim::SimContext &defaultCtx = config.defaults.sim;
     // Per-request latency/queue/cache metrics share the registry the
     // engines record into, so one --metrics-out file covers both.
     config.metrics = defaultCtx.metrics;

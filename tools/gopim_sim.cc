@@ -6,6 +6,10 @@
  * optionally a Gantt chart, CSV row, or Chrome trace — the everyday
  * entry point for downstream users.
  *
+ * A single run is one serving request: the flags become a
+ * serve::Request (validated like gopim_serve's), --graph swaps in an
+ * edge list's statistics, and serve::runRequest runs it.
+ *
  * The timing backend is pluggable: --engine=closed evaluates the
  * paper's Eq. 3-6 closed form, --engine=event runs the discrete-
  * event flow shop (with --buffer-slots / --retry-prob knobs), and
@@ -27,19 +31,16 @@
 #include "common/flags.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
-#include "core/accelerator.hh"
 #include "core/harness.hh"
 #include "core/options.hh"
 #include "core/report.hh"
 #include "core/systems.hh"
-#include "gcn/workload.hh"
-#include "graph/datasets.hh"
 #include "graph/io.hh"
 #include "pipeline/gantt.hh"
+#include "serve/request.hh"
 #include "sim/engine.hh"
 #include "workload/cnn_infer.hh"
 #include "workload/family.hh"
-#include "workload/runner.hh"
 
 namespace {
 
@@ -59,18 +60,22 @@ splitCommas(const std::string &list)
 
 /** --grid: the Fig. 13 systems x the requested datasets. */
 int
-runGridMode(const core::ComparisonHarness &harness,
-            const std::string &datasetList, size_t jobs, bool csv,
-            bool json)
+runGridMode(const Flags &flags, const serve::Request &defaults)
 {
-    const auto systems = core::figure13Systems();
-    const auto rows =
-        harness.runGrid(systems, splitCommas(datasetList), jobs);
-    if (json) {
+    core::ComparisonHarness harness(
+        reram::AcceleratorConfig::paperDefault(), defaults.sim);
+    harness.setFaultConfig(defaults.fault);
+    const auto rows = harness.runGrid(
+        core::figure13Systems(), splitCommas(flags.getString("dataset")),
+        core::jobsFromFlags(flags));
+    core::writeTraceIfRequested(flags, defaults.sim);
+    core::writeMetricsIfRequested(flags, defaults.sim);
+    core::writeIsaTraceIfRequested(flags, defaults.sim);
+    if (flags.getBool("json")) {
         core::writeGridJson(rows, std::cout);
         return 0;
     }
-    if (csv) {
+    if (flags.getBool("csv")) {
         core::writeGridCsv(rows, std::cout);
         return 0;
     }
@@ -87,38 +92,27 @@ runGridMode(const core::ComparisonHarness &harness,
     return 0;
 }
 
-/** --list-engines: the timing-backend registry, aliases included. */
-int
-listEngines()
+/** One registry (engines, families, partitionings) as a table. */
+template <typename Registry>
+void
+printRegistry(const std::string &title, const Registry &registry)
 {
-    Table table("registered engines (--engine)",
-                {"canonical", "alias", "summary"});
-    for (const auto &info : sim::engineRegistry())
+    Table table(title, {"canonical", "alias", "summary"});
+    for (const auto &info : registry)
         table.row().cell(info.canonical).cell(info.alias).cell(
             info.summary);
     table.print(std::cout);
-    return 0;
 }
 
 /** --list-workloads: families, partitionings, and CNN presets. */
 int
 listWorkloads()
 {
-    Table families("registered workload families (--workload)",
-                   {"canonical", "alias", "summary"});
-    for (const auto &info : workload::familyRegistry())
-        families.row().cell(info.canonical).cell(info.alias).cell(
-            info.summary);
-    families.print(std::cout);
-
+    printRegistry("registered workload families (--workload)",
+                  workload::familyRegistry());
     std::cout << '\n';
-    Table partitions("gnn-infer partitionings (--partition)",
-                     {"canonical", "alias", "summary"});
-    for (const auto &info : workload::partitionRegistry())
-        partitions.row().cell(info.canonical).cell(info.alias).cell(
-            info.summary);
-    partitions.print(std::cout);
-
+    printRegistry("gnn-infer partitionings (--partition)",
+                  workload::partitionRegistry());
     std::cout << '\n';
     Table presets("cnn-infer presets (--dataset)",
                   {"name", "summary"});
@@ -128,52 +122,60 @@ listWorkloads()
     return 0;
 }
 
-/**
- * --workload=gnn-infer / cnn-infer: compile the family plan and run
- * it under the selected system. Training keeps the legacy
- * core::Accelerator path below, bit-identical to prior releases.
- */
-int
-runWorkloadMode(const Flags &flags, workload::FamilyKind family,
-                const sim::SimContext &ctx)
+/** The single-run flags as a resolved serving request. */
+serve::ResolvedRequest
+resolveFlags(const Flags &flags, const serve::Request &defaults)
 {
-    if (flags.getBool("grid"))
-        fatal("--grid supports --workload=gcn-train only (use "
-              "bench/ablation_workloads for inference grids)");
-    if (!flags.getString("graph").empty())
-        fatal("--graph is supported with --workload=gcn-train only");
-    if (core::faultConfigFromFlags(flags).enabled())
-        fatal("fault injection applies to --workload=gcn-train only");
+    // Up front for the name hint a request error does not carry.
+    core::systemFromName(flags.getString("system"));
+    core::systemFromName(flags.getString("baseline"));
 
-    workload::WorkloadSpec spec;
-    spec.family = family;
-    // cnn-infer reads presets, not the graph catalog: substitute its
-    // default preset unless the user explicitly picked a dataset.
-    spec.dataset = flags.isSet("dataset") || family !=
-                           workload::FamilyKind::CnnInfer
-                       ? flags.getString("dataset")
-                       : workload::defaultCnnPreset();
-    spec.partition =
-        workload::partitioningFromString(flags.getString("partition"));
-    spec.microBatchSize =
-        static_cast<uint32_t>(flags.getInt("micro-batch"));
-    spec.epochs = static_cast<uint32_t>(flags.getInt("epochs"));
-    spec.seed = ctx.seed;
+    json::Value body = json::Value::object();
+    // cnn-infer reads presets, not the graph catalog: an unset
+    // --dataset means the family's default, as in a request.
+    if (flags.isSet("dataset"))
+        body.set("dataset", flags.getString("dataset"));
+    body.set("workload", flags.getString("workload"));
+    body.set("partition", flags.getString("partition"));
+    body.set("system", flags.getString("system"));
+    body.set("baseline", flags.getString("baseline"));
+    body.set("micro_batch", flags.getInt("micro-batch"));
+    body.set("epochs", flags.getInt("epochs"));
+    body.set("theta", flags.getDouble("theta"));
 
-    auto system = core::makeSystem(
-        core::systemFromName(flags.getString("system")));
-    system.sim = ctx;
-    auto baselineSystem = core::makeSystem(
-        core::systemFromName(flags.getString("baseline")));
-    baselineSystem.sim = ctx;
+    serve::Request request;
+    serve::ResolvedRequest resolved;
+    serve::RequestError err = serve::parseRequest(body, defaults, &request);
+    if (err.ok())
+        err = serve::resolveRequest(request, &resolved);
+    if (!err.ok())
+        fatal(err.message);
 
+    if (const std::string path = flags.getString("graph");
+        !path.empty()) {
+        const auto g = graph::loadEdgeList(path);
+        gcn::Workload &workload = resolved.workload;
+        workload.dataset.name = path;
+        workload.dataset.numVertices = g.numVertices();
+        workload.dataset.numEdges = g.numEdges();
+        workload.dataset.avgDegree = g.averageDegree();
+    }
+    return resolved;
+}
+
+/** One request: run it, write the requested files, print the report. */
+int
+runSingle(const Flags &flags, const serve::Request &defaults)
+{
+    const serve::ResolvedRequest resolved =
+        resolveFlags(flags, defaults);
     const auto hw = reram::AcceleratorConfig::paperDefault();
-    const auto run = workload::runFamily(spec, system, hw);
-    const auto baseline =
-        workload::runFamily(spec, baselineSystem, hw);
-    core::writeTraceIfRequested(flags, ctx);
-    core::writeMetricsIfRequested(flags, ctx);
-    core::writeIsaTraceIfRequested(flags, ctx);
+    const serve::RequestRun out = serve::runRequest(resolved, hw);
+    const core::RunResult &run = out.run;
+    const core::RunResult &baseline = *out.baseline;
+    core::writeTraceIfRequested(flags, defaults.sim);
+    core::writeMetricsIfRequested(flags, defaults.sim);
+    core::writeIsaTraceIfRequested(flags, defaults.sim);
 
     if (flags.getBool("json")) {
         core::writeRunJson(run, std::cout);
@@ -193,20 +195,27 @@ runWorkloadMode(const Flags &flags, workload::FamilyKind family,
         return 0;
     }
 
-    const core::StageCosts plan =
-        workload::familyFor(family).plan(spec, hw);
-    std::cout << run.systemName << " running " << plan.label << " ("
-              << plan.numStages() << " stages, micro-batch "
-              << spec.microBatchSize << ", "
-              << plan.totalMicroBatches << " micro-batches, "
-              << run.engineName << " engine)\n\n";
+    const gcn::Workload &workload = resolved.workload;
+    if (resolved.request.family == workload::FamilyKind::GcnTrain)
+        std::cout << run.systemName << " on " << run.datasetName << " ("
+                  << workload.dataset.numVertices << " vertices, "
+                  << workload.model.numLayers
+                  << "-layer GCN, micro-batch "
+                  << workload.microBatchSize << ", " << run.engineName
+                  << " engine)\n\n";
+    else
+        std::cout << run.systemName << " running " << out.facts.label
+                  << " (" << out.facts.numStages
+                  << " stages, micro-batch " << workload.microBatchSize
+                  << ", " << out.facts.totalMicroBatches
+                  << " micro-batches, " << run.engineName
+                  << " engine)\n\n";
     std::cout << "makespan      : " << formatTimeNs(run.makespanNs)
               << "\n";
     std::cout << "energy        : " << formatEnergyPj(run.energyPj)
               << "\n";
     std::cout << "vs " << baseline.systemName << "     : "
-              << formatRatio(run.speedupOver(baseline))
-              << " speedup, "
+              << formatRatio(run.speedupOver(baseline)) << " speedup, "
               << formatRatio(run.energySavingOver(baseline))
               << " energy saving\n";
     std::cout << "crossbars     : " << run.totalCrossbars << " of "
@@ -228,13 +237,15 @@ runWorkloadMode(const Flags &flags, workload::FamilyKind family,
     stagesTable.print(std::cout);
 
     if (flags.getBool("gantt")) {
+        // Render through the selected engine so the chart reflects
+        // the same backend that produced the makespan.
         sim::ScheduleRequest request;
         request.stageTimesNs = run.stageTimesNs;
         request.replicas = run.replicas;
         request.regime = sim::Regime::IntraInterBatch;
         request.totalMicroBatches =
-            std::min(plan.totalMicroBatches, 16u);
-        sim::SimContext ganttCtx = ctx;
+            std::min(out.facts.totalMicroBatches, 16u);
+        sim::SimContext ganttCtx = defaults.sim;
         ganttCtx.recordWindows = true;
         ganttCtx.traceSink = nullptr;
         const auto timeline =
@@ -286,135 +297,27 @@ main(int argc, char **argv)
     if (!flags.parse(argc, argv))
         return 0;
 
-    if (flags.getBool("list-engines"))
-        return listEngines();
+    if (flags.getBool("list-engines")) {
+        printRegistry("registered engines (--engine)",
+                      sim::engineRegistry());
+        return 0;
+    }
     if (flags.getBool("list-workloads"))
         return listWorkloads();
 
-    const sim::SimContext ctx = core::simContextFromFlags(flags);
-    const workload::FamilyKind family =
-        workload::familyFromString(flags.getString("workload"));
-    if (family != workload::FamilyKind::GcnTrain)
-        return runWorkloadMode(flags, family, ctx);
-    const fault::FaultConfig faultCfg =
-        core::faultConfigFromFlags(flags);
-    core::ComparisonHarness harness(
-        reram::AcceleratorConfig::paperDefault(), ctx);
-    harness.setFaultConfig(faultCfg);
-
-    if (flags.getBool("grid")) {
-        const int rc = runGridMode(
-            harness, flags.getString("dataset"),
-            core::jobsFromFlags(flags), flags.getBool("csv"),
-            flags.getBool("json"));
-        core::writeTraceIfRequested(flags, ctx);
-        core::writeMetricsIfRequested(flags, ctx);
-        core::writeIsaTraceIfRequested(flags, ctx);
-        return rc;
+    const serve::Request defaults = serve::requestDefaults(flags);
+    if (workload::familyFromString(flags.getString("workload")) !=
+        workload::FamilyKind::GcnTrain) {
+        if (flags.getBool("grid"))
+            fatal("--grid supports --workload=gcn-train only (use "
+                  "bench/ablation_workloads for inference grids)");
+        if (!flags.getString("graph").empty())
+            fatal("--graph is supported with --workload=gcn-train "
+                  "only");
+        if (defaults.fault.enabled())
+            fatal("fault injection applies to --workload=gcn-train "
+                  "only");
     }
-
-    auto workload = gcn::Workload::paperDefault(
-        flags.getString("dataset"));
-    workload.microBatchSize =
-        static_cast<uint32_t>(flags.getInt("micro-batch"));
-    workload.epochs = static_cast<uint32_t>(flags.getInt("epochs"));
-    workload.seed = ctx.seed;
-
-    if (!flags.getString("graph").empty()) {
-        const auto g = graph::loadEdgeList(flags.getString("graph"));
-        workload.dataset.name = flags.getString("graph");
-        workload.dataset.numVertices = g.numVertices();
-        workload.dataset.numEdges = g.numEdges();
-        workload.dataset.avgDegree = g.averageDegree();
-    }
-
-    auto system = core::makeSystem(
-        core::systemFromName(flags.getString("system")));
-    system.sim = ctx;
-    system.fault = faultCfg;
-    if (flags.getDouble("theta") > 0.0) {
-        system.policy.selectiveUpdate = true;
-        system.policy.theta = flags.getDouble("theta");
-    }
-
-    const auto profile =
-        gcn::VertexProfile::build(workload.dataset, workload.seed);
-    core::Accelerator accel(harness.hardware(), system);
-    const auto run = accel.run(workload, profile);
-    const auto baseline = harness.runOne(
-        core::systemFromName(flags.getString("baseline")), workload);
-    core::writeTraceIfRequested(flags, ctx);
-    core::writeMetricsIfRequested(flags, ctx);
-    core::writeIsaTraceIfRequested(flags, ctx);
-
-    if (flags.getBool("json")) {
-        core::writeRunJson(run, std::cout);
-        std::cout << "\n";
-        return 0;
-    }
-
-    if (flags.getBool("csv")) {
-        std::cout << "dataset,system,engine,makespan_ns,energy_pj,"
-                     "speedup,energy_saving,crossbars,avg_idle\n"
-                  << run.datasetName << ',' << run.systemName << ','
-                  << run.engineName << ',' << run.makespanNs << ','
-                  << run.energyPj << ','
-                  << run.speedupOver(baseline) << ','
-                  << run.energySavingOver(baseline) << ','
-                  << run.totalCrossbars << ','
-                  << run.avgIdleFraction << "\n";
-        return 0;
-    }
-
-    std::cout << run.systemName << " on " << run.datasetName << " ("
-              << workload.dataset.numVertices << " vertices, "
-              << workload.model.numLayers << "-layer GCN, micro-batch "
-              << workload.microBatchSize << ", " << run.engineName
-              << " engine)\n\n";
-    std::cout << "makespan      : " << formatTimeNs(run.makespanNs)
-              << "\n";
-    std::cout << "energy        : " << formatEnergyPj(run.energyPj)
-              << "\n";
-    std::cout << "vs " << baseline.systemName << "     : "
-              << formatRatio(run.speedupOver(baseline)) << " speedup, "
-              << formatRatio(run.energySavingOver(baseline))
-              << " energy saving\n";
-    std::cout << "crossbars     : " << run.totalCrossbars << " of "
-              << harness.hardware().totalCrossbars() << "\n";
-    std::cout << "avg idle      : " << run.avgIdleFraction * 100.0
-              << "%\n\n";
-
-    Table stagesTable("per-stage allocation",
-                      {"stage", "replicas", "crossbars", "time/mb",
-                       "idle %"});
-    for (size_t i = 0; i < run.stages.size(); ++i) {
-        stagesTable.row()
-            .cell(run.stages[i].label())
-            .cell(static_cast<uint64_t>(run.replicas[i]))
-            .cell(run.stageCrossbars[i])
-            .cell(formatTimeNs(run.stageTimesNs[i]))
-            .cell(run.idleFraction[i] * 100.0, 1);
-    }
-    stagesTable.print(std::cout);
-
-    if (flags.getBool("gantt")) {
-        // Render through the selected engine so the chart reflects
-        // the same backend that produced the makespan.
-        sim::ScheduleRequest request;
-        request.stageTimesNs = run.stageTimesNs;
-        request.replicas = run.replicas;
-        request.regime = sim::Regime::IntraInterBatch;
-        request.totalMicroBatches =
-            std::min(workload.microBatchesPerEpoch() * workload.epochs,
-                     16u);
-        sim::SimContext ganttCtx = ctx;
-        ganttCtx.recordWindows = true;
-        ganttCtx.traceSink = nullptr;
-        const auto timeline =
-            sim::resolveEngine(ganttCtx).schedule(request, ganttCtx);
-        std::cout << '\n'
-                  << pipeline::renderGantt(
-                         run.stages, timeline.toScheduleResult());
-    }
-    return 0;
+    return flags.getBool("grid") ? runGridMode(flags, defaults)
+                                 : runSingle(flags, defaults);
 }
