@@ -312,9 +312,9 @@ class Parser
             return fail("unexpected end of input");
         switch (text_[pos_]) {
           case '{':
-            return parseObject(out);
+            return nested(&Parser::parseObject, out);
           case '[':
-            return parseArray(out);
+            return nested(&Parser::parseArray, out);
           case '"':
             return parseString(out);
           case 't':
@@ -326,6 +326,19 @@ class Parser
           default:
             return parseNumber(out);
         }
+    }
+
+    /** One container level deeper, refused past kMaxParseDepth. */
+    bool
+    nested(bool (Parser::*parse)(Value *), Value *out)
+    {
+        if (depth_ == kMaxParseDepth)
+            return fail("nesting deeper than " +
+                        std::to_string(kMaxParseDepth));
+        ++depth_;
+        const bool ok = (this->*parse)(out);
+        --depth_;
+        return ok;
     }
 
     bool
@@ -556,6 +569,7 @@ class Parser
 
     const std::string &text_;
     size_t pos_ = 0;
+    int depth_ = 0; ///< containers open at pos_
     std::string error_;
 };
 

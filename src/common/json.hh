@@ -26,6 +26,13 @@
 
 namespace gopim::json {
 
+/**
+ * Deepest array/object nesting Value::parse accepts. The parser
+ * recurses once per level, so the bound keeps a hostile line (a
+ * megabyte of '[') a parse error instead of a stack overflow.
+ */
+inline constexpr int kMaxParseDepth = 256;
+
 /** Escape a string's content for embedding in a JSON literal. */
 std::string escape(const std::string &s);
 
@@ -96,8 +103,9 @@ class Value
 
     /**
      * Strict parse of a complete JSON document. Returns false and
-     * fills `error` (when given) on malformed input or trailing
-     * garbage; `out` is untouched on failure.
+     * fills `error` (when given) on malformed input, trailing
+     * garbage or nesting deeper than kMaxParseDepth; `out` is
+     * untouched on failure.
      */
     static bool parse(const std::string &text, Value *out,
                       std::string *error = nullptr);

@@ -6,6 +6,10 @@
  * the exact bytes the JSON writer emitted, a cache hit is
  * byte-identical to re-simulating — the property the determinism
  * tests pin down. Thread-safe; eviction is strict LRU.
+ *
+ * serve::Service does not use this class: it memoizes result
+ * futures in a MemoTable. The class remains for the benchmark's
+ * traced serving path (perfbench/serving.cc).
  */
 
 #ifndef GOPIM_SERVE_CACHE_HH

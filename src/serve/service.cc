@@ -16,12 +16,14 @@ namespace gopim::serve {
 Service::Service(ServiceConfig config)
     : config_(std::move(config)),
       maxQueue_(config_.maxQueue),
-      cache_(config_.cacheCapacity),
       pool_(ThreadPool::resolveJobs(config_.jobs))
 {
     if (maxQueue_ == 0)
         maxQueue_ = 2 * pool_.threadCount();
     if (config_.cacheCapacity > 0) {
+        results_ = std::make_unique<
+            MemoTable<std::shared_future<std::string>>>(
+            config_.cacheCapacity);
         trainPlans_ =
             std::make_unique<core::PlanMemo>(config_.cacheCapacity);
         familyPlans_ =
@@ -57,6 +59,9 @@ Service::acquireQueueSlot()
     std::unique_lock<std::mutex> lock(queueMutex_);
     queueCv_.wait(lock, [this] { return pendingJobs_ < maxQueue_; });
     ++pendingJobs_;
+    if (instruments_.inflightMax)
+        instruments_.inflightMax->recordMax(
+            static_cast<int64_t>(pendingJobs_));
 }
 
 void
@@ -93,11 +98,13 @@ Service::misses() const
     return misses_;
 }
 
-size_t
-Service::inflightSize() const
+Service::CacheStats
+Service::cacheStats() const
 {
-    std::lock_guard<std::mutex> lock(dispatchMutex_);
-    return inflight_.size();
+    if (!results_)
+        return {};
+    const auto memo = results_->stats();
+    return {memo.entries, results_->capacity(), memo.evictions};
 }
 
 std::string
@@ -152,7 +159,6 @@ Service::dispatch(const std::string &line, Envelope envelope)
                 ++stream_.requests;
                 current = stream_;
             }
-            output.immediate = true;
             output.raw = true;
             output.value = statsJson(current).dump();
             return output;
@@ -179,67 +185,37 @@ Service::dispatch(const std::string &line, Envelope envelope)
         return output;
     }
     const std::string key = cacheKey(resolved, config_.hw);
-    output.key = key;
 
-    // The hit/miss decision is serial in input order: repeats of an
-    // in-flight request coalesce onto its future, so the decision —
-    // and therefore the response bytes — never depend on worker
-    // timing. Only the decision happens under dispatchMutex_; the
-    // (potentially long) backpressure wait below does not, so
-    // hits()/misses()/statsJson() stay responsive while the
-    // dispatcher is blocked on a full queue.
+    // The hit/miss decision is serial in input order, and a miss
+    // memoizes its future before the simulation starts: a repeat
+    // takes that future whether the run has finished or not, so the
+    // decision, the LRU order and every eviction — and therefore the
+    // response bytes — never depend on worker timing. Only the
+    // decision happens under dispatchMutex_; the (potentially long)
+    // backpressure wait below does not, so hits()/misses()/
+    // statsJson() stay responsive while the dispatcher is blocked on
+    // a full queue.
     bool cached = false;
     uint64_t hitsNow = 0, missesNow = 0;
+    // The simulation completes through this promise, not the pool
+    // task's own future, so the task can be submitted after the lock
+    // is released while hits already hold the shared future.
     std::shared_ptr<std::promise<std::string>> promise;
+    const auto start = [&promise] {
+        promise = std::make_shared<std::promise<std::string>>();
+        return promise->get_future().share();
+    };
     {
         std::lock_guard<std::mutex> lock(dispatchMutex_);
         ++stream_.requests;
-        if (auto value = cache_.get(key)) {
-            cached = true;
-            output.immediate = true;
-            output.value = std::move(*value);
-            ++hits_;
-        } else if (const auto it = inflight_.find(key);
-                   it != inflight_.end() &&
-                   it->second.wait_for(std::chrono::seconds(0)) !=
-                       std::future_status::ready) {
-            // Workers cache_.put before their future turns ready, so
-            // a ready future here means the entry was evicted — drop
-            // it below and re-simulate.
-            cached = true;
-            output.pending = it->second;
-            ++hits_;
-        } else {
-            if (it != inflight_.end())
-                inflight_.erase(it);
-            // Sweep completed futures: their results live in the
-            // cache, so the coalescing map only needs genuinely
-            // in-flight entries and stays bounded by the window even
-            // when responses are never re-looked-up.
-            for (auto sweep = inflight_.begin();
-                 sweep != inflight_.end();) {
-                if (sweep->second.wait_for(std::chrono::seconds(0)) ==
-                    std::future_status::ready)
-                    sweep = inflight_.erase(sweep);
-                else
-                    ++sweep;
-            }
-            ++misses_;
-            // The simulation completes through this promise, not the
-            // pool task's own future, so the task can be submitted
-            // after the lock is released while coalescers already
-            // hold the shared future.
-            promise = std::make_shared<std::promise<std::string>>();
-            output.pending = promise->get_future().share();
-            inflight_[key] = output.pending;
-        }
+        output.pending =
+            results_ ? *results_->getOrBuild(key, start) : start();
+        cached = !promise;
+        ++(cached ? hits_ : misses_);
         hitsNow = hits_;
         missesNow = misses_;
-        if (metricsOn) {
+        if (metricsOn)
             (cached ? metrics.hits : metrics.misses)->add();
-            metrics.inflightMax->recordMax(
-                static_cast<int64_t>(inflight_.size()));
-        }
     }
 
     if (promise) {
@@ -252,20 +228,14 @@ Service::dispatch(const std::string &line, Envelope envelope)
         } else {
             acquireQueueSlot();
         }
-        pool_.submit([this, resolved = std::move(resolved), key,
-                      promise] {
+        pool_.submit([this, resolved = std::move(resolved), promise] {
             struct SlotGuard
             {
                 Service *service;
                 ~SlotGuard() { service->releaseQueueSlot(); }
             } guard{this};
             try {
-                std::string result = simulate(resolved);
-                // Put before set_value: a ready future always means
-                // the result reached the cache (the coalescing logic
-                // above depends on this ordering).
-                cache_.put(key, result);
-                promise->set_value(std::move(result));
+                promise->set_value(simulate(resolved));
             } catch (...) {
                 promise->set_exception(std::current_exception());
             }
@@ -277,8 +247,8 @@ Service::dispatch(const std::string &line, Envelope envelope)
         output.prefix += ",\"id\":\"" + json::escape(output.id) + "\"";
     output.prefix += ",\"key\":\"" + key + "\"";
     if (envelope == Envelope::Full) {
-        // Live cache metadata: useful to a single-process client,
-        // but dependent on this process's history — the Stable
+        // Memo metadata: useful to a single-process client, but
+        // dependent on this process's input history — the Stable
         // envelope leaves it out so shards stay byte-comparable.
         output.prefix +=
             cached ? ",\"cached\":true" : ",\"cached\":false";
@@ -299,36 +269,13 @@ Service::render(Output &output)
         return errorResponseLine(output.id, output.error);
     if (output.raw)
         return output.value;
-    std::string value;
-    if (output.immediate) {
-        value = std::move(output.value);
-    } else {
-        try {
-            value = output.pending.get();
-        } catch (const std::exception &e) {
-            output.error = {"simulation_failed", "",
-                            std::string("simulation failed: ") +
-                                e.what()};
-            return errorResponseLine(output.id, output.error);
-        }
+    try {
+        return output.prefix + output.pending.get() + "}";
+    } catch (const std::exception &e) {
+        output.error = {"simulation_failed", "",
+                        std::string("simulation failed: ") + e.what()};
+        return errorResponseLine(output.id, output.error);
     }
-    return output.prefix + value + "}";
-}
-
-void
-Service::retireInflight(const std::string &key)
-{
-    if (key.empty())
-        return;
-    std::lock_guard<std::mutex> lock(dispatchMutex_);
-    const auto it = inflight_.find(key);
-    // Only drop ready entries: a later miss on the same key may have
-    // replaced this output's future with a live one that in-flight
-    // repeats still need to find.
-    if (it != inflight_.end() &&
-        it->second.wait_for(std::chrono::seconds(0)) ==
-            std::future_status::ready)
-        inflight_.erase(it);
 }
 
 void
@@ -369,7 +316,7 @@ bool
 Service::ready(const Pending &pending) const
 {
     const Output &output = pending.output_;
-    if (!output.error.ok() || output.immediate)
+    if (!output.error.ok() || output.raw)
         return true;
     return output.pending.wait_for(std::chrono::seconds(0)) ==
            std::future_status::ready;
@@ -380,7 +327,6 @@ Service::finish(Pending &pending)
 {
     Output &output = pending.output_;
     std::string response = render(output);
-    retireInflight(output.key);
     observeEmitted(output);
     if (!output.error.ok()) {
         std::lock_guard<std::mutex> lock(dispatchMutex_);
@@ -401,10 +347,7 @@ Service::processStream(std::istream &in, std::ostream &out,
                        bool emitStats, Envelope envelope)
 {
     {
-        // Coalescing is a per-stream notion; completed futures from
-        // an earlier stream are already represented in the cache.
         std::lock_guard<std::mutex> lock(dispatchMutex_);
-        inflight_.clear();
         stream_ = {};
     }
 
@@ -451,7 +394,7 @@ Service::processStream(std::istream &in, std::ostream &out,
 json::Value
 Service::statsJson(const StreamStats &stream) const
 {
-    const ResultCache::Stats cache = cache_.stats();
+    const CacheStats cache = cacheStats();
     json::Value v = json::Value::object();
     v.set("type", "stats");
     v.set("requests", stream.requests);

@@ -2,21 +2,24 @@
  * @file
  * Long-lived batch simulation service. Accepts JSONL requests (one
  * object per line), dispatches fresh simulations onto a
- * common::ThreadPool with bounded-queue backpressure, serves
- * repeated requests from a content-addressed LRU result cache, and
- * emits JSONL responses in request order. A {"type":"stats"} line
- * is answered in place with a live stats snapshot (same shape as
- * the --stats trailer) without touching the simulation path. A miss
- * runs through serve::runRequest, the same runner gopim_sim uses,
- * with this service's plan memos attached.
+ * common::ThreadPool with bounded-queue backpressure, answers
+ * repeated requests from one bounded result memo, and emits JSONL
+ * responses in request order. A {"type":"stats"} line is answered in
+ * place with a live stats snapshot (same shape as the --stats
+ * trailer) without touching the simulation path. A miss runs
+ * through serve::runRequest, the same runner gopim_sim uses, with
+ * this service's plan memos attached.
  *
- * Determinism contract: request parsing and the hit/miss decision
- * happen serially in input order on the dispatcher thread (repeats
- * of an in-flight request coalesce onto its future), and responses
- * are emitted strictly in input order. The response bytes for a
- * given input stream are therefore identical for any worker count,
- * and a cache hit replays the exact bytes a fresh simulation would
- * have produced.
+ * Determinism contract: request parsing and every result-memo
+ * operation (lookup, insert, LRU touch, eviction) happen serially in
+ * input order on the dispatcher thread. The memo stores each
+ * request's result future as soon as it is dispatched, so a repeat
+ * of a finished request and a repeat of a running one are the same
+ * hit. Hits, misses and evictions are therefore a pure function of
+ * the input stream, responses are emitted strictly in input order,
+ * and the response bytes (either envelope, stats lines included) are
+ * identical for any worker count. A hit replays the exact bytes a
+ * fresh simulation would have produced.
  */
 
 #ifndef GOPIM_SERVE_SERVICE_HH
@@ -29,13 +32,12 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 
+#include "common/memo_table.hh"
 #include "common/thread_pool.hh"
 #include "core/harness.hh"
 #include "obs/metrics.hh"
 #include "reram/config.hh"
-#include "serve/cache.hh"
 #include "serve/request.hh"
 #include "workload/runner.hh"
 
@@ -43,14 +45,14 @@ namespace gopim::serve {
 
 /**
  * Response envelope mode. Full is the historical single-process
- * shape: result lines carry live cache metadata ("cached", running
- * "hits"/"misses" counters, the trace path). Stable strips those —
- * a Stable result line is a pure function of the request identity
- * (id, cache key, result bytes), which is what lets a sharded
- * cluster (whose per-shard caches see different subsets and whose
- * workers may restart with cold caches) stay byte-identical to a
- * single-process run. The cluster transport always negotiates
- * Stable.
+ * shape: result lines carry the memo metadata ("cached", running
+ * "hits"/"misses" counters, the trace path), a function of this
+ * process's whole input history. Stable strips those — a Stable
+ * result line is a pure function of the request identity (id, cache
+ * key, result bytes), which is what lets a sharded cluster (whose
+ * per-shard memos see different subsets and whose workers may
+ * restart cold) stay byte-identical to a single-process run. The
+ * cluster transport always negotiates Stable.
  */
 enum class Envelope
 {
@@ -64,8 +66,9 @@ struct ServiceConfig
     /** Simulation worker threads (0 = all hardware threads). */
     size_t jobs = 1;
     /**
-     * Resident entries in the result cache and in each plan memo
-     * (gcn-train and family plans). 0 disables all three.
+     * Resident entries in the result memo and in each plan memo
+     * (gcn-train and family plans). 0 disables all three: every
+     * request is then a miss, and repeats are not coalesced.
      */
     size_t cacheCapacity = 256;
     /**
@@ -94,13 +97,11 @@ class Service
     struct Output
     {
         std::string id;
-        std::string key;            ///< cache key ("" for errors)
         RequestError error;         ///< !ok() = error response
         std::string prefix;         ///< envelope up to "result":
-        bool immediate = false;     ///< result already in `value`
         bool raw = false;           ///< `value` is the whole line
-        std::string value;          ///< cached result bytes
-        std::shared_future<std::string> pending; ///< fresh result
+        std::string value;          ///< the stats line when `raw`
+        std::shared_future<std::string> pending; ///< result bytes
         double dispatchedUs = 0.0;  ///< set only when metrics attached
     };
 
@@ -130,10 +131,10 @@ class Service
 
     /**
      * Parse/validate/route one JSONL line and start its simulation
-     * (or resolve it against the cache). Serial per caller thread:
-     * the hit/miss decision happens in call order, so callers that
-     * submit in input order get deterministic bytes for any worker
-     * count. May block on the bounded-queue backpressure.
+     * (or resolve it against the result memo). Serial per caller
+     * thread: the hit/miss decision happens in call order, so callers
+     * that submit in input order get deterministic bytes for any
+     * worker count. May block on the bounded-queue backpressure.
      */
     Pending submit(const std::string &line,
                    Envelope envelope = Envelope::Full);
@@ -143,8 +144,8 @@ class Service
 
     /**
      * Render the response line (no trailing newline), blocking until
-     * the simulation completes if needed. Also retires the request's
-     * coalescing entry and records its metrics; call exactly once.
+     * the simulation completes if needed. Also records the request's
+     * metrics; call exactly once.
      */
     std::string finish(Pending &pending);
 
@@ -175,18 +176,17 @@ class Service
     /** Block until every submitted simulation has finished. */
     void drain();
 
-    /** Cache-hit / miss counters (dispatch-order deterministic). */
+    /** Result-memo hits / misses (dispatch-order deterministic). */
     uint64_t hits() const;
     uint64_t misses() const;
-    ResultCache::Stats cacheStats() const { return cache_.stats(); }
 
-    /**
-     * Coalescing-map entries currently held. Completed entries are
-     * retired as their responses are emitted (plus a sweep on every
-     * miss), so this stays bounded by the in-flight window rather
-     * than growing with stream length.
-     */
-    size_t inflightSize() const;
+    struct CacheStats
+    {
+        size_t entries = 0;   ///< finished and running results held
+        size_t capacity = 0;
+        uint64_t evictions = 0;
+    };
+    CacheStats cacheStats() const;
 
     /** The stats line emitted by --stats, as a JSON object. */
     json::Value statsJson(const StreamStats &stream) const;
@@ -196,8 +196,6 @@ class Service
     Output dispatch(const std::string &line, Envelope envelope);
     /** Render an Output to its final response line (may block). */
     std::string render(Output &output);
-    /** Drop `key`'s coalescing entry once its future is ready. */
-    void retireInflight(const std::string &key);
 
     /** runRequest with the plan memos, write trace_out, serialize. */
     std::string simulate(const ResolvedRequest &resolved) const;
@@ -227,9 +225,16 @@ class Service
 
     ServiceConfig config_;
     size_t maxQueue_;
-    ResultCache cache_;
     /**
-     * Plans a result-cache miss reuses (null when cacheCapacity is
+     * Result bytes by cache key, one future per key from dispatch on
+     * (null when cacheCapacity is 0). Looked up and filled only
+     * under dispatchMutex_, so its LRU order follows the input. A
+     * simulation can only fail on a std exception (fatal() exits),
+     * and its failed future stays memoized like any other result.
+     */
+    std::unique_ptr<MemoTable<std::shared_future<std::string>>> results_;
+    /**
+     * Plans a result-memo miss reuses (null when cacheCapacity is
      * 0): gcn-train core::StagePlans keyed like the harness memo,
      * and inference-family core::StageCosts (compiled, not yet
      * allocated) keyed by workload::familyPlanKey.
@@ -239,14 +244,8 @@ class Service
     std::unique_ptr<workload::PlanMemo> familyPlans_;
     Instruments instruments_;
 
-    /** Serializes dispatch: counters + coalescing map. */
+    /** Serializes dispatch: counters + result memo. */
     mutable std::mutex dispatchMutex_;
-    /** In-flight result futures for request coalescing. */
-    // gopim-lint: allow(determinism-unordered) keyed lookups and a
-    // readiness sweep only; iteration order never reaches response
-    // bytes (responses are emitted in request order from the deque).
-    std::unordered_map<std::string, std::shared_future<std::string>>
-        inflight_;
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;
     /** Per-stream request/error counts ({"type":"stats"} queries). */
@@ -254,10 +253,11 @@ class Service
 
     std::mutex queueMutex_;
     std::condition_variable queueCv_;
+    /** Simulations submitted but not finished (serve.inflight.max). */
     size_t pendingJobs_ = 0;
 
     // Declared last on purpose: destruction runs in reverse order,
-    // so ~ThreadPool joins every worker before the cache, the
+    // so ~ThreadPool joins every worker before the memos, the
     // dispatch state, and the backpressure cv/mutex above are torn
     // down — workers may touch all of them right up to task exit
     // (TSan pinned the ~Service vs releaseQueueSlot race this

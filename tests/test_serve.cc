@@ -88,6 +88,32 @@ TEST(JsonTest, ParseRejectsMalformedInput)
     EXPECT_FALSE(json::Value::parse("[1,2,]", &v));
 }
 
+TEST(JsonTest, NestingLimitIsAParseError)
+{
+    const auto nestedArrays = [](int depth) {
+        return std::string(depth, '[') + std::string(depth, ']');
+    };
+    json::Value v;
+    std::string error;
+    EXPECT_TRUE(json::Value::parse(nestedArrays(json::kMaxParseDepth),
+                                   &v, &error))
+        << error;
+    EXPECT_FALSE(json::Value::parse(
+        nestedArrays(json::kMaxParseDepth + 1), &v, &error));
+    EXPECT_NE(error.find("nesting deeper than"), std::string::npos)
+        << error;
+
+    // Objects count towards the same depth as arrays.
+    std::string objects;
+    for (int i = 0; i < json::kMaxParseDepth; ++i)
+        objects += i % 2 ? "[" : "{\"k\":";
+    objects += "1";
+    for (int i = json::kMaxParseDepth - 1; i >= 0; --i)
+        objects += i % 2 ? "]" : "}";
+    EXPECT_TRUE(json::Value::parse(objects, &v, &error)) << error;
+    EXPECT_FALSE(json::Value::parse("[" + objects + "]", &v, &error));
+}
+
 TEST(JsonTest, ParseUnicodeEscapes)
 {
     json::Value v;
@@ -615,10 +641,28 @@ TEST(ServiceTest, FaultBatchIsBitIdenticalAcrossWorkerCounts)
         << outputs[0];
 }
 
+TEST(ServiceTest, DeeplyNestedLineIsABadJsonError)
+{
+    serve::ServiceConfig config;
+    config.jobs = 1;
+    serve::Service service(config);
+    const std::string bad =
+        service.handleLine(std::string(1 << 20, '['));
+    EXPECT_TRUE(lineSays(bad, "\"type\":\"error\"")) << bad;
+    EXPECT_TRUE(lineSays(bad, "\"code\":\"bad_json\"")) << bad;
+    EXPECT_TRUE(lineSays(bad, "nesting deeper than")) << bad;
+
+    const std::string next =
+        service.handleLine("{\"id\":\"n\",\"dataset\":\"Cora\"}");
+    EXPECT_TRUE(lineSays(next, "\"type\":\"result\"")) << next;
+    EXPECT_TRUE(lineSays(next, "\"id\":\"n\"")) << next;
+}
+
 TEST(ServiceTest, EvictionsStayOutOfResponseEnvelopes)
 {
     // Capacity 1 forces evictions; the per-response envelope must not
-    // leak them (they are timing-dependent under concurrency).
+    // leak them (they are a property of the memo, not of the request;
+    // the stats line reports them).
     serve::ServiceConfig config;
     config.jobs = 1;
     config.cacheCapacity = 1;
@@ -683,10 +727,10 @@ uniqueBatch(int count)
 
 TEST(ServiceStressTest, InflightStaysBoundedOverUniqueStream)
 {
-    // Regression: inflight_ used to keep one entry per unique request
-    // for the life of the stream, so a long stream of distinct
-    // requests grew the coalescing map without bound. Entries must be
-    // retired as responses are emitted.
+    // A long stream of distinct requests must not grow the service:
+    // the result memo (finished and running results alike) holds at
+    // most cacheCapacity entries, and the submitted-but-unfinished
+    // simulations stay within the backpressure bound.
     constexpr int kRequests = 10000;
     serve::ServiceConfig config;
     config.jobs = 4;
@@ -705,17 +749,76 @@ TEST(ServiceStressTest, InflightStaysBoundedOverUniqueStream)
     EXPECT_EQ(service.misses(), static_cast<uint64_t>(kRequests));
     EXPECT_EQ(service.hits(), 0u);
 
-    // Bounded at the end and — via the recorded high-water mark — at
-    // every dispatch along the way: at most maxQueue in-flight
-    // simulations plus the entry just inserted and one whose slot
-    // acquisition is still pending.
-    const size_t bound = config.maxQueue + 2;
-    EXPECT_LE(service.inflightSize(), bound);
+    const auto memo = service.cacheStats();
+    EXPECT_EQ(memo.capacity, config.cacheCapacity);
+    EXPECT_EQ(memo.entries, config.cacheCapacity);
+    EXPECT_EQ(memo.evictions,
+              static_cast<uint64_t>(kRequests) - config.cacheCapacity);
+
+    // The high-water mark of unfinished simulations over the whole
+    // stream: backpressure admits at most maxQueue.
+    const size_t bound = config.maxQueue;
     const obs::Gauge *highWater =
         config.metrics->findGauge("serve.inflight.max");
     ASSERT_NE(highWater, nullptr);
     EXPECT_GT(highWater->value(), 0);
     EXPECT_LE(highWater->value(), static_cast<int64_t>(bound));
+}
+
+/**
+ * 60 gcn-train requests over three datasets and four seeds, twelve
+ * keys visited five times in shifting orders, with a stats query
+ * every ten lines. At capacities far below twelve, repeats land
+ * both on running and on evicted results.
+ */
+std::string
+evictingStream()
+{
+    const char *datasets[] = {"Cora", "ddi", "collab"};
+    std::string stream;
+    for (int pass = 0; pass < 5; ++pass) {
+        for (int i = 0; i < 12; ++i) {
+            const int k = (5 * i + 7 * pass) % 12;
+            stream += std::string(R"({"dataset":")") + datasets[k % 3] +
+                      R"(","seed":)" + std::to_string(1 + k / 3) + "}\n";
+            if ((12 * pass + i) % 10 == 9)
+                stream += R"({"type":"stats"})" "\n";
+        }
+    }
+    return stream;
+}
+
+TEST(ServiceTest, FullEnvelopeIsIdenticalAcrossJobsAtEvictingCapacities)
+{
+    // Every hit, miss and eviction is decided on the dispatcher in
+    // input order, so even the Full envelope ("cached", running
+    // counters) and the stats lines (memo entries, evictions) are a
+    // function of the stream alone — for any worker count, run after
+    // run.
+    const std::string stream = evictingStream();
+    for (const size_t capacity : {1, 2}) {
+        std::string reference;
+        for (const size_t jobs : {1, 4}) {
+            for (int repeat = 0; repeat < 3; ++repeat) {
+                serve::ServiceConfig config;
+                config.jobs = jobs;
+                config.cacheCapacity = capacity;
+                serve::Service service(config);
+                std::istringstream in(stream);
+                std::ostringstream out;
+                const auto stats = service.processStream(in, out, true);
+                EXPECT_EQ(stats.errors, 0u) << out.str();
+                if (reference.empty())
+                    reference = out.str();
+                EXPECT_EQ(out.str(), reference)
+                    << "capacity " << capacity << ", jobs " << jobs
+                    << ", repeat " << repeat;
+            }
+        }
+        EXPECT_TRUE(lineSays(reference, "\"cached\":true")) << reference;
+        EXPECT_FALSE(lineSays(reference, "\"cache_evictions\":0"))
+            << reference;
+    }
 }
 
 TEST(ServiceStressTest, UniqueStreamIsBitIdenticalAcrossJobs)

@@ -5,15 +5,15 @@
  * from stdin — or accepts connections on a Unix-domain socket with
  * --socket, or serves the framed cluster transport with --tcp —
  * dispatches them onto a worker pool with bounded-queue
- * backpressure, answers repeated requests from a content-addressed
- * LRU result cache, and writes one deterministic JSONL response per
- * request in input order.
+ * backpressure, answers repeated requests from a bounded LRU result
+ * memo keyed by content address, and writes one deterministic JSONL
+ * response per request in input order.
  *
  * The server's own --engine/--seed/--jobs/... flags (the uniform
  * set from core::addSimFlags) provide the defaults a request
  * inherits for any field it omits. Shutdown is graceful: EOF (or
  * SIGINT/SIGTERM in socket/TCP mode) stops intake, in-flight
- * simulations drain, and cache statistics are flushed.
+ * simulations drain, and result-memo statistics are flushed.
  *
  * As a cluster shard (see src/cluster): --tcp=0 binds an ephemeral
  * port, --port-file reports it to the spawning router, and the
@@ -194,12 +194,12 @@ main(int argc, char **argv)
                     "report the bound TCP port to this file "
                     "(atomic write; for the spawning router)");
     flags.addString("envelope", "full",
-                    "response envelope: full (cache counters "
+                    "response envelope: full (memo counters "
                     "included) or stable (pure function of the "
                     "request; what the cluster compares)");
     flags.addInt("cache-capacity", 256,
                  "resident entries in the content-addressed result "
-                 "cache and in each plan memo (0 disables all "
+                 "memo and in each plan memo (0 disables all "
                  "three)");
     flags.setIntRange("cache-capacity", 0, 1 << 24);
     flags.addInt("max-queue", 0,
