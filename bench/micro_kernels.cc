@@ -21,6 +21,8 @@
  *     micro_kernels --benchmark_filter='VertexProfileBuild|MappingArtifacts' \
  *         --benchmark_repetitions=7 [--baseline=BEFORE] --json-out=OUT
  *
+ * the lazy-planning one (BENCH_plan_lazy_{before,after}.json) is the
+ * same with --benchmark_filter='VertexProfileBuild|MappingArtifacts|GcnTrainCosts',
  * the event-engine one (BENCH_event_engine_{before,after}.json) is
  * the same with --benchmark_filter=EventSchedule, and the CSR-build
  * one (BENCH_graph_build_{before,after}.json) with
@@ -227,6 +229,43 @@ BM_MappingArtifacts(benchmark::State &state)
     state.SetLabel(hexDigest64(digest));
 }
 BENCHMARK(BM_MappingArtifacts)->ArgName("isu")->Arg(0)->Arg(1);
+
+void
+BM_GcnTrainCosts(benchmark::State &state)
+{
+    // Stage costing on products under ReGraphX (isu:0, index mapping
+    // with full updates, which skips the per-vertex mapping) and
+    // GoPIM (isu:1). The profile is built once, outside the timing.
+    const auto workload = gcn::Workload::paperDefault("products");
+    const auto profile =
+        gcn::VertexProfile::build(workload.dataset, workload.seed);
+    const auto hw = reram::AcceleratorConfig::paperDefault();
+    const auto policy =
+        core::makeSystem(state.range(0) == 1 ? core::SystemKind::GoPim
+                                             : core::SystemKind::ReGraphX)
+            .policy;
+    core::StageCosts costs;
+    for (auto _ : state) {
+        costs = core::gcnTrainCosts(
+            workload,
+            [&]() -> const gcn::VertexProfile & { return profile; },
+            policy, hw);
+        benchmark::DoNotOptimize(costs.fixedTimesNs.data());
+    }
+    std::vector<uint64_t> bits;
+    for (const double t : costs.scalableTimesNs)
+        bits.push_back(std::bit_cast<uint64_t>(t));
+    for (const double t : costs.fixedTimesNs)
+        bits.push_back(std::bit_cast<uint64_t>(t));
+    for (const auto *counts :
+         {&costs.crossbarsPerReplica, &costs.activationsPerMb,
+          &costs.rowWritesPerMb, &costs.bufferBytesPerMb})
+        bits.insert(bits.end(), counts->begin(), counts->end());
+    state.SetLabel(hexDigest64(
+        fnv1a64({reinterpret_cast<const char *>(bits.data()),
+                 bits.size() * sizeof(uint64_t)})));
+}
+BENCHMARK(BM_GcnTrainCosts)->ArgName("isu")->Arg(0)->Arg(1);
 
 /**
  * The schedule request core::Accelerator::executePlan hands the

@@ -56,13 +56,23 @@ StageCosts::validate() const
 
 StageCosts
 gcnTrainCosts(const gcn::Workload &workload,
-              const gcn::VertexProfile &profile,
+              const gcn::ProfileProvider &profile,
               const gcn::ExecutionPolicy &policy,
               const reram::AcceleratorConfig &hw,
               gcn::MappingArtifacts *artifacts)
 {
-    auto mapped = gcn::MappingArtifacts::build(
-        profile, policy, workload.dataset, hw.crossbar.rows);
+    // Index mapping with full updates reads only the group count, the
+    // update bound min(|V|, rows) and an update fraction of 1, which
+    // fullUpdateApprox gives exactly. The profile draws at least two
+    // vertices (DatasetCatalog::degreeSequence), so count as it does.
+    auto mapped =
+        artifacts || policy.needsDegreeProfile(workload.dataset)
+            ? gcn::MappingArtifacts::build(profile(), policy,
+                                           workload.dataset,
+                                           hw.crossbar.rows)
+            : gcn::MappingArtifacts::fullUpdateApprox(
+                  std::max<uint64_t>(2, workload.dataset.numVertices),
+                  hw.crossbar.rows);
     StageCosts out;
     out.label = workload.dataset.name;
     out.stages = pipeline::buildTrainingStages(workload.model.numLayers);
@@ -307,9 +317,8 @@ Accelerator::Accelerator(const reram::AcceleratorConfig &hw,
 RunResult
 Accelerator::run(const gcn::Workload &workload) const
 {
-    const auto profile =
-        gcn::VertexProfile::build(workload.dataset, workload.seed);
-    return run(workload, profile);
+    return executePlan(buildPlan(workload, gcn::lazyProfile(workload)),
+                       workload);
 }
 
 RunResult
@@ -333,12 +342,25 @@ Accelerator::buildPlan(
     const gcn::Workload &workload, const gcn::VertexProfile &profile,
     const std::vector<double> &estimatedStageTimesNs) const
 {
-    gcn::MappingArtifacts artifacts;
-    const StageCosts costs = gcnTrainCosts(workload, profile,
-                                           system_.policy, hw_, &artifacts);
+    return buildPlan(
+        workload, [&]() -> const gcn::VertexProfile & { return profile; },
+        estimatedStageTimesNs);
+}
+
+StagePlan
+Accelerator::buildPlan(
+    const gcn::Workload &workload, const gcn::ProfileProvider &profile,
+    const std::vector<double> &estimatedStageTimesNs) const
+{
     // The disabled fault config takes the exact fault-free path (the
-    // zero-fault bit-identity tests depend on that).
-    if (!system_.fault.enabled())
+    // zero-fault bit-identity tests depend on that); only fault wear
+    // reads the per-vertex mapping.
+    const bool faultOn = system_.fault.enabled();
+    gcn::MappingArtifacts artifacts;
+    const StageCosts costs =
+        gcnTrainCosts(workload, profile, system_.policy, hw_,
+                      faultOn ? &artifacts : nullptr);
+    if (!faultOn)
         return allocatePlan(costs, system_, hw_, nullptr,
                             estimatedStageTimesNs);
 

@@ -104,13 +104,16 @@ struct StageCosts
 
 /**
  * Price the GCN-training stages of `workload` under `policy`: map the
- * profile (gcn::MappingArtifacts), cost every stage
+ * vertices (gcn::MappingArtifacts), cost every stage
  * (StageTimeModel::allCosts) and label the costs with the dataset
- * name. `artifacts`, when given, receives the mapping for fault
- * planning.
+ * name. `artifacts`, when given, receives the full per-vertex mapping
+ * for fault planning. Without it, a policy that does not rank
+ * (ExecutionPolicy::needsDegreeProfile) is mapped by
+ * MappingArtifacts::fullUpdateApprox, which gives the same costs, and
+ * `profile` is never called.
  */
 StageCosts gcnTrainCosts(const gcn::Workload &workload,
-                         const gcn::VertexProfile &profile,
+                         const gcn::ProfileProvider &profile,
                          const gcn::ExecutionPolicy &policy,
                          const reram::AcceleratorConfig &hw,
                          gcn::MappingArtifacts *artifacts = nullptr);
@@ -191,9 +194,9 @@ class Accelerator
     Accelerator(const reram::AcceleratorConfig &hw, SystemConfig system);
 
     /**
-     * Run a workload end to end: build the vertex profile, cost the
-     * stages, allocate replicas, schedule the pipeline, and account
-     * time and energy.
+     * Run a workload end to end: cost the stages (building the vertex
+     * profile only if planning reads it), allocate replicas, schedule
+     * the pipeline, and account time and energy.
      */
     RunResult run(const gcn::Workload &workload) const;
 
@@ -216,7 +219,15 @@ class Accelerator
      * The planning half of a run: gcnTrainCosts, fault planning,
      * allocatePlan. Depends on everything EXCEPT the sim context, so
      * the result can be cached across engine/seed changes (StagePlan).
+     * `profile` is called at most once, and only when the policy
+     * ranks vertices or fault planning needs the per-vertex mapping.
      */
+    StagePlan buildPlan(
+        const gcn::Workload &workload,
+        const gcn::ProfileProvider &profile,
+        const std::vector<double> &estimatedStageTimesNs = {}) const;
+
+    /** buildPlan with a pre-built vertex profile. */
     StagePlan buildPlan(
         const gcn::Workload &workload,
         const gcn::VertexProfile &profile,

@@ -7,7 +7,6 @@
 #ifndef GOPIM_CORE_HARNESS_HH
 #define GOPIM_CORE_HARNESS_HH
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -28,16 +27,18 @@ namespace gopim::core {
 using PlanMemo = MemoTable<StagePlan>;
 
 /**
- * accel.buildPlan(workload, profile()) through `memo` (null = build
+ * accel.buildPlan(workload, profile) through `memo` (null = build
  * every time). The key is planConfigPrefix(accel.system(),
  * accel.hardware(), workload).canonical() and its FNV-1a fingerprint
- * buckets it. `profile` is called only on a miss, so a hit skips
- * profile build, mapping, costing, fault planning and allocation.
+ * buckets it. A hit skips profile build, mapping, costing, fault
+ * planning and allocation. A miss calls `profile` only when the
+ * policy ranks vertices or faults need wear vectors, so a lazy
+ * provider (gcn::lazyProfile) builds no profile for the rest.
  */
 std::shared_ptr<const StagePlan>
 memoizedPlan(PlanMemo *memo, const Accelerator &accel,
              const gcn::Workload &workload,
-             const std::function<const gcn::VertexProfile &()> &profile);
+             const gcn::ProfileProvider &profile);
 
 /** Results of one dataset across several systems. */
 struct ComparisonRow

@@ -80,10 +80,13 @@ struct MappingArtifacts
                                   uint32_t rowsPerGroup);
 
     /**
-     * Cheap analytic artifacts for the full-update (no selective
-     * updating) case, where the mapping strategy does not change the
-     * update bound: every group writes all its rows once per epoch.
-     * Avoids materializing the degree sequence.
+     * Analytic artifacts for full updates: every group writes all its
+     * rows once per epoch. Only the scalars are set, not the
+     * per-vertex vectors. Exact (bit for bit, for the fields costing
+     * reads) under index mapping with resolved theta 1, the case
+     * where core::gcnTrainCosts skips the degree profile
+     * (ExecutionPolicy::needsDegreeProfile). Elsewhere, as in the
+     * predictor and its training-data generator, it approximates.
      */
     static MappingArtifacts fullUpdateApprox(uint64_t numVertices,
                                              uint32_t rowsPerGroup);

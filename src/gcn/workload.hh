@@ -3,13 +3,14 @@
  * Workload descriptor: a dataset, a model, and the batching regime,
  * plus the execution policy knobs that differentiate the compared
  * accelerator systems, and the vertex profile (degrees) that drives
- * mapping-dependent costs.
+ * mapping-dependent costs for the policies that rank vertices.
  */
 
 #ifndef GOPIM_GCN_WORKLOAD_HH
 #define GOPIM_GCN_WORKLOAD_HH
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/rng.hh"
@@ -68,11 +69,22 @@ struct ExecutionPolicy
 
     /** Resolved update threshold for a dataset. */
     double resolvedTheta(const graph::DatasetSpec &dataset) const;
+
+    /**
+     * True when costing this policy reads the degree profile:
+     * interleaved mapping deals vertices by degree rank, and a
+     * resolved theta below 1 selects the top-theta vertices and
+     * prices cold refreshes. Otherwise (index mapping, every vertex
+     * updated every epoch) MappingArtifacts::fullUpdateApprox is
+     * exact.
+     */
+    bool needsDegreeProfile(const graph::DatasetSpec &dataset) const;
 };
 
 /**
- * Degree profile of a workload's (synthetic) graph plus the derived
- * mapping artifacts, computed once and shared by the timing model.
+ * Degree profile of a workload's (synthetic) graph, read by the
+ * mapping artifacts (gcn::MappingArtifacts::build) of policies that
+ * rank vertices.
  */
 struct VertexProfile
 {
@@ -82,6 +94,19 @@ struct VertexProfile
     static VertexProfile build(const graph::DatasetSpec &dataset,
                                uint64_t seed);
 };
+
+/**
+ * Supplies a vertex profile on demand. Planning calls it only when
+ * the policy ranks vertices or fault wear needs the per-vertex
+ * mapping, so a provider may defer an expensive build.
+ */
+using ProfileProvider = std::function<const VertexProfile &()>;
+
+/**
+ * A provider that builds `workload`'s profile on its first call and
+ * returns the same profile afterwards. Copies share that profile.
+ */
+ProfileProvider lazyProfile(const Workload &workload);
 
 } // namespace gopim::gcn
 

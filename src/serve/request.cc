@@ -447,13 +447,8 @@ runRequest(const ResolvedRequest &resolved,
     // parseRequest rejects fault knobs for the inference families.
     const bool familyRun =
         resolved.request.family != workload::FamilyKind::GcnTrain;
-    std::optional<gcn::VertexProfile> profile;
-    const auto buildProfile = [&]() -> const gcn::VertexProfile & {
-        if (!profile)
-            profile = gcn::VertexProfile::build(
-                resolved.workload.dataset, resolved.workload.seed);
-        return *profile;
-    };
+    const gcn::ProfileProvider profile =
+        gcn::lazyProfile(resolved.workload);
     const auto runOn = [&](const core::SystemConfig &sys,
                            PlanFacts *facts) {
         if (familyRun) {
@@ -466,7 +461,7 @@ runRequest(const ResolvedRequest &resolved,
         }
         const core::Accelerator accel(hw, sys);
         const auto plan = core::memoizedPlan(
-            trainPlans, accel, resolved.workload, buildProfile);
+            trainPlans, accel, resolved.workload, profile);
         if (facts)
             *facts = {resolved.workload.dataset.name,
                       plan->stages.size(), plan->totalMicroBatches};

@@ -177,7 +177,8 @@ struct RequestRun
  * compiled costs. `trainPlans` and `familyPlans`, when given, memoize
  * those plans across calls (a gcn-train hit skips planning, a family
  * hit skips compiling). The vertex profile is built lazily, at most
- * once, and shared with the baseline.
+ * once, only on a plan miss whose policy ranks vertices or whose
+ * fault model needs wear vectors, and shared with the baseline.
  */
 RequestRun runRequest(const ResolvedRequest &resolved,
                       const reram::AcceleratorConfig &hw,

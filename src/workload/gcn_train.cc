@@ -33,7 +33,7 @@ GcnTrainFamily::plan(const WorkloadSpec &spec,
     w.seed = spec.seed;
 
     core::StageCosts costs = core::gcnTrainCosts(
-        w, gcn::VertexProfile::build(w.dataset, w.seed),
+        w, gcn::lazyProfile(w),
         core::makeSystem(core::SystemKind::GoPim).policy, hw);
     costs.label = "gcn-train on " + spec.dataset;
     return costs;

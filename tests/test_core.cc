@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/accelerator.hh"
@@ -373,6 +374,136 @@ TEST(Harness, SparseGraphStillWins)
     const auto gopim = harness.runOne(SystemKind::GoPim, workload);
     EXPECT_LT(gopim.makespanNs, serial.makespanNs);
     EXPECT_LT(gopim.energyPj, serial.energyPj);
+}
+
+// ---- Lazy planning ------------------------------------------------
+// Only ranking policies (interleaved mapping or theta < 1) and fault
+// wear read the vertex profile; every other plan must not ask for it.
+
+/** A pre-built profile behind a provider that counts its calls. */
+struct CountingProfile
+{
+    explicit CountingProfile(const gcn::Workload &workload)
+        : profile(gcn::VertexProfile::build(workload.dataset,
+                                            workload.seed))
+    {
+    }
+
+    gcn::ProfileProvider
+    provider()
+    {
+        return [this]() -> const gcn::VertexProfile & {
+            ++calls;
+            return profile;
+        };
+    }
+
+    gcn::VertexProfile profile;
+    size_t calls = 0;
+};
+
+/** Profile calls of memoizedPlan (no memo) and of buildPlan. */
+std::pair<size_t, size_t>
+profileCalls(const SystemConfig &system, const gcn::Workload &workload)
+{
+    const Accelerator accel(reram::AcceleratorConfig::paperDefault(),
+                            system);
+    CountingProfile counting(workload);
+    memoizedPlan(nullptr, accel, workload, counting.provider());
+    const size_t memoized = counting.calls;
+    counting.calls = 0;
+    accel.buildPlan(workload, counting.provider());
+    return {memoized, counting.calls};
+}
+
+TEST(PlanLaziness, NonRankingFaultFreePlansReadNoProfile)
+{
+    const auto workload = gcn::Workload::paperDefault("ddi");
+    for (const auto kind :
+         {SystemKind::Serial, SystemKind::SlimGnnLike,
+          SystemKind::ReGraphX, SystemKind::ReFlip,
+          SystemKind::GoPimVanilla, SystemKind::PlusPP,
+          SystemKind::Naive}) {
+        SCOPED_TRACE(toString(kind));
+        EXPECT_EQ(profileCalls(makeSystem(kind), workload),
+                  std::make_pair(size_t{0}, size_t{0}));
+    }
+}
+
+TEST(PlanLaziness, RankingOrFaultyPlansReadTheProfileOnce)
+{
+    const auto workload = gcn::Workload::paperDefault("ddi");
+    std::vector<SystemConfig> systems = {makeSystem(SystemKind::GoPim),
+                                         makeSystem(SystemKind::PlusISU)};
+    // A partial theta override (the serve layer's "theta": 0.5).
+    systems.push_back(makeSystem(SystemKind::ReGraphX));
+    systems.back().policy.selectiveUpdate = true;
+    systems.back().policy.theta = 0.5;
+    for (const auto kind : allSystemKinds()) {
+        systems.push_back(makeSystem(kind));
+        systems.back().fault.params.stuckOnRate = 0.01;
+    }
+    for (const auto &system : systems) {
+        SCOPED_TRACE(system.name + " theta " +
+                     std::to_string(system.policy.theta) +
+                     (system.fault.enabled() ? " stuck-on" : ""));
+        EXPECT_EQ(profileCalls(system, workload),
+                  std::make_pair(size_t{1}, size_t{1}));
+    }
+}
+
+TEST(PlanLaziness, MemoHitReadsNoProfile)
+{
+    const auto workload = gcn::Workload::paperDefault("ddi");
+    const Accelerator accel(reram::AcceleratorConfig::paperDefault(),
+                            makeSystem(SystemKind::GoPim));
+    CountingProfile counting(workload);
+    PlanMemo memo;
+    const auto first =
+        memoizedPlan(&memo, accel, workload, counting.provider());
+    const auto second =
+        memoizedPlan(&memo, accel, workload, counting.provider());
+    EXPECT_EQ(first.get(), second.get());
+    EXPECT_EQ(counting.calls, 1u);
+}
+
+TEST(PlanLaziness, TinyGraphsCostLikeTheFullBuild)
+{
+    // The profile draws at least two vertices, and a theta below 1
+    // that rounds to "keep every vertex" (n = 1 and 2 at 0.8) still
+    // prices cold refreshes through the update fraction. Both must
+    // cost exactly like the full build.
+    const auto hw = reram::AcceleratorConfig::paperDefault();
+    for (const uint64_t n : {1, 2, 3})
+        for (const double theta : {0.0, 0.8}) {
+            SCOPED_TRACE("n " + std::to_string(n) + " theta " +
+                         std::to_string(theta));
+            auto workload = gcn::Workload::paperDefault("Cora");
+            workload.dataset.numVertices = n;
+            workload.dataset.numEdges = n;
+            workload.dataset.avgDegree = 1.0;
+            auto policy = makeSystem(SystemKind::ReGraphX).policy;
+            if (theta > 0.0) {
+                policy.selectiveUpdate = true;
+                policy.theta = theta;
+            }
+            CountingProfile counting(workload);
+            const StageCosts got = gcnTrainCosts(
+                workload, counting.provider(), policy, hw);
+            EXPECT_EQ(counting.calls, theta > 0.0 ? 1u : 0u);
+            std::vector<double> scalable, fixed;
+            for (const auto &cost : gcn::StageTimeModel(hw).allCosts(
+                     workload, policy,
+                     gcn::MappingArtifacts::build(counting.profile,
+                                                  policy,
+                                                  workload.dataset,
+                                                  hw.crossbar.rows))) {
+                scalable.push_back(cost.scalableNs);
+                fixed.push_back(cost.fixedNs);
+            }
+            EXPECT_EQ(got.scalableTimesNs, scalable);
+            EXPECT_EQ(got.fixedTimesNs, fixed);
+        }
 }
 
 } // namespace

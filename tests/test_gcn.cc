@@ -4,18 +4,21 @@
  * derivations, the stage time model's calibrated properties (AG >> CO
  * ratios, ISU's effect on the fixed update time, ReFlip's reload
  * penalty), the functional trainer's learning behavior, and the
- * bit identity of profiles and mapping artifacts with the comparison
- * sorts the linear-time degree ranking replaced.
+ * bit identity of profiles, mapping artifacts and planned stage costs
+ * with the comparison sorts the linear-time degree ranking replaced.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
+#include <map>
 #include <numeric>
+#include <tuple>
 
 #include "common/math_utils.hh"
 #include "common/rng.hh"
+#include "core/accelerator.hh"
 #include "core/systems.hh"
 #include "gcn/model.hh"
 #include "gcn/time_model.hh"
@@ -221,16 +224,23 @@ TEST_F(TimeModelTest, AllCostsCoversAllStages)
 
 TEST_F(TimeModelTest, FullUpdateApproxMatchesBuiltArtifacts)
 {
-    const auto w = Workload::paperDefault("ddi");
-    const auto profile = VertexProfile::build(w.dataset, 1);
+    // Exact, not approximately equal: core::gcnTrainCosts substitutes
+    // the approximation for the build under index mapping and full
+    // updates.
     ExecutionPolicy policy; // no selective updating
-    const auto built = MappingArtifacts::build(
-        profile, policy, w.dataset, cfg_.crossbar.rows);
-    const auto approx = MappingArtifacts::fullUpdateApprox(
-        w.dataset.numVertices, cfg_.crossbar.rows);
-    EXPECT_EQ(built.assignment.numGroups, approx.assignment.numGroups);
-    EXPECT_DOUBLE_EQ(built.epochUpdateSlots, approx.epochUpdateSlots);
-    EXPECT_DOUBLE_EQ(built.updateFraction, approx.updateFraction);
+    for (const auto &dataset : graph::DatasetCatalog::all()) {
+        SCOPED_TRACE(dataset.name);
+        const auto profile = VertexProfile::build(dataset, 1);
+        const auto built = MappingArtifacts::build(
+            profile, policy, dataset, cfg_.crossbar.rows);
+        const auto approx = MappingArtifacts::fullUpdateApprox(
+            dataset.numVertices, cfg_.crossbar.rows);
+        EXPECT_EQ(built.assignment.numGroups, approx.assignment.numGroups);
+        EXPECT_EQ(built.assignment.rowsPerGroup,
+                  approx.assignment.rowsPerGroup);
+        EXPECT_EQ(built.epochUpdateSlots, approx.epochUpdateSlots);
+        EXPECT_EQ(built.updateFraction, approx.updateFraction);
+    }
 }
 
 class TrainerTest : public ::testing::Test
@@ -512,6 +522,68 @@ TEST_P(CatalogDegreeRank, ArtifactsMatchComparisonSortsForEverySystem)
         EXPECT_EQ(got.epochUpdateSlots, want.epochUpdateSlots);
         EXPECT_EQ(got.updateFraction, want.updateFraction);
     }
+}
+
+/** Every StageCosts array of `got` equals `want`'s allCosts, bit for bit. */
+void
+expectSameCosts(const core::StageCosts &got,
+                const std::vector<StageCost> &want)
+{
+    std::vector<double> scalable, fixed;
+    std::vector<uint64_t> crossbars, activations, writes, bytes;
+    for (const auto &cost : want) {
+        scalable.push_back(cost.scalableNs);
+        fixed.push_back(cost.fixedNs);
+        crossbars.push_back(cost.crossbarsPerReplica);
+        activations.push_back(cost.activationsPerMb);
+        writes.push_back(cost.rowWritesPerMb);
+        bytes.push_back(cost.bufferBytesPerMb);
+    }
+    EXPECT_EQ(got.scalableTimesNs, scalable);
+    EXPECT_EQ(got.fixedTimesNs, fixed);
+    EXPECT_EQ(got.crossbarsPerReplica, crossbars);
+    EXPECT_EQ(got.activationsPerMb, activations);
+    EXPECT_EQ(got.rowWritesPerMb, writes);
+    EXPECT_EQ(got.bufferBytesPerMb, bytes);
+}
+
+TEST_P(CatalogDegreeRank, PlannedCostsMatchComparisonSortsForEverySystem)
+{
+    // gcnTrainCosts without an artifacts request: non-ranking policies
+    // take the fullUpdateApprox shortcut and never read the profile.
+    const auto workload = Workload::paperDefault(GetParam().name);
+    const auto profile =
+        VertexProfile::build(workload.dataset, workload.seed);
+    const auto hw = reram::AcceleratorConfig::paperDefault();
+    const StageTimeModel model(hw);
+    // The legacy artifacts depend only on the mapping, theta and cold
+    // period; build each distinct one once.
+    std::map<std::tuple<int, double, uint32_t>, MappingArtifacts> legacy;
+    for (const auto kind : core::allSystemKinds())
+        for (const bool thetaOne : {false, true}) {
+            auto policy = core::makeSystem(kind).policy;
+            // The serve layer's theta override: selective updating on.
+            if (thetaOne) {
+                policy.selectiveUpdate = true;
+                policy.theta = 1.0;
+            }
+            SCOPED_TRACE(core::toString(kind) +
+                         (thetaOne ? " theta=1" : ""));
+            const std::tuple<int, double, uint32_t> key{
+                static_cast<int>(policy.mapStrategy),
+                policy.resolvedTheta(workload.dataset),
+                policy.coldPeriod};
+            if (!legacy.count(key))
+                legacy[key] = legacyArtifacts(profile, policy,
+                                              workload.dataset,
+                                              hw.crossbar.rows);
+            expectSameCosts(
+                core::gcnTrainCosts(
+                    workload,
+                    [&]() -> const VertexProfile & { return profile; },
+                    policy, hw),
+                model.allCosts(workload, policy, legacy.at(key)));
+        }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -384,5 +384,46 @@ TEST(RunGolden, DigestsMatchTable)
     EXPECT_EQ(rows.size(), std::size(kRunGolden));
 }
 
+/**
+ * Closed-form runs on products, the largest catalog graph, where
+ * planning cost shows: fault-free ReGraphX reads no degree profile,
+ * GoPIM ranks it, and stuck-on faults keep the per-vertex mapping for
+ * the wear model. The isa column is 0: these rows run without an ISA
+ * recorder, since the ddi and Cora rows above already pin the
+ * lowering and recording products' 38k micro-batches only adds time.
+ */
+const GoldenRun kProductsGolden[] = {
+    {"ReGraphX/products/closed-form", 0x66c7176f2382cdb3, 0},
+    {"GoPIM/products/closed-form", 0xaa9cc34d72412a3f, 0},
+    {"ReGraphX/products/closed-form/stuck-on+none", 0x53102b27ae020023, 0},
+};
+
+TEST(RunGolden, ProductsDigestsMatchTable)
+{
+    const auto hw = reram::AcceleratorConfig::paperDefault();
+    const auto workload = gcn::Workload::paperDefault("products");
+    const auto profile =
+        gcn::VertexProfile::build(workload.dataset, workload.seed);
+    core::SystemConfig faulty =
+        core::makeSystem(core::SystemKind::ReGraphX);
+    faulty.fault.params.stuckOnRate = 0.01;
+    const core::SystemConfig systems[] = {
+        core::makeSystem(core::SystemKind::ReGraphX),
+        core::makeSystem(core::SystemKind::GoPim), faulty};
+    static_assert(std::size(systems) == std::size(kProductsGolden));
+    for (size_t i = 0; i < std::size(systems); ++i) {
+        const std::string row = formatRow(
+            kProductsGolden[i].name,
+            fnv1a64(core::runResultToJson(
+                        core::Accelerator(hw, systems[i])
+                            .run(workload, profile))
+                        .dump()),
+            0);
+        EXPECT_EQ(row, formatRow(kProductsGolden[i].name,
+                                 kProductsGolden[i].json, 0))
+            << "computed row:\n    " << row;
+    }
+}
+
 } // namespace
 } // namespace gopim
