@@ -502,28 +502,6 @@ TEST_P(CatalogDegreeRank, ProfileAndRankingMatchComparisonSorts)
     EXPECT_EQ(graph::orderByDegreeDesc(drawn), legacyRanking(drawn));
 }
 
-TEST_P(CatalogDegreeRank, ArtifactsMatchComparisonSortsForEverySystem)
-{
-    const auto &dataset = GetParam();
-    const auto profile = VertexProfile::build(dataset, 1);
-    const uint32_t rows =
-        reram::AcceleratorConfig::paperDefault().crossbar.rows;
-    for (const auto kind : core::allSystemKinds()) {
-        SCOPED_TRACE(core::toString(kind));
-        const auto policy = core::makeSystem(kind).policy;
-        const auto got =
-            MappingArtifacts::build(profile, policy, dataset, rows);
-        const auto want = legacyArtifacts(profile, policy, dataset, rows);
-        EXPECT_EQ(got.assignment.groupOf, want.assignment.groupOf);
-        EXPECT_EQ(got.assignment.numGroups, want.assignment.numGroups);
-        EXPECT_EQ(got.assignment.rowsPerGroup,
-                  want.assignment.rowsPerGroup);
-        EXPECT_EQ(got.important, want.important);
-        EXPECT_EQ(got.epochUpdateSlots, want.epochUpdateSlots);
-        EXPECT_EQ(got.updateFraction, want.updateFraction);
-    }
-}
-
 /** Every StageCosts array of `got` equals `want`'s allCosts, bit for bit. */
 void
 expectSameCosts(const core::StageCosts &got,
@@ -547,22 +525,24 @@ expectSameCosts(const core::StageCosts &got,
     EXPECT_EQ(got.bufferBytesPerMb, bytes);
 }
 
-TEST_P(CatalogDegreeRank, PlannedCostsMatchComparisonSortsForEverySystem)
+TEST_P(CatalogDegreeRank, ArtifactsMatchComparisonSortsForEverySystem)
 {
-    // gcnTrainCosts without an artifacts request: non-ranking policies
-    // take the fullUpdateApprox shortcut and never read the profile.
+    // The artifacts, and the stage costs gcnTrainCosts plans without an
+    // artifacts request (non-ranking policies take the fullUpdateApprox
+    // shortcut and never read the profile), for every system preset
+    // and for the serve layer's theta override.
     const auto workload = Workload::paperDefault(GetParam().name);
-    const auto profile =
-        VertexProfile::build(workload.dataset, workload.seed);
+    const auto &dataset = workload.dataset;
+    const auto profile = VertexProfile::build(dataset, workload.seed);
     const auto hw = reram::AcceleratorConfig::paperDefault();
+    const uint32_t rows = hw.crossbar.rows;
     const StageTimeModel model(hw);
-    // The legacy artifacts depend only on the mapping, theta and cold
-    // period; build each distinct one once.
+    // The artifacts depend only on the mapping, theta and cold period;
+    // build and compare each distinct one once.
     std::map<std::tuple<int, double, uint32_t>, MappingArtifacts> legacy;
     for (const auto kind : core::allSystemKinds())
         for (const bool thetaOne : {false, true}) {
             auto policy = core::makeSystem(kind).policy;
-            // The serve layer's theta override: selective updating on.
             if (thetaOne) {
                 policy.selectiveUpdate = true;
                 policy.theta = 1.0;
@@ -571,12 +551,22 @@ TEST_P(CatalogDegreeRank, PlannedCostsMatchComparisonSortsForEverySystem)
                          (thetaOne ? " theta=1" : ""));
             const std::tuple<int, double, uint32_t> key{
                 static_cast<int>(policy.mapStrategy),
-                policy.resolvedTheta(workload.dataset),
-                policy.coldPeriod};
-            if (!legacy.count(key))
-                legacy[key] = legacyArtifacts(profile, policy,
-                                              workload.dataset,
-                                              hw.crossbar.rows);
+                policy.resolvedTheta(dataset), policy.coldPeriod};
+            if (!legacy.count(key)) {
+                const auto got =
+                    MappingArtifacts::build(profile, policy, dataset, rows);
+                const auto want =
+                    legacyArtifacts(profile, policy, dataset, rows);
+                EXPECT_EQ(got.assignment.groupOf, want.assignment.groupOf);
+                EXPECT_EQ(got.assignment.numGroups,
+                          want.assignment.numGroups);
+                EXPECT_EQ(got.assignment.rowsPerGroup,
+                          want.assignment.rowsPerGroup);
+                EXPECT_EQ(got.important, want.important);
+                EXPECT_EQ(got.epochUpdateSlots, want.epochUpdateSlots);
+                EXPECT_EQ(got.updateFraction, want.updateFraction);
+                legacy[key] = want;
+            }
             expectSameCosts(
                 core::gcnTrainCosts(
                     workload,
