@@ -154,6 +154,7 @@ allocatePlan(const StageCosts &costs, const SystemConfig &system,
         repair ? repair->writeAmplification : 1.0;
     const uint64_t microBatches = costs.totalMicroBatches;
     StagePlan out;
+    out.label = costs.label;
     out.stages = costs.stages;
     out.totalMicroBatches = costs.totalMicroBatches;
     out.stageTimesNs.resize(n);
@@ -204,8 +205,9 @@ allocatePlan(const StageCosts &costs, const SystemConfig &system,
 
 RunResult
 executePlan(const StagePlan &plan, const SystemConfig &system,
-            const reram::AcceleratorConfig &hw, const std::string &label)
+            const reram::AcceleratorConfig &hw)
 {
+    const std::string &label = plan.label;
     // Schedule the pipelining regime on the context's timing backend
     // (closed-form Eq. 3-6 or the discrete-event flow shop). The
     // context is copied per run to keep this path stateless.
@@ -425,7 +427,10 @@ RunResult
 Accelerator::executePlan(const StagePlan &plan,
                          const gcn::Workload &workload) const
 {
-    return core::executePlan(plan, system_, hw_, workload.dataset.name);
+    GOPIM_ASSERT(plan.label == workload.dataset.name,
+                 "plan for '", plan.label, "' executed on workload '",
+                 workload.dataset.name, "'");
+    return core::executePlan(plan, system_, hw_);
 }
 
 } // namespace gopim::core

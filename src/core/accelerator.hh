@@ -126,11 +126,13 @@ StageCosts gcnTrainCosts(const gcn::Workload &workload,
  * exactly the inputs core::planConfigPrefix canonicalizes — so a
  * plan built once can be re-executed under many sim contexts
  * (different engines/seeds) with bit-identical results to planning
- * from scratch each time. That is the contract the memoized
- * runGrid path (core::PlanMemo) relies on.
+ * from scratch each time. That is the contract the memoized runGrid
+ * path and serve's plan memo (core::PlanMemo) rely on.
  */
 struct StagePlan
 {
+    /** The costs' label (StageCosts::label): names the run. */
+    std::string label;
     std::vector<pipeline::Stage> stages;
     uint32_t totalMicroBatches = 0;
 
@@ -161,7 +163,8 @@ struct StagePlan
 /**
  * Allocate replicas for `costs` under `system`'s allocator (single
  * replicas when it has none) on `hw`'s crossbar budget, and fold the
- * allocation into final stage times and energy event totals. fatal()s
+ * allocation into final stage times and energy event totals; the plan
+ * keeps the costs' label. fatal()s
  * when single replicas of every stage exceed the budget.
  *
  * `estimatedStageTimesNs`, when non-empty, steers only the allocation
@@ -179,13 +182,12 @@ StagePlan allocatePlan(const StageCosts &costs, const SystemConfig &system,
 /**
  * Time an allocated plan on `system`'s sim context (its pipelining
  * regime and engine, ISA recording and trace sink riding along),
- * record the alloc and fault metrics, and account energy. `label`
- * names the run: the result's dataset, the trace's dataset track and
- * the ISA stream label ("<system> on <label>").
+ * record the alloc and fault metrics, and account energy. The plan's
+ * label names the run: the result's dataset, the trace's dataset
+ * track and the ISA stream label ("<system> on <label>").
  */
 RunResult executePlan(const StagePlan &plan, const SystemConfig &system,
-                      const reram::AcceleratorConfig &hw,
-                      const std::string &label);
+                      const reram::AcceleratorConfig &hw);
 
 /** A configured accelerator ready to run GCN-training workloads. */
 class Accelerator
@@ -234,11 +236,11 @@ class Accelerator
         const std::vector<double> &estimatedStageTimesNs = {}) const;
 
     /**
-     * The scheduling half: core::executePlan labelled with the
-     * workload's dataset name. run(w, p) is exactly
+     * The scheduling half: core::executePlan. run(w, p) is exactly
      * executePlan(buildPlan(w, p), w); callers may only pass plans
      * built by an Accelerator with the same hardware, workload, and
-     * sim-independent system configuration.
+     * sim-independent system configuration. Panics when the plan's
+     * label is not the workload's dataset name.
      */
     RunResult executePlan(const StagePlan &plan,
                           const gcn::Workload &workload) const;

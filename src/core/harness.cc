@@ -50,22 +50,6 @@ ComparisonHarness::configureSystem(SystemKind kind) const
     return system;
 }
 
-std::shared_ptr<const StagePlan>
-memoizedPlan(PlanMemo *memo, const Accelerator &accel,
-             const gcn::Workload &workload,
-             const gcn::ProfileProvider &profile)
-{
-    const auto build = [&] { return accel.buildPlan(workload, profile); };
-    if (!memo)
-        return std::make_shared<const StagePlan>(build());
-    // The full canonical prefix is compared inside the fingerprint
-    // bucket, so a collision between two configs cannot alias plans.
-    return memo->getOrBuild(
-        planConfigPrefix(accel.system(), accel.hardware(), workload)
-            .canonical(),
-        build);
-}
-
 RunResult
 ComparisonHarness::runOne(SystemKind kind,
                           const gcn::Workload &workload) const
@@ -126,10 +110,14 @@ ComparisonHarness::runGrid(
             const size_t s = cell % numSystems;
             const Accelerator accel(hw_, configureSystem(systems[s]));
             const DatasetEntry &entry = *entries[d];
-            const auto plan = memoizedPlan(
-                &planCache_, accel, entry.workload,
-                [&]() -> const gcn::VertexProfile & {
-                    return entry.profile;
+            // The full canonical prefix is compared inside the
+            // fingerprint bucket, so a collision between two configs
+            // cannot alias plans.
+            const auto plan = planCache_.getOrBuild(
+                planConfigPrefix(accel.system(), hw_, entry.workload)
+                    .canonical(),
+                [&] {
+                    return accel.buildPlan(entry.workload, entry.profile);
                 });
             rows[d].results[s] = accel.executePlan(*plan, entry.workload);
         });

@@ -23,22 +23,12 @@
 
 namespace gopim::core {
 
-/** Sim-independent StagePlans keyed by planConfigPrefix(). */
-using PlanMemo = MemoTable<StagePlan>;
-
 /**
- * accel.buildPlan(workload, profile) through `memo` (null = build
- * every time). The key is planConfigPrefix(accel.system(),
- * accel.hardware(), workload).canonical() and its FNV-1a fingerprint
- * buckets it. A hit skips profile build, mapping, costing, fault
- * planning and allocation. A miss calls `profile` only when the
- * policy ranks vertices or faults need wear vectors, so a lazy
- * provider (gcn::lazyProfile) builds no profile for the rest.
+ * Allocated, sim-independent StagePlans keyed by a canonical plan
+ * config: planConfigPrefix() in the harness, the same prefix plus the
+ * workload family in serve (serve/request.cc).
  */
-std::shared_ptr<const StagePlan>
-memoizedPlan(PlanMemo *memo, const Accelerator &accel,
-             const gcn::Workload &workload,
-             const gcn::ProfileProvider &profile);
+using PlanMemo = MemoTable<StagePlan>;
 
 /** Results of one dataset across several systems. */
 struct ComparisonRow

@@ -17,6 +17,23 @@ toJsonArray(const std::vector<T> &values)
     return arr;
 }
 
+/** The hardware section every canonical run and plan key carries. */
+json::Value
+hardwareJson(const reram::AcceleratorConfig &hw)
+{
+    json::Value hardware = json::Value::object();
+    hardware.set("crossbar_rows", hw.crossbar.rows);
+    hardware.set("crossbar_cols", hw.crossbar.cols);
+    hardware.set("bits_per_cell", hw.crossbar.bitsPerCell);
+    hardware.set("value_bits", hw.crossbar.valueBits);
+    hardware.set("read_latency_ns", hw.crossbar.readLatencyNs);
+    hardware.set("write_latency_ns", hw.crossbar.writeLatencyNs);
+    hardware.set("crossbars_per_pe", hw.pe.crossbarsPerPe);
+    hardware.set("pes_per_tile", hw.tile.pesPerTile);
+    hardware.set("tiles_per_chip", hw.chip.tilesPerChip);
+    return hardware;
+}
+
 } // namespace
 
 json::Value
@@ -66,22 +83,6 @@ gridToJson(const std::vector<ComparisonRow> &rows)
         for (const auto &run : row.results)
             arr.push(runResultToJson(run));
     return arr;
-}
-
-json::Value
-hardwareJson(const reram::AcceleratorConfig &hw)
-{
-    json::Value hardware = json::Value::object();
-    hardware.set("crossbar_rows", hw.crossbar.rows);
-    hardware.set("crossbar_cols", hw.crossbar.cols);
-    hardware.set("bits_per_cell", hw.crossbar.bitsPerCell);
-    hardware.set("value_bits", hw.crossbar.valueBits);
-    hardware.set("read_latency_ns", hw.crossbar.readLatencyNs);
-    hardware.set("write_latency_ns", hw.crossbar.writeLatencyNs);
-    hardware.set("crossbars_per_pe", hw.pe.crossbarsPerPe);
-    hardware.set("pes_per_tile", hw.tile.pesPerTile);
-    hardware.set("tiles_per_chip", hw.chip.tilesPerChip);
-    return hardware;
 }
 
 json::Value
@@ -145,31 +146,24 @@ planConfigPrefix(const SystemConfig &system,
 }
 
 json::Value
-canonicalRunConfig(const SystemConfig &system,
-                   const reram::AcceleratorConfig &hw,
-                   const gcn::Workload &workload)
+simContextJson(const sim::SimContext &sim)
 {
-    json::Value config = planConfigPrefix(system, hw, workload);
-
     json::Value simCtx = json::Value::object();
     // The backend that will actually time the run: a plugged-in
     // override wins over the registry kind (sim::resolveEngine), so
     // the cache key must follow the same rule or two different
     // backends could share a cached result.
-    simCtx.set("engine", system.sim.engineOverride
-                             ? system.sim.engineOverride->name()
-                             : sim::toString(system.sim.engine));
-    simCtx.set("seed", system.sim.seed);
-    simCtx.set("buffer_slots", system.sim.event.inputBufferSlots);
-    simCtx.set("replicas_as_servers",
-               system.sim.event.replicasAsServers);
-    simCtx.set("retry_prob", system.sim.event.writeRetryProb);
-    simCtx.set("write_fraction", system.sim.event.writeFraction);
-    simCtx.set("refresh_every_mb",
-               system.sim.event.refreshEveryMicroBatches);
-    simCtx.set("refresh_stall_ns", system.sim.event.refreshStallNs);
-    config.set("sim", std::move(simCtx));
-    return config;
+    simCtx.set("engine", sim.engineOverride
+                             ? sim.engineOverride->name()
+                             : sim::toString(sim.engine));
+    simCtx.set("seed", sim.seed);
+    simCtx.set("buffer_slots", sim.event.inputBufferSlots);
+    simCtx.set("replicas_as_servers", sim.event.replicasAsServers);
+    simCtx.set("retry_prob", sim.event.writeRetryProb);
+    simCtx.set("write_fraction", sim.event.writeFraction);
+    simCtx.set("refresh_every_mb", sim.event.refreshEveryMicroBatches);
+    simCtx.set("refresh_stall_ns", sim.event.refreshStallNs);
+    return simCtx;
 }
 
 void

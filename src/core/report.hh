@@ -7,10 +7,10 @@
  * byte format never drifts between entry points.
  *
  * Also home of run-config canonicalization: a canonical JSON
- * description of everything that determines a run's result (dataset
- * statistics, system configuration, simulation context, hardware
- * geometry), which the serving layer hashes into content-addressed
- * cache keys.
+ * description of everything that determines a run's plan (dataset
+ * statistics, system configuration, hardware geometry) and of the
+ * simulation context that times it, which the serving layer hashes
+ * into plan-memo and content-addressed cache keys.
  */
 
 #ifndef GOPIM_CORE_REPORT_HH
@@ -35,33 +35,26 @@ json::Value gridToJson(const std::vector<ComparisonRow> &rows);
 
 /**
  * Canonical description of every input that determines a run's
- * result: dataset statistics, model shape, batching, the system's
- * policy/allocator/pipeline configuration, the simulation context
- * (engine, seed, event knobs), and the hardware geometry. Two runs
- * with equal canonical configs produce bit-identical results, which
- * is the contract the serving layer's content-addressed cache keys
- * rely on (serialize with Value::canonical() so member order never
- * matters).
- */
-json::Value canonicalRunConfig(const SystemConfig &system,
-                               const reram::AcceleratorConfig &hw,
-                               const gcn::Workload &workload);
-
-/** The hardware section every canonical run and plan key carries. */
-json::Value hardwareJson(const reram::AcceleratorConfig &hw);
-
-/**
- * The sim-independent prefix of canonicalRunConfig: every input that
- * determines the Accelerator's *plan* (mapping artifacts, stage
- * costs, fault/repair planning, replica allocation) but not how the
- * plan is timed. The sim section — engine, seed, event knobs — only
- * affects scheduling, so two runs with equal prefixes can share one
- * StagePlan (core::PlanMemo keys on this). canonicalRunConfig is
- * this prefix plus the "sim" section.
+ * *plan* (mapping artifacts, stage costs, fault/repair planning,
+ * replica allocation) but not how the plan is timed: dataset
+ * statistics, model shape, batching, the system's policy, allocator,
+ * pipelining and fault configuration, and the hardware geometry. Two
+ * runs with equal prefixes can share one StagePlan (core::PlanMemo
+ * keys on this). With simContextJson added under "sim" it covers
+ * every input of a run's result, which the serving layer hashes into
+ * content-addressed cache keys (serialize with Value::canonical() so
+ * member order never matters).
  */
 json::Value planConfigPrefix(const SystemConfig &system,
                              const reram::AcceleratorConfig &hw,
                              const gcn::Workload &workload);
+
+/**
+ * The "sim" section of a canonical run config: the engine that will
+ * actually time the run, its seed and event knobs. Only scheduling
+ * reads these, so plan keys leave the section out.
+ */
+json::Value simContextJson(const sim::SimContext &sim);
 
 /** Serialize one run as a JSON object. */
 void writeRunJson(const RunResult &run, std::ostream &os,

@@ -11,6 +11,7 @@
 #include "core/report.hh"
 #include "graph/datasets.hh"
 #include "workload/cnn_infer.hh"
+#include "workload/runner.hh"
 
 namespace gopim::serve {
 
@@ -385,8 +386,8 @@ resolveRequest(const Request &request, ResolvedRequest *out)
 
     if (request.family == workload::FamilyKind::CnnInfer) {
         // No catalog graph behind a preset: the workload view is a
-        // stub that carries only the fields canonicalRunConfig
-        // serializes, so cache keys stay well defined.
+        // stub that carries only the fields planConfigPrefix
+        // serializes, so plan and cache keys stay well defined.
         resolved.workload = gcn::Workload{};
         resolved.workload.dataset.name = request.dataset;
     } else {
@@ -429,10 +430,38 @@ configuredSystem(const ResolvedRequest &resolved)
     return system;
 }
 
+namespace {
+
+/**
+ * The sim-independent config one run of `resolved` under `system`
+ * plans from, and so the plan-memo key: core::planConfigPrefix plus
+ * the workload family (and the partitioning for gnn-infer). cacheKey
+ * adds the sim context and the baseline.
+ */
+json::Value
+planConfig(const ResolvedRequest &resolved,
+           const core::SystemConfig &system,
+           const reram::AcceleratorConfig &hw)
+{
+    json::Value config =
+        core::planConfigPrefix(system, hw, resolved.workload);
+    // The family reshapes the whole run, so it always keys; the
+    // partitioning only matters where a SpMM split exists (keying it
+    // unconditionally would split entries on a field the other
+    // families ignore).
+    config.set("workload_family",
+               workload::toString(resolved.request.family));
+    if (resolved.request.family == workload::FamilyKind::GnnInfer)
+        config.set("partition",
+                   workload::toString(resolved.request.partition));
+    return config;
+}
+
+} // namespace
+
 RequestRun
 runRequest(const ResolvedRequest &resolved,
-           const reram::AcceleratorConfig &hw,
-           core::PlanMemo *trainPlans, workload::PlanMemo *familyPlans)
+           const reram::AcceleratorConfig &hw, core::PlanMemo *plans)
 {
     RequestRun out;
     core::SystemConfig system = configuredSystem(resolved);
@@ -443,37 +472,44 @@ runRequest(const ResolvedRequest &resolved,
         system.sim.traceSink = out.trace;
     }
 
-    // Both branches end in the same core allocation and execution;
-    // parseRequest rejects fault knobs for the inference families.
+    // parseRequest rejects fault knobs for the inference families, so
+    // their plan is their compiled costs, allocated.
     const bool familyRun =
         resolved.request.family != workload::FamilyKind::GcnTrain;
     const gcn::ProfileProvider profile =
         gcn::lazyProfile(resolved.workload);
+    std::optional<core::StageCosts> costs;
+    const auto planFor = [&](const core::SystemConfig &sys) {
+        const auto build = [&] {
+            if (!familyRun)
+                return core::Accelerator(hw, sys).buildPlan(
+                    resolved.workload, profile);
+            if (!costs)
+                costs = workload::familyCosts(resolved.spec, hw);
+            return core::allocatePlan(*costs, sys, hw);
+        };
+        return plans ? plans->getOrBuild(
+                           planConfig(resolved, sys, hw).canonical(),
+                           build)
+                     : std::make_shared<const core::StagePlan>(build());
+    };
+    // The plan's label names a gcn-train result. A family's label
+    // names its ISA streams and traces; its result names the dataset.
     const auto runOn = [&](const core::SystemConfig &sys,
-                           PlanFacts *facts) {
-        if (familyRun) {
-            const auto costs =
-                workload::familyCosts(resolved.spec, hw, familyPlans);
-            if (facts)
-                *facts = {costs->label, costs->numStages(),
-                          costs->totalMicroBatches};
-            return workload::runCosts(resolved.spec, *costs, sys, hw);
-        }
-        const core::Accelerator accel(hw, sys);
-        const auto plan = core::memoizedPlan(
-            trainPlans, accel, resolved.workload, profile);
-        if (facts)
-            *facts = {resolved.workload.dataset.name,
-                      plan->stages.size(), plan->totalMicroBatches};
-        return accel.executePlan(*plan, resolved.workload);
+                           const core::StagePlan &plan) {
+        core::RunResult result = core::executePlan(plan, sys, hw);
+        if (familyRun)
+            result.datasetName = resolved.spec.dataset;
+        return result;
     };
 
-    out.run = runOn(system, &out.facts);
+    out.plan = planFor(system);
+    out.run = runOn(system, *out.plan);
     if (resolved.hasBaseline) {
         core::SystemConfig base = core::makeSystem(resolved.baseline);
         base.sim = resolved.request.sim;
         base.fault = resolved.request.fault;
-        out.baseline = runOn(base, nullptr);
+        out.baseline = runOn(base, *planFor(base));
     }
     return out;
 }
@@ -513,20 +549,11 @@ cacheKey(const ResolvedRequest &resolved,
          const reram::AcceleratorConfig &hw)
 {
     const core::SystemConfig system = configuredSystem(resolved);
-    json::Value config =
-        core::canonicalRunConfig(system, hw, resolved.workload);
+    json::Value config = planConfig(resolved, system, hw);
+    config.set("sim", core::simContextJson(system.sim));
     config.set("baseline", resolved.hasBaseline
                                ? core::toString(resolved.baseline)
                                : "");
-    // The family reshapes the whole run, so it always keys; the
-    // partitioning only matters where a SpMM split exists (keying it
-    // unconditionally would split cache entries on a field the other
-    // families ignore).
-    config.set("workload_family",
-               workload::toString(resolved.request.family));
-    if (resolved.request.family == workload::FamilyKind::GnnInfer)
-        config.set("partition",
-                   workload::toString(resolved.request.partition));
     return hexDigest64(fnv1a64(config.canonical()));
 }
 

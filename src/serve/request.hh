@@ -25,7 +25,6 @@
 #include "sim/context.hh"
 #include "sim/trace.hh"
 #include "workload/family.hh"
-#include "workload/runner.hh"
 
 namespace gopim::serve {
 
@@ -102,7 +101,7 @@ struct ResolvedRequest
     /**
      * GCN workload view. For cnn-infer (whose dataset is a preset,
      * not a catalog graph) this is a stub carrying only the
-     * name/batching fields, used by the canonical cache-key config.
+     * name/batching fields, used by the plan and cache keys.
      */
     gcn::Workload workload;
     /** Family view of the same request (workload/runner.hh input). */
@@ -151,20 +150,17 @@ RequestError resolveRequest(const Request &request,
  */
 core::SystemConfig configuredSystem(const ResolvedRequest &resolved);
 
-/** What the text report's header says about the system's plan. */
-struct PlanFacts
-{
-    std::string label; ///< the plan's label ("ddi", "cnn-infer[cifar]")
-    size_t numStages = 0;
-    uint32_t totalMicroBatches = 0;
-};
-
 /** One request's runs. */
 struct RequestRun
 {
     core::RunResult run;
     std::optional<core::RunResult> baseline; ///< if the request names one
-    PlanFacts facts;
+    /**
+     * The system run's allocated plan: its label ("ddi",
+     * "cnn-infer[cifar]"), stages and micro-batches head the CLI text
+     * report.
+     */
+    std::shared_ptr<const core::StagePlan> plan;
     /** The system run's trace when trace_out is set; caller writes it. */
     std::shared_ptr<sim::ChromeTraceSink> trace;
 };
@@ -172,24 +168,28 @@ struct RequestRun
 /**
  * Run a resolved request on `hw`: configuredSystem(resolved), then
  * the baseline (when named) in the same sim context and fault
- * environment, so the speedup isolates the system. gcn-train plans
- * through core::Accelerator; the inference families run their
- * compiled costs. `trainPlans` and `familyPlans`, when given, memoize
- * those plans across calls (a gcn-train hit skips planning, a family
- * hit skips compiling). The vertex profile is built lazily, at most
- * once, only on a plan miss whose policy ranks vertices or whose
- * fault model needs wear vectors, and shared with the baseline.
+ * environment, so the speedup isolates the system. Each run plans to
+ * an allocated core::StagePlan in one place: gcn-train through
+ * core::Accelerator::buildPlan, the inference families by allocating
+ * their compiled costs. `plans`, when given, memoizes those plans
+ * under the run's plan config (the cache key's config without the
+ * sim context and the baseline), so a hit skips costing and
+ * allocation and only core::executePlan runs. On a miss the vertex
+ * profile (built only when the policy ranks vertices or the fault
+ * model needs wear vectors) and a family's compiled costs are built
+ * at most once and shared with the baseline.
  */
 RequestRun runRequest(const ResolvedRequest &resolved,
                       const reram::AcceleratorConfig &hw,
-                      core::PlanMemo *trainPlans = nullptr,
-                      workload::PlanMemo *familyPlans = nullptr);
+                      core::PlanMemo *plans = nullptr);
 
 /**
  * Content-addressed cache key: hex FNV-1a digest of the canonical
- * (sorted-key) JSON of core::canonicalRunConfig for this request on
- * `hw`, plus the baseline system name. Stable across request field
- * reordering and across processes.
+ * (sorted-key) JSON of the configured system's plan config
+ * (core::planConfigPrefix plus the workload family, and the
+ * partitioning for gnn-infer; the plan-memo key runRequest uses) plus
+ * its "sim" section (core::simContextJson) and the baseline system
+ * name. Stable across request field reordering and across processes.
  */
 std::string cacheKey(const ResolvedRequest &resolved,
                      const reram::AcceleratorConfig &hw);

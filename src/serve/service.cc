@@ -24,10 +24,8 @@ Service::Service(ServiceConfig config)
         results_ = std::make_unique<
             MemoTable<std::shared_future<std::string>>>(
             config_.cacheCapacity);
-        trainPlans_ =
-            std::make_unique<core::PlanMemo>(config_.cacheCapacity);
-        familyPlans_ =
-            std::make_unique<workload::PlanMemo>(config_.cacheCapacity);
+        plans_ =
+            std::make_unique<core::PlanMemo>(2 * config_.cacheCapacity);
     }
     if (obs::MetricsRegistry *m = config_.metrics.get()) {
         Instruments &i = instruments_;
@@ -110,8 +108,7 @@ Service::cacheStats() const
 std::string
 Service::simulate(const ResolvedRequest &resolved) const
 {
-    const RequestRun out = runRequest(
-        resolved, config_.hw, trainPlans_.get(), familyPlans_.get());
+    const RequestRun out = runRequest(resolved, config_.hw, plans_.get());
     json::Value result = core::runResultToJson(out.run);
     if (out.baseline) {
         result.set("baseline", out.baseline->systemName);
@@ -290,17 +287,13 @@ Service::observeEmitted(const Output &output)
                                output.dispatchedUs);
     // Running totals, raised monotonically so a stale read can never
     // lower them; the last response of a stream leaves them exact.
-    if (trainPlans_) {
-        const auto train = trainPlans_->stats();
-        const auto family = familyPlans_->stats();
-        metrics.memoHits->recordMax(
-            static_cast<int64_t>(train.hits + family.hits));
-        metrics.memoMisses->recordMax(
-            static_cast<int64_t>(train.misses + family.misses));
+    if (plans_) {
+        const auto plans = plans_->stats();
+        metrics.memoHits->recordMax(static_cast<int64_t>(plans.hits));
+        metrics.memoMisses->recordMax(static_cast<int64_t>(plans.misses));
         metrics.memoEvictions->recordMax(
-            static_cast<int64_t>(train.evictions + family.evictions));
-        metrics.memoEntries->set(
-            static_cast<int64_t>(train.entries + family.entries));
+            static_cast<int64_t>(plans.evictions));
+        metrics.memoEntries->set(static_cast<int64_t>(plans.entries));
     }
 }
 

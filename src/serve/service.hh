@@ -8,7 +8,7 @@
  * place with a live stats snapshot (same shape as the --stats
  * trailer) without touching the simulation path. A miss runs
  * through serve::runRequest, the same runner gopim_sim uses, with
- * this service's plan memos attached.
+ * this service's plan memo attached.
  *
  * Determinism contract: request parsing and every result-memo
  * operation (lookup, insert, LRU touch, eviction) happen serially in
@@ -39,7 +39,6 @@
 #include "obs/metrics.hh"
 #include "reram/config.hh"
 #include "serve/request.hh"
-#include "workload/runner.hh"
 
 namespace gopim::serve {
 
@@ -66,9 +65,10 @@ struct ServiceConfig
     /** Simulation worker threads (0 = all hardware threads). */
     size_t jobs = 1;
     /**
-     * Resident entries in the result memo and in each plan memo
-     * (gcn-train and family plans). 0 disables all three: every
-     * request is then a miss, and repeats are not coalesced.
+     * Resident entries in the result memo. The plan memo holds twice
+     * as many allocated plans: a request plans its system and its
+     * baseline. 0 disables both: every request is then a miss, and
+     * repeats are not coalesced.
      */
     size_t cacheCapacity = 256;
     /**
@@ -197,7 +197,7 @@ class Service
     /** Render an Output to its final response line (may block). */
     std::string render(Output &output);
 
-    /** runRequest with the plan memos, write trace_out, serialize. */
+    /** runRequest with the plan memo, write trace_out, serialize. */
     std::string simulate(const ResolvedRequest &resolved) const;
 
     void acquireQueueSlot();
@@ -216,7 +216,7 @@ class Service
         obs::Gauge *inflightMax = nullptr;
         obs::Histogram *queueWaitUs = nullptr;
         obs::Histogram *latencyUs = nullptr;
-        /** Plan-memo totals over both memos (serve.plan_memo.*). */
+        /** Plan-memo counters (serve.plan_memo.*). */
         obs::Gauge *memoHits = nullptr;
         obs::Gauge *memoMisses = nullptr;
         obs::Gauge *memoEvictions = nullptr;
@@ -234,14 +234,13 @@ class Service
      */
     std::unique_ptr<MemoTable<std::shared_future<std::string>>> results_;
     /**
-     * Plans a result-memo miss reuses (null when cacheCapacity is
-     * 0): gcn-train core::StagePlans keyed like the harness memo,
-     * and inference-family core::StageCosts (compiled, not yet
-     * allocated) keyed by workload::familyPlanKey.
-     * Both hold at most cacheCapacity entries.
+     * Allocated plans a result-memo miss reuses, for every family,
+     * keyed by the request's plan config (serve/request.cc); null
+     * when cacheCapacity is 0. Holds at most 2 x cacheCapacity
+     * plans. Filled by the workers, so its counters may depend on
+     * worker timing; they never reach the response bytes.
      */
-    std::unique_ptr<core::PlanMemo> trainPlans_;
-    std::unique_ptr<workload::PlanMemo> familyPlans_;
+    std::unique_ptr<core::PlanMemo> plans_;
     Instruments instruments_;
 
     /** Serializes dispatch: counters + result memo. */

@@ -364,6 +364,20 @@ TEST(Harness, PlanSplitMatchesMonolithicRun)
     EXPECT_EQ(split.energyPj, again.energyPj);
 }
 
+TEST(HarnessDeath, PlanRunsOnlyOnItsOwnWorkload)
+{
+    // A plan carries the label of the workload it was built for; an
+    // Accelerator refuses to execute it on another one.
+    const Accelerator accel(reram::AcceleratorConfig::paperDefault(),
+                            makeSystem(SystemKind::ReGraphX));
+    const auto ddi = gcn::Workload::paperDefault("ddi");
+    const StagePlan plan = accel.buildPlan(ddi, gcn::lazyProfile(ddi));
+    EXPECT_EQ(plan.label, "ddi");
+    const auto cora = gcn::Workload::paperDefault("Cora");
+    EXPECT_DEATH(accel.executePlan(plan, cora),
+                 "plan for 'ddi' executed on workload 'Cora'");
+}
+
 TEST(Harness, SparseGraphStillWins)
 {
     // Section VII-F: on Cora, GoPIM's gains shrink but persist.
@@ -402,18 +416,15 @@ struct CountingProfile
     size_t calls = 0;
 };
 
-/** Profile calls of memoizedPlan (no memo) and of buildPlan. */
-std::pair<size_t, size_t>
+/** Profile calls of one buildPlan. */
+size_t
 profileCalls(const SystemConfig &system, const gcn::Workload &workload)
 {
     const Accelerator accel(reram::AcceleratorConfig::paperDefault(),
                             system);
     CountingProfile counting(workload);
-    memoizedPlan(nullptr, accel, workload, counting.provider());
-    const size_t memoized = counting.calls;
-    counting.calls = 0;
     accel.buildPlan(workload, counting.provider());
-    return {memoized, counting.calls};
+    return counting.calls;
 }
 
 TEST(PlanLaziness, NonRankingFaultFreePlansReadNoProfile)
@@ -425,8 +436,7 @@ TEST(PlanLaziness, NonRankingFaultFreePlansReadNoProfile)
           SystemKind::GoPimVanilla, SystemKind::PlusPP,
           SystemKind::Naive}) {
         SCOPED_TRACE(toString(kind));
-        EXPECT_EQ(profileCalls(makeSystem(kind), workload),
-                  std::make_pair(size_t{0}, size_t{0}));
+        EXPECT_EQ(profileCalls(makeSystem(kind), workload), 0u);
     }
 }
 
@@ -447,24 +457,8 @@ TEST(PlanLaziness, RankingOrFaultyPlansReadTheProfileOnce)
         SCOPED_TRACE(system.name + " theta " +
                      std::to_string(system.policy.theta) +
                      (system.fault.enabled() ? " stuck-on" : ""));
-        EXPECT_EQ(profileCalls(system, workload),
-                  std::make_pair(size_t{1}, size_t{1}));
+        EXPECT_EQ(profileCalls(system, workload), 1u);
     }
-}
-
-TEST(PlanLaziness, MemoHitReadsNoProfile)
-{
-    const auto workload = gcn::Workload::paperDefault("ddi");
-    const Accelerator accel(reram::AcceleratorConfig::paperDefault(),
-                            makeSystem(SystemKind::GoPim));
-    CountingProfile counting(workload);
-    PlanMemo memo;
-    const auto first =
-        memoizedPlan(&memo, accel, workload, counting.provider());
-    const auto second =
-        memoizedPlan(&memo, accel, workload, counting.provider());
-    EXPECT_EQ(first.get(), second.get());
-    EXPECT_EQ(counting.calls, 1u);
 }
 
 TEST(PlanLaziness, TinyGraphsCostLikeTheFullBuild)

@@ -957,21 +957,16 @@ TEST(Registry, NameListAndFlagHelpCoverEveryEngine)
 
 TEST(Registry, CanonicalRunConfigFollowsTheResolvedEngine)
 {
-    const auto hw = reram::AcceleratorConfig::paperDefault();
-    const auto workload = gcn::Workload::paperDefault("ddi");
-    auto system = core::makeSystem(core::SystemKind::GoPim);
-
-    system.sim.engine = sim::EngineKind::EventDriven;
-    const std::string plain =
-        core::canonicalRunConfig(system, hw, workload).dump();
+    sim::SimContext ctx;
+    ctx.engine = sim::EngineKind::EventDriven;
+    const std::string plain = core::simContextJson(ctx).dump();
     EXPECT_NE(plain.find("event-driven"), std::string::npos);
 
     // A plugged-in override is what actually times the run, so it —
     // not the kind enum — must reach the cache key.
-    system.sim.engineOverride =
+    ctx.engineOverride =
         std::make_shared<sim::ReplayEngine>(isa::TraceBundle{});
-    const std::string overridden =
-        core::canonicalRunConfig(system, hw, workload).dump();
+    const std::string overridden = core::simContextJson(ctx).dump();
     EXPECT_NE(overridden.find("\"replay\""), std::string::npos);
     EXPECT_NE(plain, overridden);
 }

@@ -199,8 +199,8 @@ main(int argc, char **argv)
                     "request; what the cluster compares)");
     flags.addInt("cache-capacity", 256,
                  "resident entries in the content-addressed result "
-                 "memo and in each plan memo (0 disables all "
-                 "three)");
+                 "memo; the plan memo holds twice as many plans (0 "
+                 "disables both)");
     flags.setIntRange("cache-capacity", 0, 1 << 24);
     flags.addInt("max-queue", 0,
                  "backpressure bound: max in-flight simulations "

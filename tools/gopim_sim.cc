@@ -204,10 +204,10 @@ runSingle(const Flags &flags, const serve::Request &defaults)
                   << workload.microBatchSize << ", " << run.engineName
                   << " engine)\n\n";
     else
-        std::cout << run.systemName << " running " << out.facts.label
-                  << " (" << out.facts.numStages
+        std::cout << run.systemName << " running " << out.plan->label
+                  << " (" << out.plan->stages.size()
                   << " stages, micro-batch " << workload.microBatchSize
-                  << ", " << out.facts.totalMicroBatches
+                  << ", " << out.plan->totalMicroBatches
                   << " micro-batches, " << run.engineName
                   << " engine)\n\n";
     std::cout << "makespan      : " << formatTimeNs(run.makespanNs)
@@ -244,7 +244,7 @@ runSingle(const Flags &flags, const serve::Request &defaults)
         request.replicas = run.replicas;
         request.regime = sim::Regime::IntraInterBatch;
         request.totalMicroBatches =
-            std::min(out.facts.totalMicroBatches, 16u);
+            std::min(out.plan->totalMicroBatches, 16u);
         sim::SimContext ganttCtx = defaults.sim;
         ganttCtx.recordWindows = true;
         ganttCtx.traceSink = nullptr;
