@@ -6,14 +6,12 @@
 #include "obs/metrics.hh"
 #include "obs/profile.hh"
 #include "sim/engine.hh"
-#include "sim/replay.hh"
 
 namespace gopim::core {
 
 ComparisonHarness::ComparisonHarness(reram::AcceleratorConfig hw,
                                      sim::SimContext simContext)
     : hw_(hw), sim_(std::move(simContext)),
-      lowerCache_(std::make_shared<sim::LowerMemo>()),
       timelineCache_(std::make_shared<sim::TimelineMemo>())
 {
     hw_.validate();
@@ -37,14 +35,10 @@ ComparisonHarness::configureSystem(SystemKind kind) const
     SystemConfig system = makeSystem(kind);
     system.sim = sim_;
     system.fault = fault_;
-    // The replay lower-cache outlives setSimContext on purpose: the
-    // schedules it memoizes are keyed by their full (seed-zeroed)
-    // descriptor, which the sim context cannot alias.
-    if (!system.sim.lowerCache)
-        system.sim.lowerCache = lowerCache_;
-    // Same for the timeline memo: its key packs the event knobs and
-    // the request bit for bit, and scheduleEventPath refuses to use
-    // it at all when the timeline is seed-dependent.
+    // The timeline memo outlives setSimContext on purpose: its key
+    // packs the event knobs and the request bit for bit, and
+    // scheduleEventPath refuses to use it at all when the timeline is
+    // seed-dependent.
     if (!system.sim.timelineCache)
         system.sim.timelineCache = timelineCache_;
     return system;

@@ -58,13 +58,13 @@ class ComparisonHarness
      * Plan-memo statistics (hits/misses/size) for tests/benches.
      * runGrid memoizes across calls: cells sharing a sim-independent
      * prefix (core::planConfigPrefix) reuse one StagePlan, each
-     * dataset's workload and profile are built once, and self-replay
-     * lowerings and seed-independent event timelines are reused
-     * (sim::LowerMemo, sim::TimelineMemo). All are unbounded: a
-     * harness sweeps a fixed grid. They survive setSimContext (their
-     * keys exclude or pack the sim context) and setFaultConfig
-     * changes the plan key, so results stay bit-identical to plain
-     * Accelerator runs (pinned by tests/test_core.cc).
+     * dataset's workload and profile are built once, and
+     * seed-independent event timelines are reused (sim::TimelineMemo).
+     * All are unbounded: a harness sweeps a fixed grid. They survive
+     * setSimContext (their keys exclude or pack the sim context) and
+     * setFaultConfig changes the plan key, so results stay
+     * bit-identical to plain Accelerator runs (pinned by
+     * tests/test_core.cc).
      */
     const PlanMemo &planCache() const { return planCache_; }
 
@@ -114,7 +114,6 @@ class ComparisonHarness
     sim::SimContext sim_;
     fault::FaultConfig fault_;
     mutable PlanMemo planCache_;
-    std::shared_ptr<sim::LowerMemo> lowerCache_;
     std::shared_ptr<sim::TimelineMemo> timelineCache_;
     /** Keyed by name: paper-default workloads are a function of it. */
     mutable MemoTable<DatasetEntry> datasets_;

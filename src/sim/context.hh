@@ -44,13 +44,6 @@ class TraceSink;
 /** Event-path timelines keyed by everything the simulator reads. */
 using TimelineMemo = MemoTable<StageTimeline>;
 
-/**
- * Schedules the replay engine's self-replay mode has already lowered
- * and validated, keyed by the packed seed-zeroed desc (sim/replay.hh).
- * Presence is the whole record; the stored flag is never read.
- */
-using LowerMemo = MemoTable<bool>;
-
 /** Timing backend selector. */
 enum class EngineKind
 {
@@ -156,15 +149,6 @@ struct SimContext
     std::shared_ptr<isa::StreamRecorder> isaRecorder;
     /** Label recorded streams carry ("GoPIM on Cora"). */
     std::string isaStreamLabel;
-    /**
-     * Optional memo the replay engine's self-replay mode uses to
-     * skip re-lowering/re-validating schedules it has already
-     * round-tripped (sim/replay.hh). Internally locked; sharing one
-     * cache across runs and threads is safe. Timing is unaffected —
-     * a cache hit replays the exact desc the lowered stream would
-     * have carried, so results stay bit-identical.
-     */
-    std::shared_ptr<LowerMemo> lowerCache;
     /**
      * Optional memo for the event path (scheduleEventPath): when a
      * schedule's timeline is seed-independent (no write-retry

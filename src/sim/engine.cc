@@ -22,8 +22,8 @@ engineRegistry()
         {EngineKind::EventDriven, "event-driven", "event",
          "discrete-event flow shop"},
         {EngineKind::Replay, "replay", "replay",
-         "lower to an ISA command stream and time it via the event "
-         "path"},
+         "time the ISA stream header a run lowers to, or a "
+         "recorded trace, via the event path"},
     };
     return registry;
 }
@@ -183,8 +183,14 @@ packRaw(std::string *out, T v)
     out->append(bytes, sizeof v);
 }
 
-} // namespace
-
+/**
+ * Byte-exact memo key of one (request, event knobs) pair: every input
+ * the event path reads when no RNG is drawn (the seed and the
+ * write-retry knobs are left out). Doubles pack as bit patterns
+ * (-0.0 and 0.0 key differently on purpose), and vector lengths
+ * delimit the variable sections so two requests can never
+ * concatenate to the same bytes.
+ */
 std::string
 timelineMemoKey(const ScheduleRequest &request, const SimContext &ctx)
 {
@@ -206,6 +212,8 @@ timelineMemoKey(const ScheduleRequest &request, const SimContext &ctx)
         packRaw<uint32_t>(&key, r);
     return key;
 }
+
+} // namespace
 
 StageTimeline
 ClosedFormEngine::schedule(const ScheduleRequest &request,

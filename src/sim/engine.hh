@@ -14,8 +14,9 @@
  *    inter-stage buffers, multi-server replica groups, and ReRAM
  *    write-verify retry stochasticity via the SimContext knobs;
  *  - sim::ReplayEngine (sim/replay.hh) times an isa:: command
- *    stream — lowered on the fly or read back from a binary trace —
- *    through the same event path, bit-identically.
+ *    stream header — the one a request would lower to, or one read
+ *    back from a binary trace — through the same event path,
+ *    bit-identically.
  *
  * All return the same StageTimeline, so core::Accelerator, the
  * comparison harness, every bench, and the trace sink are agnostic
@@ -136,17 +137,6 @@ const ScheduleEngine &resolveEngine(const SimContext &ctx);
 StageTimeline scheduleEventPath(const ScheduleRequest &request,
                                 const SimContext &ctx,
                                 const std::string &metricsTag);
-
-/**
- * Byte-exact memo key of one (request, event knobs) pair: every input
- * the event path reads when no RNG is drawn (the seed and the
- * write-retry knobs are left out). Doubles pack as bit patterns
- * (-0.0 and 0.0 key differently on purpose), and vector lengths
- * delimit the variable sections so two requests can never
- * concatenate to the same bytes.
- */
-std::string timelineMemoKey(const ScheduleRequest &request,
-                            const SimContext &ctx);
 
 /**
  * Lower `request` under `ctx`'s knobs and record the command stream

@@ -4,7 +4,6 @@
 
 #include "common/hash.hh"
 #include "common/logging.hh"
-#include "common/memo_table.hh"
 #include "isa/lower.hh"
 #include "isa/verify.hh"
 
@@ -40,20 +39,23 @@ fromIsaRegime(isa::Regime regime)
     panic("unknown regime");
 }
 
-/**
- * Key of `desc` in the LowerMemo: timelineMemoKey's packing of the
- * desc's schedule and knobs plus the write-retry knobs it leaves out.
- * The seed is not packed, so every seed of a schedule shares a key.
- */
-std::string
-lowerMemoKey(const isa::ScheduleDesc &desc)
+/** descFromRequest, fatal() when the desc cannot be lowered. */
+isa::ScheduleDesc
+loweringDesc(const ScheduleRequest &request, const SimContext &ctx)
 {
-    SimContext knobs;
-    applyDescKnobs(desc, &knobs);
-    std::string key = timelineMemoKey(requestFromDesc(desc), knobs);
-    for (const double p : {desc.writeRetryProb, desc.writeFraction})
-        key.append(reinterpret_cast<const char *>(&p), sizeof p);
-    return key;
+    isa::ScheduleDesc desc = descFromRequest(request, ctx);
+    if (std::string err = desc.validate(); !err.empty())
+        fatal("cannot lower schedule request: ", err);
+    return desc;
+}
+
+/** Time `desc` on the event path under its own seed and knobs. */
+StageTimeline
+timeDesc(const isa::ScheduleDesc &desc, const SimContext &ctx)
+{
+    SimContext replayCtx = ctx;
+    applyDescKnobs(desc, &replayCtx);
+    return scheduleEventPath(requestFromDesc(desc), replayCtx, "replay");
 }
 
 } // namespace
@@ -107,10 +109,8 @@ isa::CommandStream
 lowerRequest(const ScheduleRequest &request, const SimContext &ctx,
              std::string label)
 {
-    const isa::ScheduleDesc desc = descFromRequest(request, ctx);
-    if (std::string err = desc.validate(); !err.empty())
-        fatal("cannot lower schedule request: ", err);
-    return isa::lowerSchedule(desc, std::move(label));
+    return isa::lowerSchedule(loweringDesc(request, ctx),
+                              std::move(label));
 }
 
 void
@@ -133,31 +133,11 @@ ReplayEngine::schedule(const ScheduleRequest &request,
                        const SimContext &ctx) const
 {
     recordStreamIfRequested(request, ctx);
-    if (!fromTrace_) {
-        if (ctx.lowerCache) {
-            const isa::ScheduleDesc desc =
-                descFromRequest(request, ctx);
-            const std::string key = lowerMemoKey(desc);
-            const uint64_t fingerprint = fnv1a64(key);
-            if (ctx.lowerCache->lookup(fingerprint, key)) {
-                // This schedule (seed aside) already survived one
-                // lower + validate round-trip; replay straight from
-                // the desc. The stream would have carried this exact
-                // desc, so the timeline is bit-identical.
-                SimContext replayCtx = ctx;
-                applyDescKnobs(desc, &replayCtx);
-                return scheduleEventPath(requestFromDesc(desc),
-                                         replayCtx, "replay");
-            }
-            const isa::CommandStream stream =
-                lowerRequest(request, ctx, ctx.isaStreamLabel);
-            const StageTimeline timeline = replayStream(stream, ctx);
-            ctx.lowerCache->insert(fingerprint, key, true);
-            return timeline;
-        }
-        return replayStream(
-            lowerRequest(request, ctx, ctx.isaStreamLabel), ctx);
-    }
+    // Self-replay times the stream header directly: the stream
+    // lowerSchedule would build carries this exact desc, and timing
+    // reads nothing else of a stream.
+    if (!fromTrace_)
+        return timeDesc(loweringDesc(request, ctx), ctx);
 
     const uint64_t fingerprint =
         descFromRequest(request, ctx).fingerprint();
@@ -186,10 +166,7 @@ ReplayEngine::replayStream(const isa::CommandStream &stream,
 {
     if (std::string err = isa::validateStream(stream); !err.empty())
         fatal("refusing to replay an invalid command stream: ", err);
-    SimContext replayCtx = ctx;
-    applyDescKnobs(stream.desc, &replayCtx);
-    return scheduleEventPath(requestFromDesc(stream.desc), replayCtx,
-                             "replay");
+    return timeDesc(stream.desc, ctx);
 }
 
 } // namespace gopim::sim

@@ -13,17 +13,16 @@
  *
  * Two modes:
  *  - default-constructed (the registry instance behind
- *    --engine=replay): lowers each incoming request on the fly and
- *    replays the stream — a structural self-check that exercises
- *    lowering + validation on every run. With a SimContext::lowerCache
- *    attached (the memoized harness does), a schedule that already
- *    passed lowering + validation under any seed replays straight
- *    from its desc: lowering is seed-independent (the seed only rides
- *    in the stream header), and the stream stores that same desc
- *    verbatim, so the timeline is bit-identical;
+ *    --engine=replay without a trace, and serve's "replay" engine):
+ *    self-replay. It builds the stream header (desc) each incoming
+ *    request would lower to, rejects an invalid one, and times that
+ *    header. Timing reads only the header, so no command stream is
+ *    built unless --isa-trace-out records one;
  *  - constructed from a TraceBundle (--isa-trace-in): looks the
- *    request up by desc fingerprint and replays the recorded stream;
- *    a request the trace does not cover is a fatal user error.
+ *    request up by desc fingerprint, checks the recorded stream (flow
+ *    verifier, then canonical lowering) and replays it; a request
+ *    the trace does not cover is a fatal user error. Streams are
+ *    checked here because their bytes come from outside the process.
  *
  * The request→desc / desc→request adapters live here too, as does
  * the recording hook every engine calls for --isa-trace-out.
@@ -62,7 +61,7 @@ isa::CommandStream lowerRequest(const ScheduleRequest &request,
 class ReplayEngine final : public ScheduleEngine
 {
   public:
-    /** Self-replay mode: lower each request on the fly. */
+    /** Self-replay mode: time each request's stream header. */
     ReplayEngine() = default;
 
     /** Trace mode: replay recorded streams, looked up by desc
@@ -75,8 +74,8 @@ class ReplayEngine final : public ScheduleEngine
                            const SimContext &ctx) const override;
 
     /**
-     * Time one validated stream directly (the engine-independent
-     * entry point tools and non-GCN front-ends use). An invalid
+     * Check one stream against its canonical lowering and time it
+     * (trace mode's entry point, also driven by tests). An invalid
      * stream is a fatal user error.
      */
     StageTimeline replayStream(const isa::CommandStream &stream,

@@ -250,10 +250,10 @@ uncachedGrid(const std::vector<SystemKind> &systems,
 
 TEST(Harness, MemoizedGridIsByteIdenticalToUncached)
 {
-    // The memoized path (plan cache + dataset cache + replay lower
-    // cache + timeline memo) must be invisible in the results: the
-    // serialized grid — the exact bytes --json-out writes — has to
-    // match plain Accelerator runs, across engines and seeds.
+    // The memoized path (plan cache + dataset cache + timeline memo)
+    // must be invisible in the results: the serialized grid — the
+    // exact bytes --json-out writes — has to match plain Accelerator
+    // runs, across engines and seeds.
     const auto systems = figure13Systems();
     const std::vector<std::string> datasets = {"ddi", "Cora"};
 

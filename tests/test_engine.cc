@@ -188,40 +188,6 @@ TEST(TimelineMemo, SeedDependentRunsBypassTheCache)
     EXPECT_EQ(cache->size(), 0u);
 }
 
-TEST(LowerMemo, SeedsShareOneEntryAndHitsStayBitIdentical)
-{
-    // Lowering is seed-independent: two seeds of one schedule share
-    // one memo entry, the hit replays the exact timeline a fresh
-    // lower + replay produces, and the write-retry knobs (which the
-    // timeline key leaves out) still split entries.
-    auto memo = std::make_shared<sim::LowerMemo>();
-    sim::SimContext replay;
-    replay.engine = sim::EngineKind::Replay;
-    replay.lowerCache = memo;
-    replay.event.writeRetryProb = 0.2;
-    replay.seed = 1;
-    runWith(core::SystemKind::GoPim, "ddi", replay);
-    replay.seed = 2;
-    const auto warm = runWith(core::SystemKind::GoPim, "ddi", replay);
-    EXPECT_EQ(memo->size(), 1u);
-    EXPECT_EQ(memo->hits(), 1u);
-
-    sim::SimContext plain = replay;
-    plain.lowerCache = nullptr;
-    const auto fresh = runWith(core::SystemKind::GoPim, "ddi", plain);
-    EXPECT_EQ(warm.makespanNs, fresh.makespanNs);
-    EXPECT_EQ(warm.energyPj, fresh.energyPj);
-    EXPECT_EQ(warm.eventsProcessed, fresh.eventsProcessed);
-    EXPECT_EQ(warm.blockedNs, fresh.blockedNs);
-
-    replay.event.writeRetryProb = 0.3;
-    runWith(core::SystemKind::GoPim, "ddi", replay);
-    replay.event.writeFraction = 0.5;
-    runWith(core::SystemKind::GoPim, "ddi", replay);
-    EXPECT_EQ(memo->size(), 3u);
-    EXPECT_EQ(memo->hits(), 1u);
-}
-
 // Exact output bits of the event path over its whole knob matrix:
 // regime x servers (replicas as servers) x input buffer x sampler.
 // The golden rows were produced by the calendar-queue engine that

@@ -836,20 +836,47 @@ TEST(Replay, ReplicasAsServersBitIdentical)
 
 TEST(Replay, SelfReplayEqualsEventWithoutATraceFile)
 {
-    // --engine=replay with no trace: lower on the fly, replay, and
-    // still match the event engine exactly.
-    sim::SimContext event;
-    event.engine = sim::EngineKind::EventDriven;
-    event.seed = 3;
-    event.event.writeRetryProb = 0.25;
-    event.event.writeFraction = 0.4;
-    sim::SimContext replay = event;
-    replay.engine = sim::EngineKind::Replay;
-    const auto a = runWith(core::SystemKind::GoPim, "ddi", event, {});
-    const auto b =
-        runWith(core::SystemKind::GoPim, "ddi", replay, {});
-    EXPECT_EQ(a.engineName, "event-driven");
-    expectBitIdentical(a, b, "self-replay");
+    // --engine=replay with no trace times the stream header built
+    // from each request (descFromRequest + applyDescKnobs) and must
+    // still match the event engine exactly: every knob the event path
+    // reads has to survive the header, for every system.
+    struct KnobSet
+    {
+        std::string tag;
+        sim::SimContext ctx;
+        fault::FaultConfig fault;
+    };
+    KnobSet retries{"retries+buffers", {}, {}};
+    retries.ctx.seed = 3;
+    retries.ctx.event.writeRetryProb = 0.25;
+    retries.ctx.event.writeFraction = 0.4;
+    retries.ctx.event.inputBufferSlots = 2;
+    KnobSet servers{"servers", {}, {}};
+    servers.ctx.event.replicasAsServers = true;
+    KnobSet refresh{"refresh", {}, {}};
+    refresh.ctx.seed = 5;
+    refresh.ctx.event.writeRetryProb = 0.1;
+    refresh.ctx.event.writeFraction = 0.3;
+    refresh.fault.params.stuckOnRate = 0.01;
+    refresh.fault.params.stuckOffRate = 0.005;
+    refresh.fault.params.driftPerEpoch = 0.002;
+    refresh.fault.repair = fault::RepairKind::Refresh;
+    refresh.fault.refreshPeriodMb = 16;
+
+    for (const KnobSet &knobs : {retries, servers, refresh}) {
+        for (core::SystemKind kind : core::allSystemKinds()) {
+            sim::SimContext event = knobs.ctx;
+            event.engine = sim::EngineKind::EventDriven;
+            sim::SimContext replay = knobs.ctx;
+            replay.engine = sim::EngineKind::Replay;
+            const auto a = runWith(kind, "ddi", event, knobs.fault);
+            const auto b = runWith(kind, "ddi", replay, knobs.fault);
+            EXPECT_EQ(a.engineName, "event-driven");
+            expectBitIdentical(a, b,
+                               "self-replay " + knobs.tag + " " +
+                                   toString(kind));
+        }
+    }
 }
 
 TEST(ReplayDeath, RequestMissingFromTraceIsFatal)
