@@ -289,7 +289,7 @@ productsRequest(core::SystemKind kind, bool replicasAsServers)
     request.replicas = plan.effectiveReplicas;
     request.totalMicroBatches = plan.totalMicroBatches;
     request.microBatchesPerBatch = system.microBatchesPerBatch;
-    request.regime = core::regimeFor(system.pipelineMode);
+    request.regime = system.pipelineMode;
     return request;
 }
 
@@ -303,18 +303,18 @@ BM_EventSchedule(benchmark::State &state)
         core::SystemKind::GoPim, core::SystemKind::GoPim};
     const auto which = static_cast<size_t>(state.range(0));
     const bool replicasAsServers = which == 3;
-    const sim::ScheduleRequest request =
-        productsRequest(kSystems[which], replicasAsServers);
     sim::SimContext ctx;
     ctx.engine = sim::EngineKind::EventDriven;
     ctx.seed = 7;
     ctx.event.writeRetryProb = 0.05;
     ctx.event.writeFraction = 0.3;
     ctx.event.replicasAsServers = replicasAsServers;
+    const isa::ScheduleDesc desc = sim::descFromRequest(
+        productsRequest(kSystems[which], replicasAsServers), ctx);
 
     sim::StageTimeline timeline;
     for (auto _ : state) {
-        timeline = sim::scheduleEventPath(request, ctx, "event_driven");
+        timeline = sim::scheduleEventPath(desc, ctx, "event_driven");
         benchmark::DoNotOptimize(timeline.makespanNs);
     }
     std::vector<uint64_t> bits = {

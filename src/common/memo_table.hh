@@ -78,8 +78,8 @@ class MemoTable
 
     /**
      * lookup() as a raw pointer. Only an unbounded table may hand
-     * these out: its entries live until clear(), whereas a bounded
-     * table could evict the pointee under the caller.
+     * these out: its entries live as long as the table, whereas a
+     * bounded table could evict the pointee under the caller.
      */
     const V *
     find(uint64_t fingerprint, const std::string &key) const
@@ -131,16 +131,6 @@ class MemoTable
         if (Handle hit = lookup(fingerprint, key))
             return hit;
         return insert(fingerprint, std::move(key), build());
-    }
-
-    /** Drop every entry and zero the counters. */
-    void
-    clear()
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        buckets_.clear();
-        lru_.clear();
-        hits_ = misses_ = evictions_ = 0;
     }
 
     Stats

@@ -13,20 +13,6 @@
 
 namespace gopim::core {
 
-sim::Regime
-regimeFor(PipelineMode mode)
-{
-    switch (mode) {
-      case PipelineMode::Serial:
-        return sim::Regime::Serial;
-      case PipelineMode::IntraBatch:
-        return sim::Regime::IntraBatch;
-      case PipelineMode::IntraInterBatch:
-        return sim::Regime::IntraInterBatch;
-    }
-    panic("unknown pipeline mode");
-}
-
 void
 StageCosts::validate() const
 {
@@ -223,7 +209,7 @@ executePlan(const StagePlan &plan, const SystemConfig &system,
     request.replicas = plan.effectiveReplicas;
     request.totalMicroBatches = plan.totalMicroBatches;
     request.microBatchesPerBatch = system.microBatchesPerBatch;
-    request.regime = regimeFor(system.pipelineMode);
+    request.regime = system.pipelineMode;
     if (plan.faultOn && plan.repairPlan.refreshEveryMicroBatches > 0) {
         // Periodic re-program refresh steals pipeline cycles; both
         // engines execute the knobs (sim/context.hh).

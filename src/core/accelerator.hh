@@ -30,23 +30,15 @@
 
 namespace gopim::core {
 
-/** Pipelining regime of a system. */
-enum class PipelineMode
-{
-    Serial,         ///< no overlap at all
-    IntraBatch,     ///< pipeline within a batch, drain between batches
-    IntraInterBatch ///< pipeline across batch boundaries too (GoPIM)
-};
-
-/** The engine regime a pipelining mode schedules under. */
-sim::Regime regimeFor(PipelineMode mode);
+/** The pipelining regime, defined in pipeline/schedule.hh. */
+using PipelineMode = pipeline::Regime;
 
 /** Full system description: policy + allocator + pipelining. */
 struct SystemConfig
 {
     std::string name;
     gcn::ExecutionPolicy policy;
-    PipelineMode pipelineMode = PipelineMode::Serial;
+    pipeline::Regime pipelineMode = pipeline::Regime::Serial;
     /** Replica allocator; null means single replicas everywhere. */
     std::shared_ptr<const alloc::Allocator> allocator;
     /** Micro-batches per batch for intra-batch-only draining. */

@@ -36,7 +36,7 @@ ComparisonHarness::configureSystem(SystemKind kind) const
     system.sim = sim_;
     system.fault = fault_;
     // The timeline memo outlives setSimContext on purpose: its key
-    // packs the event knobs and the request bit for bit, and
+    // is the schedule desc (event knobs included) bit for bit, and
     // scheduleEventPath refuses to use it at all when the timeline is
     // seed-dependent.
     if (!system.sim.timelineCache)

@@ -59,10 +59,12 @@ class ComparisonHarness
      * runGrid memoizes across calls: cells sharing a sim-independent
      * prefix (core::planConfigPrefix) reuse one StagePlan, each
      * dataset's workload and profile are built once, and
-     * seed-independent event timelines are reused (sim::TimelineMemo).
-     * All are unbounded: a harness sweeps a fixed grid. They survive
-     * setSimContext (their keys exclude or pack the sim context) and
-     * setFaultConfig changes the plan key, so results stay
+     * seed-independent event timelines are reused (sim::TimelineMemo,
+     * keyed by the schedule desc's canonical bytes without seed and
+     * write fraction). All are unbounded: a harness sweeps a fixed
+     * grid. They survive setSimContext (the plan key excludes the sim
+     * context; the timeline key carries every desc field timing
+     * reads) and setFaultConfig changes the plan key, so results stay
      * bit-identical to plain Accelerator runs (pinned by
      * tests/test_core.cc).
      */

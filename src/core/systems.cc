@@ -77,12 +77,12 @@ makeSystem(SystemKind kind)
     using mapping::VertexMapStrategy;
     switch (kind) {
       case SystemKind::Serial:
-        sys.pipelineMode = PipelineMode::Serial;
+        sys.pipelineMode = pipeline::Regime::Serial;
         sys.allocator = nullptr;
         break;
 
       case SystemKind::SlimGnnLike:
-        sys.pipelineMode = PipelineMode::IntraBatch;
+        sys.pipelineMode = pipeline::Regime::IntraBatch;
         sys.allocator =
             std::make_shared<alloc::SpaceProportionalAllocator>();
         sys.policy.intraBatchPipeline = true;
@@ -92,14 +92,14 @@ makeSystem(SystemKind kind)
         break;
 
       case SystemKind::ReGraphX:
-        sys.pipelineMode = PipelineMode::IntraBatch;
+        sys.pipelineMode = pipeline::Regime::IntraBatch;
         sys.allocator = std::make_shared<alloc::FixedRatioAllocator>(
             1.0, 2.0);
         sys.policy.intraBatchPipeline = true;
         break;
 
       case SystemKind::ReFlip:
-        sys.pipelineMode = PipelineMode::IntraBatch;
+        sys.pipelineMode = pipeline::Regime::IntraBatch;
         sys.allocator =
             std::make_shared<alloc::CombinationOnlyAllocator>();
         sys.policy.intraBatchPipeline = true;
@@ -107,14 +107,14 @@ makeSystem(SystemKind kind)
         break;
 
       case SystemKind::GoPimVanilla:
-        sys.pipelineMode = PipelineMode::IntraInterBatch;
+        sys.pipelineMode = pipeline::Regime::IntraInterBatch;
         sys.allocator = std::make_shared<alloc::GreedyHeapAllocator>();
         sys.policy.intraBatchPipeline = true;
         sys.policy.interBatchPipeline = true;
         break;
 
       case SystemKind::GoPim:
-        sys.pipelineMode = PipelineMode::IntraInterBatch;
+        sys.pipelineMode = pipeline::Regime::IntraInterBatch;
         sys.allocator = std::make_shared<alloc::GreedyHeapAllocator>();
         sys.policy.intraBatchPipeline = true;
         sys.policy.interBatchPipeline = true;
@@ -123,14 +123,14 @@ makeSystem(SystemKind kind)
         break;
 
       case SystemKind::PlusPP:
-        sys.pipelineMode = PipelineMode::IntraInterBatch;
+        sys.pipelineMode = pipeline::Regime::IntraInterBatch;
         sys.allocator = nullptr;
         sys.policy.intraBatchPipeline = true;
         sys.policy.interBatchPipeline = true;
         break;
 
       case SystemKind::PlusISU:
-        sys.pipelineMode = PipelineMode::IntraInterBatch;
+        sys.pipelineMode = pipeline::Regime::IntraInterBatch;
         sys.allocator = nullptr;
         sys.policy.intraBatchPipeline = true;
         sys.policy.interBatchPipeline = true;
@@ -139,7 +139,7 @@ makeSystem(SystemKind kind)
         break;
 
       case SystemKind::Naive:
-        sys.pipelineMode = PipelineMode::IntraInterBatch;
+        sys.pipelineMode = pipeline::Regime::IntraInterBatch;
         sys.allocator = nullptr;
         sys.policy.intraBatchPipeline = true;
         break;

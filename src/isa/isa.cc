@@ -55,45 +55,11 @@ Command::bitsOf(double ns)
     return std::bit_cast<uint64_t>(ns);
 }
 
-const char *
-toString(Regime regime)
-{
-    switch (regime) {
-      case Regime::Serial:
-        return "serial";
-      case Regime::IntraBatch:
-        return "intra-batch";
-      case Regime::IntraInterBatch:
-        return "intra-inter-batch";
-    }
-    panic("unknown regime");
-}
-
 void
 ScheduleDesc::normalize()
 {
     if (replicas.empty())
         replicas.assign(stageTimesNs.size(), 1u);
-}
-
-std::pair<uint32_t, uint32_t>
-ScheduleDesc::chunkStructure() const
-{
-    switch (regime) {
-      case Regime::Serial:
-        return {1u, totalMicroBatches};
-      case Regime::IntraBatch: {
-        const uint32_t perBatch =
-            std::min(std::max(1u, microBatchesPerBatch),
-                     totalMicroBatches);
-        const uint32_t batches =
-            std::max(1u, totalMicroBatches / perBatch);
-        return {perBatch, batches};
-      }
-      case Regime::IntraInterBatch:
-        return {totalMicroBatches, 1u};
-    }
-    panic("unknown regime");
 }
 
 namespace {
@@ -114,8 +80,8 @@ appendDoubleBits(std::string &bytes, double v)
 
 } // namespace
 
-uint64_t
-ScheduleDesc::fingerprint() const
+std::string
+ScheduleDesc::canonicalBytes() const
 {
     std::string bytes;
     bytes.reserve(64 + 16 * stageTimesNs.size());
@@ -141,7 +107,13 @@ ScheduleDesc::fingerprint() const
     appendDoubleBits(bytes, writeFraction);
     appendU64(bytes, refreshEveryMicroBatches);
     appendDoubleBits(bytes, refreshStallNs);
-    return fnv1a64(bytes);
+    return bytes;
+}
+
+uint64_t
+ScheduleDesc::fingerprint() const
+{
+    return fnv1a64(canonicalBytes());
 }
 
 std::string
@@ -286,7 +258,7 @@ StreamBuilder::StreamBuilder(std::string label)
 }
 
 StreamBuilder &
-StreamBuilder::regime(Regime regime)
+StreamBuilder::regime(pipeline::Regime regime)
 {
     desc_.regime = regime;
     return *this;

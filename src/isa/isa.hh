@@ -29,6 +29,8 @@
 #include <utility>
 #include <vector>
 
+#include "pipeline/schedule.hh"
+
 namespace gopim::isa {
 
 /** Operation kinds of the PIM command stream. */
@@ -72,16 +74,6 @@ struct Command
     bool operator==(const Command &) const = default;
 };
 
-/** Pipelining regime of a stream (mirrors the scheduling regimes). */
-enum class Regime : uint8_t
-{
-    Serial = 0,
-    IntraBatch = 1,
-    IntraInterBatch = 2,
-};
-
-const char *toString(Regime regime);
-
 /**
  * The stream header: a backend-independent description of one
  * scheduling problem, carrying exactly the fields that determine
@@ -96,9 +88,9 @@ struct ScheduleDesc
     /** Replica count per stage (normalized to stage count by
      *  normalize(); all-ones when the producer had none). */
     std::vector<uint32_t> replicas;
-    Regime regime = Regime::IntraInterBatch;
+    pipeline::Regime regime = pipeline::Regime::IntraInterBatch;
     uint32_t totalMicroBatches = 1;
-    /** Drain boundary for Regime::IntraBatch (micro-batches/batch). */
+    /** Drain boundary for IntraBatch (micro-batches/batch). */
     uint32_t microBatchesPerBatch = 0;
     /** Seed driving stochastic service-time sampling at replay. */
     uint64_t seed = 1;
@@ -124,18 +116,21 @@ struct ScheduleDesc
         return refreshEveryMicroBatches > 0 && refreshStallNs > 0.0;
     }
 
-    /**
-     * (chunkSize, numChunks) of the drain decomposition — the same
-     * formula the scheduling engines use, so Serial runs one
-     * micro-batch per chunk, IntraBatch drains every batch, and
-     * IntraInterBatch is a single chunk.
-     */
-    std::pair<uint32_t, uint32_t> chunkStructure() const;
+    /** pipeline::chunkStructure of this desc's regime and batches. */
+    std::pair<uint32_t, uint32_t> chunkStructure() const
+    {
+        return pipeline::chunkStructure(regime, totalMicroBatches,
+                                        microBatchesPerBatch);
+    }
 
     /**
-     * FNV-1a digest over the canonical byte serialization of every
-     * field above (doubles as bit patterns). The trace lookup key.
+     * Canonical byte serialization of every field above: doubles as
+     * bit patterns, the stage count first, and empty replicas
+     * spelled as ones. Equal bytes mean equal event-path timing.
      */
+    std::string canonicalBytes() const;
+
+    /** FNV-1a of canonicalBytes(). The trace lookup key. */
     uint64_t fingerprint() const;
 
     /** "" when well-formed, else a diagnostic. */
@@ -205,7 +200,7 @@ class StreamBuilder
   public:
     explicit StreamBuilder(std::string label = "");
 
-    StreamBuilder &regime(Regime regime);
+    StreamBuilder &regime(pipeline::Regime regime);
     StreamBuilder &microBatches(uint32_t total, uint32_t perBatch = 0);
     StreamBuilder &seed(uint64_t seed);
     StreamBuilder &bufferSlots(uint32_t slots);

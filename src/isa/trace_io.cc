@@ -195,12 +195,13 @@ decodeStreamPayload(const std::string &payload, size_t index,
             static_cast<uint8_t>(payload[cur.pos() + 1]);
         std::string skip;
         cur.getBytes(2, &skip);
-        if (regime > static_cast<uint8_t>(Regime::IntraInterBatch))
+        if (regime >
+            static_cast<uint8_t>(pipeline::Regime::IntraInterBatch))
             return fail("unknown regime byte " +
                         std::to_string(regime));
         if (servers > 1)
             return fail("invalid replicas-as-servers flag");
-        d.regime = static_cast<Regime>(regime);
+        d.regime = static_cast<pipeline::Regime>(regime);
         d.replicasAsServers = servers == 1;
     }
     uint64_t total = 0, perBatch = 0, bufferSlots = 0;

@@ -7,6 +7,38 @@
 
 namespace gopim::pipeline {
 
+const char *
+toString(Regime regime)
+{
+    switch (regime) {
+      case Regime::Serial:
+        return "serial";
+      case Regime::IntraBatch:
+        return "intra-batch";
+      case Regime::IntraInterBatch:
+        return "intra-inter-batch";
+    }
+    panic("unknown regime");
+}
+
+std::pair<uint32_t, uint32_t>
+chunkStructure(Regime regime, uint32_t totalMicroBatches,
+               uint32_t microBatchesPerBatch)
+{
+    switch (regime) {
+      case Regime::Serial:
+        return {1u, totalMicroBatches};
+      case Regime::IntraBatch: {
+        const uint32_t perBatch = std::min(
+            std::max(1u, microBatchesPerBatch), totalMicroBatches);
+        return {perBatch, std::max(1u, totalMicroBatches / perBatch)};
+      }
+      case Regime::IntraInterBatch:
+        return {totalMicroBatches, 1u};
+    }
+    panic("unknown regime");
+}
+
 double
 ScheduleResult::avgIdleFraction() const
 {

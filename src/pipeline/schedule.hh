@@ -14,9 +14,42 @@
 #define GOPIM_PIPELINE_SCHEDULE_HH
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace gopim::pipeline {
+
+/**
+ * Pipelining regime of a schedule: the paper's serial baseline,
+ * intra-batch pipelining that drains at every weight update, and
+ * GoPIM's intra- plus inter-batch pipelining.
+ */
+enum class Regime : uint8_t
+{
+    Serial = 0,         ///< no overlap at all
+    IntraBatch = 1,     ///< pipeline within a batch, drain between
+    IntraInterBatch = 2 ///< pipeline across batch boundaries too
+};
+
+// GPIS v1 trace headers and the cache key's `pipeline_mode` store
+// these values; renumbering would change both.
+static_assert(static_cast<int>(Regime::Serial) == 0 &&
+              static_cast<int>(Regime::IntraBatch) == 1 &&
+              static_cast<int>(Regime::IntraInterBatch) == 2);
+
+/** "serial", "intra-batch" or "intra-inter-batch". */
+const char *toString(Regime regime);
+
+/**
+ * (chunkSize, numChunks) of a regime's drain decomposition over
+ * `totalMicroBatches`: Serial runs one micro-batch per chunk,
+ * IntraBatch drains every min(max(1, microBatchesPerBatch), total)
+ * micro-batches (a ragged tail batch is not executed), and
+ * IntraInterBatch is a single chunk.
+ */
+std::pair<uint32_t, uint32_t> chunkStructure(
+    Regime regime, uint32_t totalMicroBatches,
+    uint32_t microBatchesPerBatch);
 
 /** Per-stage interval in the computed timeline. */
 struct StageWindow

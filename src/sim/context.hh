@@ -20,8 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.hh"
-
 namespace gopim {
 template <typename V>
 class MemoTable;
@@ -41,7 +39,7 @@ class ScheduleEngine;
 struct StageTimeline;
 class TraceSink;
 
-/** Event-path timelines keyed by everything the simulator reads. */
+/** Event-path timelines keyed by the desc fields timing reads. */
 using TimelineMemo = MemoTable<StageTimeline>;
 
 /** Timing backend selector. */
@@ -151,16 +149,16 @@ struct SimContext
     std::string isaStreamLabel;
     /**
      * Optional memo for the event path (scheduleEventPath): when a
-     * schedule's timeline is seed-independent (no write-retry
-     * sampling) and carries no per-run windows, scheduleEventPath
-     * returns the memoized timeline instead of re-simulating. The
-     * key packs every input the simulator reads, so hits are
-     * bit-identical by construction. Internally locked.
+     * desc's timeline is seed-independent (no write-retry sampling)
+     * and carries no per-run windows, scheduleEventPath returns the
+     * memoized timeline instead of re-simulating. The key is the
+     * desc's canonical bytes (isa::ScheduleDesc::canonicalBytes)
+     * with the seed and write fraction zeroed, the two fields only
+     * retry sampling reads, so runs that differ only in seed share
+     * an entry and hits are bit-identical by construction.
+     * Internally locked.
      */
     std::shared_ptr<TimelineMemo> timelineCache;
-
-    /** Fresh deterministic generator for one run. */
-    Rng makeRng() const { return Rng(seed); }
 };
 
 } // namespace gopim::sim

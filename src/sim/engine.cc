@@ -1,12 +1,13 @@
 #include "sim/engine.hh"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/hash.hh"
 #include "common/logging.hh"
 #include "common/math_utils.hh"
 #include "common/memo_table.hh"
+#include "isa/lower.hh"
+#include "isa/trace_io.hh"
 #include "obs/metrics.hh"
 #include "sim/pipeline_sim.hh"
 #include "sim/replay.hh"
@@ -117,18 +118,6 @@ validate(const ScheduleRequest &request)
                  "replica vector size mismatch");
 }
 
-/** Batch drain boundaries, mirroring core's IntraBatch chunking. */
-std::pair<uint32_t, uint32_t>
-batchStructure(const ScheduleRequest &request)
-{
-    const uint32_t perBatch =
-        std::min(std::max(1u, request.microBatchesPerBatch),
-                 request.totalMicroBatches);
-    const uint32_t batches =
-        std::max(1u, request.totalMicroBatches / perBatch);
-    return {perBatch, batches};
-}
-
 /** Bucket boundaries for simulated durations: 1 us .. ~1000 s. */
 std::vector<double>
 durationBoundsNs()
@@ -143,8 +132,7 @@ durationBoundsNs()
  * worker count or run interleaving.
  */
 void
-recordScheduleMetrics(const SimContext &ctx,
-                      const ScheduleRequest &request,
+recordScheduleMetrics(const SimContext &ctx, uint32_t totalMicroBatches,
                       const StageTimeline &timeline,
                       const std::string &engineTag)
 {
@@ -153,7 +141,7 @@ recordScheduleMetrics(const SimContext &ctx,
     obs::MetricsRegistry &m = *ctx.metrics;
     m.counter("sim.schedule.count").add();
     m.counter("sim.schedule." + engineTag + ".count").add();
-    m.counter("sim.micro_batches").add(request.totalMicroBatches);
+    m.counter("sim.micro_batches").add(totalMicroBatches);
     if (timeline.eventsProcessed > 0)
         m.counter("sim.events_processed")
             .add(timeline.eventsProcessed);
@@ -173,44 +161,26 @@ recordScheduleMetrics(const SimContext &ctx,
                 static_cast<int64_t>(timeline.maxEventQueueDepth));
 }
 
-/** Append the raw bytes of a fixed-width value to a memo key. */
-template <typename T>
-void
-packRaw(std::string *out, T v)
+/** The desc, fatal() with validate()'s diagnostic when invalid. */
+const isa::ScheduleDesc &
+checkedDesc(const isa::ScheduleDesc &desc)
 {
-    char bytes[sizeof v];
-    std::memcpy(bytes, &v, sizeof v);
-    out->append(bytes, sizeof v);
+    if (std::string err = desc.validate(); !err.empty())
+        fatal("invalid schedule desc: ", err);
+    return desc;
 }
 
 /**
- * Byte-exact memo key of one (request, event knobs) pair: every input
- * the event path reads when no RNG is drawn (the seed and the
- * write-retry knobs are left out). Doubles pack as bit patterns
- * (-0.0 and 0.0 key differently on purpose), and vector lengths
- * delimit the variable sections so two requests can never
- * concatenate to the same bytes.
+ * Timeline-memo key: the desc's canonical bytes without the inputs
+ * the event path reads only to sample write retries (the seed and
+ * the write fraction). Callers memoize only retry-free descs.
  */
 std::string
-timelineMemoKey(const ScheduleRequest &request, const SimContext &ctx)
+timingKey(isa::ScheduleDesc desc)
 {
-    std::string key;
-    key.reserve(32 + 8 * request.stageTimesNs.size() +
-                4 * request.replicas.size());
-    key.push_back(static_cast<char>(request.regime));
-    packRaw<uint32_t>(&key, request.totalMicroBatches);
-    packRaw<uint32_t>(&key, request.microBatchesPerBatch);
-    packRaw<uint32_t>(&key, ctx.event.inputBufferSlots);
-    key.push_back(ctx.event.replicasAsServers ? 1 : 0);
-    packRaw<uint32_t>(&key, ctx.event.refreshEveryMicroBatches);
-    packRaw<double>(&key, ctx.event.refreshStallNs);
-    packRaw<uint64_t>(&key, request.stageTimesNs.size());
-    for (double t : request.stageTimesNs)
-        packRaw<double>(&key, t);
-    packRaw<uint64_t>(&key, request.replicas.size());
-    for (uint32_t r : request.replicas)
-        packRaw<uint32_t>(&key, r);
-    return key;
+    desc.seed = 0;
+    desc.writeFraction = 0.0;
+    return desc.canonicalBytes();
 }
 
 } // namespace
@@ -227,19 +197,21 @@ ClosedFormEngine::schedule(const ScheduleRequest &request,
     // window allocation.
     pipeline::ScheduleResult closed;
     switch (request.regime) {
-      case Regime::Serial:
+      case pipeline::Regime::Serial:
         closed = pipeline::scheduleSerial(request.stageTimesNs,
                                           request.totalMicroBatches,
                                           ctx.recordWindows);
         break;
-      case Regime::IntraBatch: {
-        const auto [perBatch, batches] = batchStructure(request);
+      case pipeline::Regime::IntraBatch: {
+        const auto [perBatch, batches] = pipeline::chunkStructure(
+            request.regime, request.totalMicroBatches,
+            request.microBatchesPerBatch);
         closed = pipeline::scheduleIntraBatchOnly(
             request.stageTimesNs, perBatch, batches,
             ctx.recordWindows);
         break;
       }
-      case Regime::IntraInterBatch:
+      case pipeline::Regime::IntraInterBatch:
         closed = pipeline::schedulePipelined(
             request.stageTimesNs, request.totalMicroBatches,
             ctx.recordWindows);
@@ -269,7 +241,8 @@ ClosedFormEngine::schedule(const ScheduleRequest &request,
                     0.0, 1.0);
         }
     }
-    recordScheduleMetrics(ctx, request, timeline, "closed_form");
+    recordScheduleMetrics(ctx, request.totalMicroBatches, timeline,
+                          "closed_form");
     return timeline;
 }
 
@@ -278,59 +251,78 @@ EventDrivenEngine::schedule(const ScheduleRequest &request,
                             const SimContext &ctx) const
 {
     recordStreamIfRequested(request, ctx);
-    return scheduleEventPath(request, ctx, "event_driven");
+    return scheduleEventPath(descFromRequest(request, ctx), ctx,
+                             "event_driven");
+}
+
+isa::ScheduleDesc
+descFromRequest(const ScheduleRequest &request, const SimContext &ctx)
+{
+    isa::ScheduleDesc desc;
+    desc.stageTimesNs = request.stageTimesNs;
+    desc.replicas = request.replicas;
+    desc.regime = request.regime;
+    desc.totalMicroBatches = request.totalMicroBatches;
+    desc.microBatchesPerBatch = request.microBatchesPerBatch;
+    desc.seed = ctx.seed;
+    desc.bufferSlots = ctx.event.inputBufferSlots;
+    desc.replicasAsServers = ctx.event.replicasAsServers;
+    desc.writeRetryProb = ctx.event.writeRetryProb;
+    desc.writeFraction = ctx.event.writeFraction;
+    desc.refreshEveryMicroBatches = ctx.event.refreshEveryMicroBatches;
+    desc.refreshStallNs = ctx.event.refreshStallNs;
+    desc.normalize();
+    return desc;
 }
 
 StageTimeline
-scheduleEventPath(const ScheduleRequest &request,
-                  const SimContext &ctx,
+scheduleEventPath(const isa::ScheduleDesc &desc, const SimContext &ctx,
                   const std::string &metricsTag)
 {
-    validate(request);
-    const size_t numStages = request.stageTimesNs.size();
+    checkedDesc(desc);
+    const size_t numStages = desc.stageTimesNs.size();
 
-    // The timeline is a pure function of (request, event knobs) when
-    // nothing samples the RNG — write-verify retry is the only
+    // The timeline is a pure function of the desc's timing fields
+    // when nothing samples the RNG — write-verify retry is the only
     // stochastic knob — and no per-run windows are requested. Only
     // then may the memo answer; a hit is the exact timeline the
     // simulation below would produce.
     const bool memoizable = ctx.timelineCache && !ctx.recordWindows &&
-                            ctx.event.writeRetryProb == 0.0;
+                            desc.writeRetryProb == 0.0;
     std::string memoKey;
     uint64_t memoFingerprint = 0;
     if (memoizable) {
-        memoKey = timelineMemoKey(request, ctx);
+        memoKey = timingKey(desc);
         memoFingerprint = fnv1a64(memoKey);
         if (const auto cached =
                 ctx.timelineCache->lookup(memoFingerprint, memoKey)) {
             StageTimeline timeline = *cached;
-            recordScheduleMetrics(ctx, request, timeline, metricsTag);
+            recordScheduleMetrics(ctx, desc.totalMicroBatches, timeline,
+                                  metricsTag);
             return timeline;
         }
     }
 
     std::vector<StationConfig> stations(numStages);
     for (size_t i = 0; i < numStages; ++i) {
-        stations[i].serviceTimeNs = request.stageTimesNs[i];
-        stations[i].inputBuffer = ctx.event.inputBufferSlots;
-        if (ctx.event.replicasAsServers && !request.replicas.empty())
-            stations[i].servers = std::max(1u, request.replicas[i]);
+        stations[i].serviceTimeNs = desc.stageTimesNs[i];
+        stations[i].inputBuffer = desc.bufferSlots;
+        if (desc.replicasAsServers && !desc.replicas.empty())
+            stations[i].servers = desc.replicas[i];
     }
 
     ServiceSampler sampler;
-    if (ctx.event.writeRetryProb > 0.0)
-        sampler = makeWriteRetrySampler(stations,
-                                        ctx.event.writeRetryProb,
-                                        ctx.event.writeFraction);
-    if (ctx.event.refreshEveryMicroBatches > 0 &&
-        ctx.event.refreshStallNs > 0.0) {
+    if (desc.writeRetryProb > 0.0)
+        sampler = makeWriteRetrySampler(stations, desc.writeRetryProb,
+                                        desc.writeFraction);
+    if (desc.refreshActive()) {
         // Stretch the refreshing micro-batch at every stage: the
         // whole array is being re-programmed, so no stage can serve
         // it until the refresh completes. Uses the global micro-batch
         // index (the simulator adds the chunk base).
         const ServiceSampler inner = sampler;
-        const double stall = ctx.event.refreshStallNs;
-        const uint32_t every = ctx.event.refreshEveryMicroBatches;
+        const double stall = desc.refreshStallNs;
+        const uint32_t every = desc.refreshEveryMicroBatches;
         sampler = [inner, stations, stall, every](
                       size_t stage, uint32_t mb, Rng &rng) {
             double serviceNs =
@@ -346,22 +338,7 @@ scheduleEventPath(const ScheduleRequest &request,
     // execution is a one-micro-batch pipeline repeated, intra-batch
     // pipelining drains at every weight update. Inter-batch
     // pipelining is a single chunk.
-    uint32_t chunkSize = request.totalMicroBatches;
-    uint32_t numChunks = 1;
-    switch (request.regime) {
-      case Regime::Serial:
-        chunkSize = 1;
-        numChunks = request.totalMicroBatches;
-        break;
-      case Regime::IntraBatch: {
-        const auto [perBatch, batches] = batchStructure(request);
-        chunkSize = perBatch;
-        numChunks = batches;
-        break;
-      }
-      case Regime::IntraInterBatch:
-        break;
-    }
+    const auto [chunkSize, numChunks] = desc.chunkStructure();
 
     StageTimeline timeline;
     timeline.busyNs.assign(numStages, 0.0);
@@ -372,7 +349,7 @@ scheduleEventPath(const ScheduleRequest &request,
                            static_cast<size_t>(chunkSize) * numChunks));
 
     PipelineSimulator simulator(stations, ctx.recordWindows);
-    Rng seedRng = ctx.makeRng();
+    Rng seedRng(desc.seed);
     double offsetNs = 0.0;
     for (uint32_t chunk = 0; chunk < numChunks; ++chunk) {
         const uint32_t base = chunk * chunkSize;
@@ -411,8 +388,27 @@ scheduleEventPath(const ScheduleRequest &request,
     if (memoizable)
         ctx.timelineCache->insert(memoFingerprint,
                                   std::move(memoKey), timeline);
-    recordScheduleMetrics(ctx, request, timeline, metricsTag);
+    recordScheduleMetrics(ctx, desc.totalMicroBatches, timeline,
+                          metricsTag);
     return timeline;
+}
+
+isa::CommandStream
+lowerRequest(const ScheduleRequest &request, const SimContext &ctx,
+             std::string label)
+{
+    return isa::lowerSchedule(checkedDesc(descFromRequest(request, ctx)),
+                              std::move(label));
+}
+
+void
+recordStreamIfRequested(const ScheduleRequest &request,
+                        const SimContext &ctx)
+{
+    if (!ctx.isaRecorder)
+        return;
+    ctx.isaRecorder->record(
+        lowerRequest(request, ctx, ctx.isaStreamLabel));
 }
 
 const ScheduleEngine &

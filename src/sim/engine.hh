@@ -18,6 +18,10 @@
  *    back from a binary trace — through the same event path,
  *    bit-identically.
  *
+ * The event path's only input is the stream header
+ * (isa::ScheduleDesc): the event engine converts each request with
+ * descFromRequest(), and replay passes the header it holds.
+ *
  * All return the same StageTimeline, so core::Accelerator, the
  * comparison harness, every bench, and the trace sink are agnostic
  * to the backend. With default knobs the engines agree exactly
@@ -34,18 +38,14 @@
 #include <string>
 #include <vector>
 
+#include "isa/isa.hh"
 #include "pipeline/schedule.hh"
 #include "sim/context.hh"
 
 namespace gopim::sim {
 
-/** Pipelining regime of a scheduling request. */
-enum class Regime
-{
-    Serial,         ///< no overlap at all
-    IntraBatch,     ///< pipeline within a batch, drain between
-    IntraInterBatch ///< pipeline across batch boundaries too
-};
+/** The pipelining regime, defined in pipeline/schedule.hh. */
+using Regime = pipeline::Regime;
 
 /** One scheduling problem, independent of the timing backend. */
 struct ScheduleRequest
@@ -54,10 +54,10 @@ struct ScheduleRequest
     std::vector<double> stageTimesNs;
     /** Replica count per stage (multi-server event mode). */
     std::vector<uint32_t> replicas;
-    Regime regime = Regime::IntraInterBatch;
+    pipeline::Regime regime = pipeline::Regime::IntraInterBatch;
     /** Total micro-batches across all batches. */
     uint32_t totalMicroBatches = 1;
-    /** Drain boundary for Regime::IntraBatch (micro-batches/batch). */
+    /** Drain boundary for IntraBatch (micro-batches/batch). */
     uint32_t microBatchesPerBatch = 0;
 };
 
@@ -128,15 +128,32 @@ const ScheduleEngine &engineFor(EngineKind kind);
 const ScheduleEngine &resolveEngine(const SimContext &ctx);
 
 /**
+ * Snapshot a request plus the context's seed and event knobs as a
+ * stream header (replicas normalized to one per stage when empty).
+ */
+isa::ScheduleDesc descFromRequest(const ScheduleRequest &request,
+                                  const SimContext &ctx);
+
+/**
  * The discrete-event timing path shared by EventDrivenEngine and
  * sim::ReplayEngine: chunk decomposition, retry/refresh samplers,
- * seeded per-chunk simulation. `metricsTag` labels the per-engine
- * counters; the timeline itself is independent of it — one code
- * path is what makes replay bit-identical to a live event run.
+ * seeded per-chunk simulation. Timing reads only `desc` (stage
+ * times, replicas, regime, chunking, seed and every event knob);
+ * from `ctx` it reads only the observers `metrics`, `recordWindows`
+ * and `timelineCache`. An invalid desc is a fatal() naming
+ * ScheduleDesc::validate()'s diagnostic. `metricsTag` labels the
+ * per-engine counters; the timeline itself is independent of it.
+ * Every event run, self-replay and trace replay calls this function
+ * on a desc, so equal descs time bit-identically on all three.
  */
-StageTimeline scheduleEventPath(const ScheduleRequest &request,
+StageTimeline scheduleEventPath(const isa::ScheduleDesc &desc,
                                 const SimContext &ctx,
                                 const std::string &metricsTag);
+
+/** Lower a request under `ctx`'s knobs into a command stream. */
+isa::CommandStream lowerRequest(const ScheduleRequest &request,
+                                const SimContext &ctx,
+                                std::string label = "");
 
 /**
  * Lower `request` under `ctx`'s knobs and record the command stream

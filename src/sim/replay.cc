@@ -4,124 +4,9 @@
 
 #include "common/hash.hh"
 #include "common/logging.hh"
-#include "isa/lower.hh"
 #include "isa/verify.hh"
 
 namespace gopim::sim {
-
-namespace {
-
-isa::Regime
-toIsaRegime(Regime regime)
-{
-    switch (regime) {
-      case Regime::Serial:
-        return isa::Regime::Serial;
-      case Regime::IntraBatch:
-        return isa::Regime::IntraBatch;
-      case Regime::IntraInterBatch:
-        return isa::Regime::IntraInterBatch;
-    }
-    panic("unknown regime");
-}
-
-Regime
-fromIsaRegime(isa::Regime regime)
-{
-    switch (regime) {
-      case isa::Regime::Serial:
-        return Regime::Serial;
-      case isa::Regime::IntraBatch:
-        return Regime::IntraBatch;
-      case isa::Regime::IntraInterBatch:
-        return Regime::IntraInterBatch;
-    }
-    panic("unknown regime");
-}
-
-/** descFromRequest, fatal() when the desc cannot be lowered. */
-isa::ScheduleDesc
-loweringDesc(const ScheduleRequest &request, const SimContext &ctx)
-{
-    isa::ScheduleDesc desc = descFromRequest(request, ctx);
-    if (std::string err = desc.validate(); !err.empty())
-        fatal("cannot lower schedule request: ", err);
-    return desc;
-}
-
-/** Time `desc` on the event path under its own seed and knobs. */
-StageTimeline
-timeDesc(const isa::ScheduleDesc &desc, const SimContext &ctx)
-{
-    SimContext replayCtx = ctx;
-    applyDescKnobs(desc, &replayCtx);
-    return scheduleEventPath(requestFromDesc(desc), replayCtx, "replay");
-}
-
-} // namespace
-
-isa::ScheduleDesc
-descFromRequest(const ScheduleRequest &request, const SimContext &ctx)
-{
-    isa::ScheduleDesc desc;
-    desc.stageTimesNs = request.stageTimesNs;
-    desc.replicas = request.replicas;
-    desc.regime = toIsaRegime(request.regime);
-    desc.totalMicroBatches = request.totalMicroBatches;
-    desc.microBatchesPerBatch = request.microBatchesPerBatch;
-    desc.seed = ctx.seed;
-    desc.bufferSlots = ctx.event.inputBufferSlots;
-    desc.replicasAsServers = ctx.event.replicasAsServers;
-    desc.writeRetryProb = ctx.event.writeRetryProb;
-    desc.writeFraction = ctx.event.writeFraction;
-    desc.refreshEveryMicroBatches = ctx.event.refreshEveryMicroBatches;
-    desc.refreshStallNs = ctx.event.refreshStallNs;
-    desc.normalize();
-    return desc;
-}
-
-ScheduleRequest
-requestFromDesc(const isa::ScheduleDesc &desc)
-{
-    ScheduleRequest request;
-    request.stageTimesNs = desc.stageTimesNs;
-    request.replicas = desc.replicas;
-    request.regime = fromIsaRegime(desc.regime);
-    request.totalMicroBatches = desc.totalMicroBatches;
-    request.microBatchesPerBatch = desc.microBatchesPerBatch;
-    return request;
-}
-
-void
-applyDescKnobs(const isa::ScheduleDesc &desc, SimContext *ctx)
-{
-    ctx->seed = desc.seed;
-    ctx->event.inputBufferSlots = desc.bufferSlots;
-    ctx->event.replicasAsServers = desc.replicasAsServers;
-    ctx->event.writeRetryProb = desc.writeRetryProb;
-    ctx->event.writeFraction = desc.writeFraction;
-    ctx->event.refreshEveryMicroBatches =
-        desc.refreshEveryMicroBatches;
-    ctx->event.refreshStallNs = desc.refreshStallNs;
-}
-
-isa::CommandStream
-lowerRequest(const ScheduleRequest &request, const SimContext &ctx,
-             std::string label)
-{
-    return isa::lowerSchedule(loweringDesc(request, ctx),
-                              std::move(label));
-}
-
-void
-recordStreamIfRequested(const ScheduleRequest &request,
-                        const SimContext &ctx)
-{
-    if (!ctx.isaRecorder)
-        return;
-    ctx.isaRecorder->record(
-        lowerRequest(request, ctx, ctx.isaStreamLabel));
-}
 
 ReplayEngine::ReplayEngine(isa::TraceBundle bundle)
     : fromTrace_(true), bundle_(std::move(bundle))
@@ -136,11 +21,11 @@ ReplayEngine::schedule(const ScheduleRequest &request,
     // Self-replay times the stream header directly: the stream
     // lowerSchedule would build carries this exact desc, and timing
     // reads nothing else of a stream.
+    const isa::ScheduleDesc desc = descFromRequest(request, ctx);
     if (!fromTrace_)
-        return timeDesc(loweringDesc(request, ctx), ctx);
+        return scheduleEventPath(desc, ctx, "replay");
 
-    const uint64_t fingerprint =
-        descFromRequest(request, ctx).fingerprint();
+    const uint64_t fingerprint = desc.fingerprint();
     const isa::CommandStream *stream = bundle_.find(fingerprint);
     if (!stream)
         fatal("the loaded ISA trace has no stream for this run "
@@ -166,7 +51,7 @@ ReplayEngine::replayStream(const isa::CommandStream &stream,
 {
     if (std::string err = isa::validateStream(stream); !err.empty())
         fatal("refusing to replay an invalid command stream: ", err);
-    return timeDesc(stream.desc, ctx);
+    return scheduleEventPath(stream.desc, ctx, "replay");
 }
 
 } // namespace gopim::sim

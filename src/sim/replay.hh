@@ -2,9 +2,8 @@
  * @file
  * ReplayEngine: the stream-consumption path of the scheduling stack.
  *
- * A replayed run is timed by reconstructing the scheduling problem
- * from an isa::CommandStream header and pushing it through the same
- * scheduleEventPath() the live event engine uses — same chunk
+ * A replayed run is timed by passing an isa::CommandStream header to
+ * the same scheduleEventPath() the live event engine uses — same chunk
  * decomposition, same retry/refresh samplers, same seeded Rng draw
  * order — so the resulting StageTimeline is bit-identical to a live
  * event-driven run of the same request (tests/test_isa.cc pins this
@@ -14,18 +13,16 @@
  * Two modes:
  *  - default-constructed (the registry instance behind
  *    --engine=replay without a trace, and serve's "replay" engine):
- *    self-replay. It builds the stream header (desc) each incoming
- *    request would lower to, rejects an invalid one, and times that
- *    header. Timing reads only the header, so no command stream is
- *    built unless --isa-trace-out records one;
+ *    self-replay. It times the stream header (descFromRequest) each
+ *    incoming request would lower to, exactly as the event engine
+ *    does, so no command stream is built unless --isa-trace-out
+ *    records one;
  *  - constructed from a TraceBundle (--isa-trace-in): looks the
  *    request up by desc fingerprint, checks the recorded stream (flow
- *    verifier, then canonical lowering) and replays it; a request
- *    the trace does not cover is a fatal user error. Streams are
- *    checked here because their bytes come from outside the process.
- *
- * The request→desc / desc→request adapters live here too, as does
- * the recording hook every engine calls for --isa-trace-out.
+ *    verifier, then canonical lowering) and times its header; a
+ *    request the trace does not cover is a fatal user error. Streams
+ *    are checked here because their bytes come from outside the
+ *    process.
  */
 
 #ifndef GOPIM_SIM_REPLAY_HH
@@ -37,25 +34,6 @@
 #include "sim/engine.hh"
 
 namespace gopim::sim {
-
-/** Snapshot a request + context knobs as a stream header. */
-isa::ScheduleDesc descFromRequest(const ScheduleRequest &request,
-                                  const SimContext &ctx);
-
-/** Rebuild the scheduling problem a stream header describes. */
-ScheduleRequest requestFromDesc(const isa::ScheduleDesc &desc);
-
-/**
- * Overwrite `ctx`'s seed and event knobs with the desc's so the
- * event path reproduces the recorded run exactly; observation fields
- * (recordWindows, metrics, trace sinks) are left untouched.
- */
-void applyDescKnobs(const isa::ScheduleDesc &desc, SimContext *ctx);
-
-/** Lower a request under `ctx`'s knobs into a command stream. */
-isa::CommandStream lowerRequest(const ScheduleRequest &request,
-                                const SimContext &ctx,
-                                std::string label = "");
 
 /** Times isa:: command streams via the shared event path. */
 class ReplayEngine final : public ScheduleEngine

@@ -60,14 +60,16 @@ defaultCnnPreset()
 std::string
 CnnInferFamily::validateSpec(const WorkloadSpec &spec) const
 {
-    if (findCnnPreset(spec.dataset) == nullptr)
+    const CnnPreset *preset = findCnnPreset(spec.dataset);
+    if (preset == nullptr)
         return "unknown CNN preset '" + spec.dataset +
                "' (cnn-infer presets: " + cnnPresetNameList() + ")";
     if (spec.microBatchSize == 0 || spec.microBatchSize > 4096)
         return "micro-batch size must lie in [1, 4096]";
     if (spec.epochs == 0)
         return "need at least one inference pass (epochs >= 1)";
-    return "";
+    return validateEpochs(ceilDiv(preset->numImages, spec.microBatchSize),
+                          spec.epochs);
 }
 
 core::StageCosts

@@ -1,5 +1,7 @@
 #include "workload/family.hh"
 
+#include <limits>
+
 #include "common/logging.hh"
 #include "workload/cnn_infer.hh"
 #include "workload/gcn_train.hh"
@@ -162,6 +164,23 @@ familyFor(FamilyKind kind)
         return cnnInfer;
     }
     panic("unregistered workload family kind");
+}
+
+std::string
+validateEpochs(uint64_t microBatchesPerEpoch, uint32_t epochs)
+{
+    constexpr uint64_t kMaxTotal = std::numeric_limits<uint32_t>::max();
+    const uint64_t maxEpochs =
+        microBatchesPerEpoch == 0 ? kMaxTotal
+                                  : kMaxTotal / microBatchesPerEpoch;
+    if (epochs <= maxEpochs)
+        return "";
+    return "epochs " + std::to_string(epochs) + " x " +
+           std::to_string(microBatchesPerEpoch) +
+           " micro-batches per epoch exceeds " +
+           std::to_string(kMaxTotal) +
+           " micro-batches in total (epochs must be at most " +
+           std::to_string(maxEpochs) + ")";
 }
 
 } // namespace gopim::workload

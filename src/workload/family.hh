@@ -129,6 +129,15 @@ struct WorkloadSpec
 };
 
 /**
+ * The epochs check every family's validateSpec shares: "" when
+ * `epochs` passes of `microBatchesPerEpoch` micro-batches fit the
+ * 32-bit total micro-batch count a schedule carries, else a
+ * diagnostic naming `epochs` and its largest valid value.
+ */
+std::string validateEpochs(uint64_t microBatchesPerEpoch,
+                           uint32_t epochs);
+
+/**
  * A workload family: compiles specs into stage costs. Implementations
  * are stateless and shared (familyFor), so costs can be built
  * concurrently from grid workers.

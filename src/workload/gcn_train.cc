@@ -1,6 +1,7 @@
 #include "workload/gcn_train.hh"
 
 #include "common/logging.hh"
+#include "common/math_utils.hh"
 #include "core/systems.hh"
 #include "gcn/workload.hh"
 #include "graph/datasets.hh"
@@ -10,14 +11,17 @@ namespace gopim::workload {
 std::string
 GcnTrainFamily::validateSpec(const WorkloadSpec &spec) const
 {
-    if (graph::DatasetCatalog::findByName(spec.dataset) == nullptr)
+    const graph::DatasetSpec *dataset =
+        graph::DatasetCatalog::findByName(spec.dataset);
+    if (dataset == nullptr)
         return "unknown dataset '" + spec.dataset +
                "' (gcn-train uses the Table III graph catalog)";
     if (spec.microBatchSize == 0 || spec.microBatchSize > 4096)
         return "micro-batch size must lie in [1, 4096]";
     if (spec.epochs == 0)
         return "need at least one training epoch";
-    return "";
+    return validateEpochs(
+        ceilDiv(dataset->numVertices, spec.microBatchSize), spec.epochs);
 }
 
 core::StageCosts

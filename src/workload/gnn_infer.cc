@@ -126,14 +126,17 @@ profilePartitioning(const graph::Graph &g, Partitioning strategy,
 std::string
 GnnInferFamily::validateSpec(const WorkloadSpec &spec) const
 {
-    if (graph::DatasetCatalog::findByName(spec.dataset) == nullptr)
+    const graph::DatasetSpec *dataset =
+        graph::DatasetCatalog::findByName(spec.dataset);
+    if (dataset == nullptr)
         return "unknown dataset '" + spec.dataset +
                "' (gnn-infer uses the Table III graph catalog)";
     if (spec.microBatchSize == 0 || spec.microBatchSize > 4096)
         return "micro-batch size must lie in [1, 4096]";
     if (spec.epochs == 0)
         return "need at least one inference pass (epochs >= 1)";
-    return "";
+    return validateEpochs(
+        ceilDiv(dataset->numVertices, spec.microBatchSize), spec.epochs);
 }
 
 core::StageCosts

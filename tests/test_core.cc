@@ -77,11 +77,11 @@ TEST(Systems, UnknownNameHintListsEveryKind)
 TEST(Systems, PresetKnobs)
 {
     const auto serial = makeSystem(SystemKind::Serial);
-    EXPECT_EQ(serial.pipelineMode, PipelineMode::Serial);
+    EXPECT_EQ(serial.pipelineMode, pipeline::Regime::Serial);
     EXPECT_EQ(serial.allocator, nullptr);
 
     const auto gopim = makeSystem(SystemKind::GoPim);
-    EXPECT_EQ(gopim.pipelineMode, PipelineMode::IntraInterBatch);
+    EXPECT_EQ(gopim.pipelineMode, pipeline::Regime::IntraInterBatch);
     EXPECT_NE(gopim.allocator, nullptr);
     EXPECT_TRUE(gopim.policy.selectiveUpdate);
     EXPECT_EQ(gopim.policy.mapStrategy,

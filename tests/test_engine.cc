@@ -20,6 +20,7 @@
 #include "core/options.hh"
 #include "core/systems.hh"
 #include "gcn/workload.hh"
+#include "isa/isa.hh"
 #include "sim/engine.hh"
 #include "sim/trace.hh"
 
@@ -205,7 +206,7 @@ struct EventPathBits
 
 struct EventPathCase
 {
-    sim::Regime regime;
+    pipeline::Regime regime;
     uint32_t servers;
     uint32_t inputBuffer;
     int sampler; ///< 0 none, 1 retry, 2 retry + refresh stall
@@ -215,9 +216,9 @@ std::vector<EventPathCase>
 eventPathMatrix()
 {
     std::vector<EventPathCase> cases;
-    for (const sim::Regime regime :
-         {sim::Regime::Serial, sim::Regime::IntraBatch,
-          sim::Regime::IntraInterBatch})
+    for (const pipeline::Regime regime :
+         {pipeline::Regime::Serial, pipeline::Regime::IntraBatch,
+          pipeline::Regime::IntraInterBatch})
         for (const uint32_t servers : {1u, 3u, 16u})
             for (const uint32_t buffer :
                  {0u, 1u, std::numeric_limits<uint32_t>::max()})
@@ -249,8 +250,8 @@ runEventPathCase(const EventPathCase &c)
         ctx.event.refreshEveryMicroBatches = 5;
         ctx.event.refreshStallNs = 777.7;
     }
-    const sim::StageTimeline t =
-        sim::scheduleEventPath(request, ctx, "event_driven");
+    const sim::StageTimeline t = sim::scheduleEventPath(
+        sim::descFromRequest(request, ctx), ctx, "event_driven");
 
     EventPathBits bits{};
     bits.makespan = std::bit_cast<uint64_t>(t.makespanNs);
@@ -711,6 +712,65 @@ TEST(EventPathGolden, OutputBitsMatchTable)
         EXPECT_EQ(formatRow(runEventPathCase(cases[i])),
                   formatRow(kEventPathGolden[i]))
             << caseName(cases[i]);
+}
+
+TEST(EventPath, TimesTheDescAloneUnderAnyContext)
+{
+    // Stage times, replicas, regime, chunking, seed and every event
+    // knob come from the desc. Two contexts that disagree with it,
+    // and with each other, on the seed and on every event knob must
+    // time it to the same bits.
+    const isa::ScheduleDesc desc =
+        isa::StreamBuilder("knobs")
+            .regime(pipeline::Regime::IntraBatch)
+            .microBatches(24, 8)
+            .seed(11)
+            .bufferSlots(1)
+            .replicasAsServers(true)
+            .writeRetry(0.05, 0.3)
+            .refresh(5, 777.7)
+            .stage(1000.3, 3)
+            .stage(2500.7, 3)
+            .stage(1700.1, 3)
+            .desc();
+    sim::SimContext plain;
+    sim::SimContext other;
+    other.seed = 99;
+    other.event.inputBufferSlots = 7;
+    other.event.replicasAsServers = false;
+    other.event.writeRetryProb = 0.4;
+    other.event.writeFraction = 0.9;
+    other.event.refreshEveryMicroBatches = 2;
+    other.event.refreshStallNs = 5.0;
+
+    const sim::StageTimeline a =
+        sim::scheduleEventPath(desc, plain, "event_driven");
+    const sim::StageTimeline b =
+        sim::scheduleEventPath(desc, other, "event_driven");
+    EXPECT_EQ(std::bit_cast<uint64_t>(a.makespanNs),
+              std::bit_cast<uint64_t>(b.makespanNs));
+    EXPECT_EQ(a.busyNs, b.busyNs);
+    EXPECT_EQ(a.blockedNs, b.blockedNs);
+    EXPECT_EQ(a.idleFraction, b.idleFraction);
+    EXPECT_EQ(a.eventsProcessed, b.eventsProcessed);
+    EXPECT_EQ(a.maxEventQueueDepth, b.maxEventQueueDepth);
+    EXPECT_GT(a.eventsProcessed, 0u);
+}
+
+TEST(EventPathDeath, InvalidDescDiesWithTheValidatorsMessage)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const isa::ScheduleDesc noStages;
+    EXPECT_EXIT(
+        sim::scheduleEventPath(noStages, sim::SimContext{}, "event"),
+        ::testing::ExitedWithCode(1), "desc has no stages");
+
+    isa::ScheduleDesc certainRetry;
+    certainRetry.stageTimesNs = {10.0, 20.0};
+    certainRetry.writeRetryProb = 1.0;
+    EXPECT_EXIT(
+        sim::scheduleEventPath(certainRetry, sim::SimContext{}, "event"),
+        ::testing::ExitedWithCode(1), "writeRetryProb must lie in");
 }
 
 // A caller-supplied backend plugs in through the same seam the two

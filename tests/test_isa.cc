@@ -63,7 +63,7 @@ canonicalBundle()
 {
     isa::TraceBundle bundle;
     bundle.streams.push_back(isa::StreamBuilder("selftest serial")
-                                 .regime(isa::Regime::Serial)
+                                 .regime(pipeline::Regime::Serial)
                                  .microBatches(3)
                                  .seed(7)
                                  .stage(100.0)
@@ -71,7 +71,7 @@ canonicalBundle()
                                  .build());
     bundle.streams.push_back(
         isa::StreamBuilder("selftest intra-batch refresh")
-            .regime(isa::Regime::IntraBatch)
+            .regime(pipeline::Regime::IntraBatch)
             .microBatches(8, 4)
             .seed(11)
             .refresh(2, 500.0)
@@ -81,7 +81,7 @@ canonicalBundle()
             .build());
     bundle.streams.push_back(
         isa::StreamBuilder("selftest pipelined retries")
-            .regime(isa::Regime::IntraInterBatch)
+            .regime(pipeline::Regime::IntraInterBatch)
             .microBatches(6)
             .seed(42)
             .bufferSlots(2)
@@ -110,7 +110,7 @@ countOp(const isa::CommandStream &stream, isa::Opcode op)
 TEST(Lowering, StreamBuilderEmitsCanonicalLayout)
 {
     const auto stream = isa::StreamBuilder("layout")
-                            .regime(isa::Regime::Serial)
+                            .regime(pipeline::Regime::Serial)
                             .microBatches(4)
                             .stage(10.0)
                             .stage(20.0)
@@ -137,7 +137,7 @@ TEST(Lowering, RefreshUsesGlobalMicroBatchIndex)
     // still fire on the *global* index (after mb 1 and 3), exactly
     // like the event engine's sampler.
     const auto stream = isa::StreamBuilder("refresh")
-                            .regime(isa::Regime::Serial)
+                            .regime(pipeline::Regime::Serial)
                             .microBatches(4)
                             .refresh(2, 99.0)
                             .stage(10.0)
@@ -226,7 +226,7 @@ TEST(Lowering, NominalTimingMatchesReplayForDefaultKnobs)
     // Deterministic streams (no retries) time identically through
     // the closed-form preview and the event-path replay.
     const auto stream = isa::StreamBuilder("nominal")
-                            .regime(isa::Regime::IntraBatch)
+                            .regime(pipeline::Regime::IntraBatch)
                             .microBatches(12, 4)
                             .refresh(3, 50.0)
                             .stage(10.0)
@@ -413,8 +413,8 @@ TEST(Verify, EveryLoweredScheduleVerifiesClean)
     // Anything the canonical lowering produces must pass the flow
     // verifier — across regimes, refresh, retries and replicas.
     for (const auto regime :
-         {isa::Regime::Serial, isa::Regime::IntraBatch,
-          isa::Regime::IntraInterBatch}) {
+         {pipeline::Regime::Serial, pipeline::Regime::IntraBatch,
+          pipeline::Regime::IntraInterBatch}) {
         for (const uint32_t refreshEvery : {0u, 2u}) {
             for (const double retryFraction : {0.0, 0.3}) {
                 isa::StreamBuilder builder("grid");
@@ -599,7 +599,7 @@ TEST(Verify, BarrierBracketing)
 TEST(Verify, RefreshInvariants)
 {
     const auto stream = isa::StreamBuilder("refresh")
-                            .regime(isa::Regime::IntraBatch)
+                            .regime(pipeline::Regime::IntraBatch)
                             .microBatches(8, 4)
                             .refresh(2, 500.0)
                             .stage(64.0)
@@ -837,9 +837,9 @@ TEST(Replay, ReplicasAsServersBitIdentical)
 TEST(Replay, SelfReplayEqualsEventWithoutATraceFile)
 {
     // --engine=replay with no trace times the stream header built
-    // from each request (descFromRequest + applyDescKnobs) and must
-    // still match the event engine exactly: every knob the event path
-    // reads has to survive the header, for every system.
+    // from each request (descFromRequest) and must still match the
+    // event engine exactly: every knob the event path reads has to
+    // survive the header, for every system.
     struct KnobSet
     {
         std::string tag;

@@ -608,6 +608,26 @@ TEST(ServiceTest, ErrorLineCarriesStructuredCodeAndField)
               std::string::npos);
 }
 
+TEST(ServiceTest, EpochsWhoseMicroBatchTotalWrapsAreOutOfRange)
+{
+    // ddi at micro-batch 64 has 67 micro-batches per epoch, so
+    // 64103990 epochs would count 2^32 + 34 micro-batches: a 32-bit
+    // total wraps to 34 and would answer a one-epoch-sized makespan.
+    serve::ServiceConfig config;
+    config.jobs = 1;
+    serve::Service service(config);
+    const std::string line = service.handleLine(
+        "{\"id\":\"big\",\"dataset\":\"ddi\",\"epochs\":64103990}");
+    json::Value v;
+    std::string error;
+    ASSERT_TRUE(json::Value::parse(line, &v, &error)) << error;
+    EXPECT_EQ(v.find("type")->asString(), "error");
+    EXPECT_EQ(v.find("code")->asString(), "out_of_range");
+    ASSERT_TRUE(v.find("error") != nullptr);
+    EXPECT_NE(v.find("error")->asString().find("epochs"),
+              std::string::npos);
+}
+
 /** A mixed 100-request batch with heavy duplication. */
 std::string
 mixedBatch()

@@ -14,6 +14,7 @@
 #include <cmath>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -442,6 +443,50 @@ TEST(WorkloadPlans, FamiliesRejectBadSpecs)
     spec.microBatchSize = 64;
     EXPECT_EQ(workload::familyFor(spec.family).validateSpec(spec),
               "");
+}
+
+TEST(WorkloadPlans, EpochsMustKeepTheMicroBatchTotalIn32Bits)
+{
+    // The largest epochs count whose micro-batch total fits in
+    // uint32_t is accepted and the next one rejected, per family.
+    // Only validateSpec runs: the workloads themselves are never
+    // planned.
+    struct Case
+    {
+        workload::FamilyKind family;
+        std::string dataset;
+        uint64_t microBatchesPerEpoch;
+    };
+    auto graphEpoch = [](const std::string &name) {
+        gcn::Workload w = gcn::Workload::paperDefault(name);
+        w.microBatchSize = 64;
+        return static_cast<uint64_t>(w.microBatchesPerEpoch());
+    };
+    const workload::CnnPreset &cifar =
+        *workload::findCnnPreset(workload::defaultCnnPreset());
+    const std::vector<Case> cases = {
+        {workload::FamilyKind::GcnTrain, "ddi", graphEpoch("ddi")},
+        {workload::FamilyKind::GnnInfer, "Cora", graphEpoch("Cora")},
+        {workload::FamilyKind::CnnInfer, cifar.name,
+         (cifar.numImages + 63) / 64},
+    };
+    for (const Case &c : cases) {
+        workload::WorkloadSpec spec;
+        spec.family = c.family;
+        spec.dataset = c.dataset;
+        spec.microBatchSize = 64;
+        const uint64_t largest =
+            std::numeric_limits<uint32_t>::max() / c.microBatchesPerEpoch;
+        ASSERT_LT(largest, std::numeric_limits<uint32_t>::max());
+        const workload::WorkloadFamily &family =
+            workload::familyFor(c.family);
+        spec.epochs = static_cast<uint32_t>(largest);
+        EXPECT_EQ(family.validateSpec(spec), "") << family.name();
+        spec.epochs = static_cast<uint32_t>(largest + 1);
+        const std::string problem = family.validateSpec(spec);
+        EXPECT_NE(problem.find("epochs"), std::string::npos)
+            << family.name() << ": " << problem;
+    }
 }
 
 TEST(WorkloadRunner, GcnTrainFamilyMatchesTheAcceleratorPath)

@@ -159,6 +159,10 @@ resolveFlags(const Flags &flags, const serve::Request &defaults)
         workload.dataset.numVertices = g.numVertices();
         workload.dataset.numEdges = g.numEdges();
         workload.dataset.avgDegree = g.averageDegree();
+        if (const std::string problem = workload::validateEpochs(
+                workload.microBatchesPerEpoch(), workload.epochs);
+            !problem.empty())
+            fatal(problem);
     }
     return resolved;
 }
@@ -242,7 +246,7 @@ runSingle(const Flags &flags, const serve::Request &defaults)
         sim::ScheduleRequest request;
         request.stageTimesNs = run.stageTimesNs;
         request.replicas = run.replicas;
-        request.regime = sim::Regime::IntraInterBatch;
+        request.regime = pipeline::Regime::IntraInterBatch;
         request.totalMicroBatches =
             std::min(out.plan->totalMicroBatches, 16u);
         sim::SimContext ganttCtx = defaults.sim;

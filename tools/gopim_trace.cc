@@ -50,7 +50,7 @@ selftestBundle()
     isa::TraceBundle bundle;
     bundle.streams.push_back(
         isa::StreamBuilder("selftest serial")
-            .regime(isa::Regime::Serial)
+            .regime(pipeline::Regime::Serial)
             .microBatches(3)
             .seed(7)
             .stage(100.0)
@@ -58,7 +58,7 @@ selftestBundle()
             .build());
     bundle.streams.push_back(
         isa::StreamBuilder("selftest intra-batch refresh")
-            .regime(isa::Regime::IntraBatch)
+            .regime(pipeline::Regime::IntraBatch)
             .microBatches(8, 4)
             .seed(11)
             .refresh(2, 500.0)
@@ -68,7 +68,7 @@ selftestBundle()
             .build());
     bundle.streams.push_back(
         isa::StreamBuilder("selftest pipelined retries")
-            .regime(isa::Regime::IntraInterBatch)
+            .regime(pipeline::Regime::IntraInterBatch)
             .microBatches(6)
             .seed(42)
             .bufferSlots(2)
@@ -89,7 +89,7 @@ printSummary(const isa::CommandStream &stream, size_t index)
               << "  fingerprint : "
               << hexDigest64(stream.fingerprint()) << "\n"
               << "  stages      : " << d.stageTimesNs.size()
-              << ", regime " << isa::toString(d.regime)
+              << ", regime " << pipeline::toString(d.regime)
               << ", micro-batches " << d.totalMicroBatches;
     if (d.microBatchesPerBatch > 0)
         std::cout << " (" << d.microBatchesPerBatch << "/batch)";
