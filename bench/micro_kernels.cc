@@ -26,7 +26,9 @@
  * the event-engine one (BENCH_event_engine_{before,after}.json) is
  * the same with --benchmark_filter=EventSchedule, and the CSR-build
  * one (BENCH_graph_build_{before,after}.json) with
- * --benchmark_filter=GnnInferPlan.
+ * --benchmark_filter=GnnInferPlan, and the cache-key one
+ * (BENCH_cache_key_{before,after}.json) with
+ * --benchmark_filter=CacheKey.
  */
 
 #include <bit>
@@ -54,6 +56,8 @@
 #include "graph/generators.hh"
 #include "mapping/vertex_map.hh"
 #include "pipeline/schedule.hh"
+#include "reram/config.hh"
+#include "serve/request.hh"
 #include "sim/engine.hh"
 #include "tensor/init.hh"
 #include "tensor/ops.hh"
@@ -364,6 +368,117 @@ BM_GnnInferPlan(benchmark::State &state)
                  bits.size() * sizeof(uint64_t)})));
 }
 BENCHMARK(BM_GnnInferPlan)->ArgName("case")->DenseRange(0, 5);
+
+/**
+ * The request bodies of CacheKeyTest.DigestsMatchGoldenTable
+ * (tests/test_serve.cc): every family, engine and fault knob, theta,
+ * baselines, seeds and micro-batch sizes.
+ */
+const char *const kCacheKeyBodies[] = {
+    R"({})",
+    R"({"dataset":"Cora"})",
+    R"({"dataset":"collab"})",
+    R"({"dataset":"ppa"})",
+    R"({"dataset":"proteins"})",
+    R"({"dataset":"arxiv"})",
+    R"({"dataset":"products"})",
+    R"({"system":"Serial"})",
+    R"({"system":"SlimGNN-like"})",
+    R"({"system":"ReGraphX"})",
+    R"({"system":"ReFlip"})",
+    R"({"system":"GoPIM-Vanilla"})",
+    R"({"system":"+PP"})",
+    R"({"system":"+ISU"})",
+    R"({"system":"Naive"})",
+    R"({"engine":"closed"})",
+    R"({"engine":"event"})",
+    R"({"engine":"replay"})",
+    R"({"dataset":"collab","engine":"event","retry_prob":0.2})",
+    R"({"engine":"event","write_fraction":0.5})",
+    R"({"engine":"event","buffer_slots":4})",
+    R"({"engine":"event","buffer_slots":-1})",
+    R"({"theta":0.5})",
+    R"({"theta":0.25,"system":"ReGraphX"})",
+    R"({"theta":1.0})",
+    R"({"stuck_on_rate":0.001})",
+    R"({"stuck_off_rate":0.002})",
+    R"({"drift_rate":0.01})",
+    R"({"stuck_on_rate":0.001,"repair":"none"})",
+    R"({"stuck_on_rate":0.001,"repair":"spare-rows"})",
+    R"({"stuck_on_rate":0.001,"repair":"ecc-dup"})",
+    R"({"stuck_on_rate":0.001,"repair":"spare","spare_rows":0.1})",
+    R"({"stuck_on_rate":0.001,"refresh_period":16})",
+    R"({"baseline":"Serial"})",
+    R"({"baseline":"ReGraphX","dataset":"Cora"})",
+    R"({"seed":0})",
+    R"({"seed":7})",
+    R"({"seed":123456789})",
+    R"({"micro_batch":16})",
+    R"({"micro_batch":128,"epochs":2})",
+    R"({"workload":"gnn-infer","dataset":"Cora"})",
+    R"({"workload":"gnn-infer","dataset":"Cora","partition":"row"})",
+    R"({"workload":"gnn-infer","dataset":"Cora","partition":"col"})",
+    R"({"workload":"gnn-infer","dataset":"Cora","partition":"nnz"})",
+    R"({"workload":"gnn-infer","dataset":"ddi","partition":"col",)"
+    R"("engine":"event","seed":3})",
+    R"({"workload":"gnn-infer","dataset":"collab","baseline":"Serial"})",
+    R"({"workload":"gnn-infer","dataset":"Cora","micro_batch":16,)"
+    R"("engine":"replay"})",
+    R"({"workload":"cnn-infer"})",
+    R"({"workload":"cnn-infer","dataset":"mnist"})",
+    R"({"workload":"cnn-infer","dataset":"cifar"})",
+    R"({"workload":"cnn-infer","dataset":"tiny-imagenet"})",
+    R"({"workload":"cnn-infer","baseline":"Serial"})",
+    R"({"workload":"cnn-infer","system":"ReGraphX","engine":"event",)"
+    R"("seed":9})",
+    R"({"workload":"cnn-infer","micro_batch":8,"partition":"col"})",
+};
+
+serve::ResolvedRequest
+resolveBody(const std::string &text)
+{
+    json::Value body;
+    serve::Request request;
+    serve::ResolvedRequest resolved;
+    if (!json::Value::parse(text, &body) ||
+        !serve::parseRequest(body, serve::Request{}, &request).ok() ||
+        !serve::resolveRequest(request, &resolved).ok())
+        fatal("cache-key bench body does not resolve: ", text);
+    return resolved;
+}
+
+void
+BM_CacheKey(benchmark::State &state)
+{
+    // One iteration keys every golden-table body: parse 0 times
+    // serve::cacheKey alone over the resolved requests, parse 1 the
+    // whole dispatch prefix (parse, resolve, key) from the text. The
+    // label digests every key, so it moves iff a key byte does.
+    const bool withParse = state.range(0) != 0;
+    const auto hw = reram::AcceleratorConfig::paperDefault();
+    std::vector<std::string> bodies(std::begin(kCacheKeyBodies),
+                                    std::end(kCacheKeyBodies));
+    std::vector<serve::ResolvedRequest> resolved;
+    for (const auto &body : bodies)
+        resolved.push_back(resolveBody(body));
+
+    std::vector<std::string> keys(bodies.size());
+    for (auto _ : state) {
+        for (size_t i = 0; i < bodies.size(); ++i)
+            keys[i] = withParse
+                          ? serve::cacheKey(resolveBody(bodies[i]), hw)
+                          : serve::cacheKey(resolved[i], hw);
+        benchmark::DoNotOptimize(keys.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(bodies.size()));
+    uint64_t digest = kFnv1aOffsetBasis;
+    for (const auto &key : keys)
+        digest = fnv1a64(key, digest);
+    state.SetLabel(hexDigest64(digest));
+}
+BENCHMARK(BM_CacheKey)->ArgName("parse")->Arg(0)->Arg(1);
 
 void
 BM_DenseMatmul(benchmark::State &state)

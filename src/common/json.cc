@@ -3,142 +3,360 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <memory>
 
 #include "common/logging.hh"
 
 namespace gopim::json {
 
-std::string
-escape(const std::string &s)
+namespace {
+
+/**
+ * Output bytes dump()/canonical() reserve up front: a cache key's
+ * canonical config (about 1 KB) and most responses fit without a
+ * regrowth.
+ */
+constexpr size_t kWriterReserve = 2048;
+
+/** Members an object reserves on its first set(). */
+constexpr size_t kMemberReserve = 8;
+
+} // namespace
+
+/**
+ * The one JSON writer behind dump(), canonical(), dumpIndented() and
+ * escape(). It appends to `out` through a cursor: the string grows
+ * geometrically and each token costs one capacity check and a
+ * direct store, so writing allocates nothing beyond the output.
+ * Strings escape in place, numbers go through std::to_chars, and with
+ * sortKeys each object's members are ordered through an index of
+ * pointers on the stack. The destructor trims `out` to the bytes
+ * written. indent < 0 writes compact.
+ */
+class Writer
 {
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char ch : s) {
-        switch (ch) {
-          case '"':
-            out += "\\\"";
+  public:
+    Writer(std::string &out, int indent, bool sortKeys)
+        : out_(out), used_(out.size()), indent_(indent),
+          sortKeys_(sortKeys)
+    {
+    }
+    ~Writer() { out_.resize(used_); }
+    Writer(const Writer &) = delete;
+    Writer &operator=(const Writer &) = delete;
+
+    void
+    value(const Value &v, int depth)
+    {
+        switch (v.kind()) {
+          case Value::Kind::Null:
+            put("null");
             break;
-          case '\\':
-            out += "\\\\";
+          case Value::Kind::Bool:
+            put(v.get<Value::Kind::Bool>() ? "true" : "false");
             break;
-          case '\n':
-            out += "\\n";
+          case Value::Kind::Int:
+            number(v.get<Value::Kind::Int>());
             break;
-          case '\r':
-            out += "\\r";
+          case Value::Kind::Double:
+            if (const double d = v.get<Value::Kind::Double>();
+                std::isfinite(d))
+                number(d);
+            else
+                put("null");
             break;
-          case '\t':
-            out += "\\t";
+          case Value::Kind::String:
+            put('"');
+            escaped(v.get<Value::Kind::String>());
+            put('"');
             break;
-          default:
-            if (static_cast<unsigned char>(ch) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-                out += buf;
-            } else {
-                out += ch;
-            }
+          case Value::Kind::Array:
+            array(v.get<Value::Kind::Array>());
+            break;
+          case Value::Kind::Object:
+            object(v.get<Value::Kind::Object>(), depth);
+            break;
+          case Value::Kind::Raw:
+            put(v.get<Value::Kind::Raw>());
+            break;
         }
     }
-    return out;
-}
+
+    /**
+     * The escaped content of a string literal: '"' and '\\' get a
+     * backslash, \n \r \t their names, every other byte below 0x20
+     * \u00XX, and every other byte (DEL and multi-byte UTF-8
+     * included) is copied raw.
+     */
+    void
+    escaped(std::string_view s)
+    {
+        static constexpr char kHex[] = "0123456789abcdef";
+        char *p = room(6 * s.size());
+        for (const char c : s) {
+            const auto ch = static_cast<unsigned char>(c);
+            if (ch >= 0x20 && ch != '"' && ch != '\\') {
+                *p++ = c;
+                continue;
+            }
+            *p++ = '\\';
+            switch (ch) {
+              case '"':
+              case '\\':
+                *p++ = c;
+                break;
+              case '\n':
+                *p++ = 'n';
+                break;
+              case '\r':
+                *p++ = 'r';
+                break;
+              case '\t':
+                *p++ = 't';
+                break;
+              default:
+                *p++ = 'u';
+                *p++ = '0';
+                *p++ = '0';
+                *p++ = kHex[ch >> 4];
+                *p++ = kHex[ch & 0xf];
+            }
+        }
+        used_ = static_cast<size_t>(p - out_.data());
+    }
+
+  private:
+    using Member = Value::Member;
+
+    /** Objects wider than this sort through a heap index. */
+    static constexpr size_t kStackMembers = 32;
+
+    /**
+     * std::string's operator< (bytewise as unsigned char, then
+     * shorter first), inlined: sibling keys mostly differ in their
+     * first bytes, so this skips the out-of-line compare call.
+     */
+    static bool
+    keyLess(const std::string &a, const std::string &b)
+    {
+        const size_t n = std::min(a.size(), b.size());
+        for (size_t i = 0; i < n; ++i)
+            if (a[i] != b[i])
+                return static_cast<unsigned char>(a[i]) <
+                       static_cast<unsigned char>(b[i]);
+        return a.size() < b.size();
+    }
+
+    /** Room for `n` more bytes at the cursor. */
+    char *
+    room(size_t n)
+    {
+        if (out_.size() - used_ < n)
+            out_.resize(std::max(
+                {used_ + n, 2 * out_.size(), out_.capacity()}));
+        return out_.data() + used_;
+    }
+
+    void
+    put(char c)
+    {
+        *room(1) = c;
+        ++used_;
+    }
+
+    void
+    put(std::string_view s)
+    {
+        std::memcpy(room(s.size()), s.data(), s.size());
+        used_ += s.size();
+    }
+
+    /** Shortest round-trip form, written at the cursor. */
+    template <typename T>
+    void
+    number(T v)
+    {
+        constexpr size_t kMaxChars = 32;
+        char *p = room(kMaxChars);
+        used_ = static_cast<size_t>(
+            std::to_chars(p, p + kMaxChars, v).ptr - out_.data());
+    }
+
+    /**
+     * Arrays stay inline even in pretty mode, elements compact:
+     * result vectors are short and read better as one row.
+     */
+    void
+    array(const std::vector<Value> &items)
+    {
+        const int indent = indent_;
+        indent_ = -1;
+        put('[');
+        for (size_t i = 0; i < items.size(); ++i) {
+            if (i)
+                put(indent >= 0 ? ", " : ",");
+            value(items[i], 0);
+        }
+        put(']');
+        indent_ = indent;
+    }
+
+    void
+    newline(int depth)
+    {
+        const size_t n = static_cast<size_t>(indent_ + 2 * depth);
+        char *p = room(n + 1);
+        *p = '\n';
+        std::memset(p + 1, ' ', n);
+        used_ += n + 1;
+    }
+
+    void
+    member(const Member &m, bool first, int depth)
+    {
+        if (!first)
+            put(',');
+        if (indent_ >= 0)
+            newline(depth + 1);
+        put('"');
+        escaped(m.first);
+        put(indent_ >= 0 ? "\": " : "\":");
+        value(m.second, depth + 1);
+    }
+
+    void
+    object(const std::vector<Member> &members, int depth)
+    {
+        const size_t count = members.size();
+        put('{');
+        if (sortKeys_) {
+            const Member *stackOrder[kStackMembers];
+            std::unique_ptr<const Member *[]> heapOrder;
+            if (count > kStackMembers)
+                heapOrder = std::make_unique<const Member *[]>(count);
+            const Member **order =
+                heapOrder ? heapOrder.get() : stackOrder;
+            for (size_t i = 0; i < count; ++i)
+                order[i] = &members[i];
+            std::sort(order, order + count,
+                      [](const Member *a, const Member *b) {
+                          return keyLess(a->first, b->first);
+                      });
+            for (size_t i = 0; i < count; ++i)
+                member(*order[i], i == 0, depth);
+        } else {
+            for (size_t i = 0; i < count; ++i)
+                member(members[i], i == 0, depth);
+        }
+        if (indent_ >= 0 && count)
+            newline(depth);
+        put('}');
+    }
+
+    std::string &out_;
+    size_t used_;
+    int indent_;
+    const bool sortKeys_;
+};
 
 std::string
-formatDouble(double value)
+escape(std::string_view s)
 {
-    if (!std::isfinite(value))
-        return "null";
-    char buf[32];
-    const auto res = std::to_chars(buf, buf + sizeof(buf), value);
-    return std::string(buf, res.ptr);
+    std::string out;
+    Writer(out, -1, false).escaped(s);
+    return out;
 }
 
 bool
 Value::asBool() const
 {
-    GOPIM_ASSERT(kind_ == Kind::Bool, "json value is not a bool");
-    return bool_;
+    GOPIM_ASSERT(isBool(), "json value is not a bool");
+    return get<Kind::Bool>();
 }
 
 int64_t
 Value::asInt() const
 {
-    if (kind_ == Kind::Int)
-        return int_;
-    GOPIM_ASSERT(kind_ == Kind::Double &&
-                     double_ == std::floor(double_),
+    if (isInt())
+        return get<Kind::Int>();
+    GOPIM_ASSERT(kind() == Kind::Double &&
+                     get<Kind::Double>() ==
+                         std::floor(get<Kind::Double>()),
                  "json value is not an integer");
-    return static_cast<int64_t>(double_);
+    return static_cast<int64_t>(get<Kind::Double>());
 }
 
 double
 Value::asDouble() const
 {
-    if (kind_ == Kind::Int)
-        return static_cast<double>(int_);
-    GOPIM_ASSERT(kind_ == Kind::Double, "json value is not a number");
-    return double_;
+    if (isInt())
+        return static_cast<double>(get<Kind::Int>());
+    GOPIM_ASSERT(kind() == Kind::Double, "json value is not a number");
+    return get<Kind::Double>();
 }
 
 const std::string &
 Value::asString() const
 {
-    GOPIM_ASSERT(kind_ == Kind::String, "json value is not a string");
-    return string_;
+    GOPIM_ASSERT(isString(), "json value is not a string");
+    return get<Kind::String>();
 }
 
 void
 Value::push(Value v)
 {
-    GOPIM_ASSERT(kind_ == Kind::Array, "push on non-array json value");
-    array_.push_back(std::move(v));
+    GOPIM_ASSERT(isArray(), "push on non-array json value");
+    get<Kind::Array>().push_back(std::move(v));
 }
 
 size_t
 Value::size() const
 {
-    if (kind_ == Kind::Array)
-        return array_.size();
-    GOPIM_ASSERT(kind_ == Kind::Object, "size of non-container");
-    return object_.size();
+    if (isArray())
+        return get<Kind::Array>().size();
+    GOPIM_ASSERT(isObject(), "size of non-container");
+    return get<Kind::Object>().size();
 }
 
 const Value &
 Value::at(size_t index) const
 {
-    GOPIM_ASSERT(kind_ == Kind::Array && index < array_.size(),
+    GOPIM_ASSERT(isArray() && index < get<Kind::Array>().size(),
                  "json array index out of range");
-    return array_[index];
+    return get<Kind::Array>()[index];
 }
 
 const std::vector<Value> &
 Value::items() const
 {
-    GOPIM_ASSERT(kind_ == Kind::Array, "items of non-array");
-    return array_;
+    GOPIM_ASSERT(isArray(), "items of non-array");
+    return get<Kind::Array>();
 }
 
 Value &
-Value::set(const std::string &key, Value v)
+Value::set(std::string key, Value v)
 {
-    GOPIM_ASSERT(kind_ == Kind::Object, "set on non-object json value");
-    for (auto &member : object_) {
+    GOPIM_ASSERT(isObject(), "set on non-object json value");
+    auto &members = get<Kind::Object>();
+    for (auto &member : members) {
         if (member.first == key) {
             member.second = std::move(v);
             return member.second;
         }
     }
-    object_.emplace_back(key, std::move(v));
-    return object_.back().second;
+    if (members.empty())
+        members.reserve(kMemberReserve);
+    members.emplace_back(std::move(key), std::move(v));
+    return members.back().second;
 }
 
 const Value *
 Value::find(const std::string &key) const
 {
-    GOPIM_ASSERT(kind_ == Kind::Object, "find on non-object json value");
-    for (const auto &member : object_)
+    GOPIM_ASSERT(isObject(), "find on non-object json value");
+    for (const auto &member : get<Kind::Object>())
         if (member.first == key)
             return &member.second;
     return nullptr;
@@ -147,91 +365,25 @@ Value::find(const std::string &key) const
 const std::vector<std::pair<std::string, Value>> &
 Value::members() const
 {
-    GOPIM_ASSERT(kind_ == Kind::Object, "members of non-object");
-    return object_;
-}
-
-void
-Value::write(std::string &out, int indent, int depth,
-             bool sortKeys) const
-{
-    const bool pretty = indent >= 0;
-    const auto newline = [&](int d) {
-        out += '\n';
-        out.append(static_cast<size_t>(indent + 2 * d), ' ');
-    };
-    switch (kind_) {
-      case Kind::Null:
-        out += "null";
-        break;
-      case Kind::Bool:
-        out += bool_ ? "true" : "false";
-        break;
-      case Kind::Int:
-        out += std::to_string(int_);
-        break;
-      case Kind::Double:
-        out += formatDouble(double_);
-        break;
-      case Kind::String:
-        out += '"';
-        out += escape(string_);
-        out += '"';
-        break;
-      case Kind::Array:
-        // Arrays stay inline even in pretty mode: result vectors are
-        // short and read better as one row.
-        out += '[';
-        for (size_t i = 0; i < array_.size(); ++i) {
-            if (i)
-                out += pretty ? ", " : ",";
-            array_[i].write(out, -1, 0, sortKeys);
-        }
-        out += ']';
-        break;
-      case Kind::Object: {
-        std::vector<const std::pair<std::string, Value> *> members;
-        members.reserve(object_.size());
-        for (const auto &member : object_)
-            members.push_back(&member);
-        if (sortKeys)
-            std::sort(members.begin(), members.end(),
-                      [](const auto *a, const auto *b) {
-                          return a->first < b->first;
-                      });
-        out += '{';
-        for (size_t i = 0; i < members.size(); ++i) {
-            if (i)
-                out += ',';
-            if (pretty)
-                newline(depth + 1);
-            out += '"';
-            out += escape(members[i]->first);
-            out += pretty ? "\": " : "\":";
-            members[i]->second.write(out, indent, depth + 1, sortKeys);
-        }
-        if (pretty && !members.empty())
-            newline(depth);
-        out += '}';
-        break;
-      }
-    }
+    GOPIM_ASSERT(isObject(), "members of non-object");
+    return get<Kind::Object>();
 }
 
 std::string
 Value::dump() const
 {
     std::string out;
-    write(out, -1, 0, false);
+    out.reserve(kWriterReserve);
+    Writer(out, -1, false).value(*this, 0);
     return out;
 }
 
 std::string
 Value::dumpIndented(int indent) const
 {
-    std::string out;
-    out.append(static_cast<size_t>(indent), ' ');
-    write(out, indent, 0, false);
+    std::string out(static_cast<size_t>(indent), ' ');
+    out.reserve(kWriterReserve);
+    Writer(out, indent, false).value(*this, 0);
     return out;
 }
 
@@ -239,7 +391,8 @@ std::string
 Value::canonical() const
 {
     std::string out;
-    write(out, -1, 0, true);
+    out.reserve(kWriterReserve);
+    Writer(out, -1, true).value(*this, 0);
     return out;
 }
 

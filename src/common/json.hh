@@ -13,6 +13,11 @@
  *    via std::to_chars (shortest round-trip form), so serialization
  *    is deterministic and bit-stable — the property the serving
  *    cache's byte-identical-response guarantee rests on.
+ *  - dump(), canonical() and dumpIndented() share one writer that
+ *    appends into a single reserved string: strings escape in place,
+ *    numbers go through std::to_chars, and canonical() sorts each
+ *    object's members through a stack index of pointers, so writing
+ *    allocates nothing beyond the output.
  */
 
 #ifndef GOPIM_COMMON_JSON_HH
@@ -20,8 +25,10 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
+#include <variant>
 #include <vector>
 
 namespace gopim::json {
@@ -33,25 +40,28 @@ namespace gopim::json {
  */
 inline constexpr int kMaxParseDepth = 256;
 
-/** Escape a string's content for embedding in a JSON literal. */
-std::string escape(const std::string &s);
+/**
+ * Escape a string's content for embedding in a JSON literal, by the
+ * rule the writer applies to every string and key.
+ */
+std::string escape(std::string_view s);
 
-/** Shortest round-trip rendering of a double ("null" if not finite). */
-std::string formatDouble(double value);
-
-/** One JSON value: null, bool, number, string, array, or object. */
+/**
+ * One JSON value: null, bool, number, string, array, or object, or a
+ * raw already-serialized fragment (Value::raw).
+ */
 class Value
 {
   public:
-    enum class Kind { Null, Bool, Int, Double, String, Array, Object };
+    enum class Kind { Null, Bool, Int, Double, String, Array, Object, Raw };
 
     Value() = default; ///< null
     Value(std::nullptr_t) {}
-    Value(bool b) : kind_(Kind::Bool), bool_(b) {}
-    Value(double d) : kind_(Kind::Double), double_(d) {}
-    Value(int64_t i) : kind_(Kind::Int), int_(i) {}
-    Value(const char *s) : kind_(Kind::String), string_(s) {}
-    Value(std::string s) : kind_(Kind::String), string_(std::move(s)) {}
+    Value(bool b) : v_(in<Kind::Bool>, b) {}
+    Value(double d) : v_(in<Kind::Double>, d) {}
+    Value(int64_t i) : v_(in<Kind::Int>, i) {}
+    Value(const char *s) : v_(in<Kind::String>, s) {}
+    Value(std::string s) : v_(in<Kind::String>, std::move(s)) {}
     /** Any other integer type narrows onto int64. */
     template <typename T,
               std::enable_if_t<std::is_integral_v<T> &&
@@ -62,20 +72,30 @@ class Value
     {
     }
 
-    static Value array() { return Value(Kind::Array); }
-    static Value object() { return Value(Kind::Object); }
+    static Value array() { return Value(in<Kind::Array>); }
+    static Value object() { return Value(in<Kind::Object>); }
+    /**
+     * Already-serialized JSON that every writer copies verbatim, for
+     * a section serialized once and spliced into many documents.
+     * Its bytes do not follow the surrounding call: write them in the
+     * form the document will be written (e.g. canonical()).
+     */
+    static Value raw(std::string text)
+    {
+        return Value(in<Kind::Raw>, std::move(text));
+    }
 
-    Kind kind() const { return kind_; }
-    bool isNull() const { return kind_ == Kind::Null; }
-    bool isBool() const { return kind_ == Kind::Bool; }
+    Kind kind() const { return static_cast<Kind>(v_.index()); }
+    bool isNull() const { return kind() == Kind::Null; }
+    bool isBool() const { return kind() == Kind::Bool; }
     bool isNumber() const
     {
-        return kind_ == Kind::Int || kind_ == Kind::Double;
+        return kind() == Kind::Int || kind() == Kind::Double;
     }
-    bool isInt() const { return kind_ == Kind::Int; }
-    bool isString() const { return kind_ == Kind::String; }
-    bool isArray() const { return kind_ == Kind::Array; }
-    bool isObject() const { return kind_ == Kind::Object; }
+    bool isInt() const { return kind() == Kind::Int; }
+    bool isString() const { return kind() == Kind::String; }
+    bool isArray() const { return kind() == Kind::Array; }
+    bool isObject() const { return kind() == Kind::Object; }
 
     /** Typed accessors; panic (assert) on kind mismatch. */
     bool asBool() const;
@@ -90,7 +110,7 @@ class Value
     const std::vector<Value> &items() const;
 
     // Object interface (insertion-ordered; set() overwrites in place).
-    Value &set(const std::string &key, Value v);
+    Value &set(std::string key, Value v);
     const Value *find(const std::string &key) const;
     const std::vector<std::pair<std::string, Value>> &members() const;
 
@@ -111,18 +131,33 @@ class Value
                       std::string *error = nullptr);
 
   private:
-    explicit Value(Kind kind) : kind_(kind) {}
+    friend class Writer;
+    using Member = std::pair<std::string, Value>;
 
-    void write(std::string &out, int indent, int depth,
-               bool sortKeys) const;
+    /** Tag constructing the alternative that holds kind K. */
+    template <Kind K>
+    static constexpr std::in_place_index_t<static_cast<size_t>(K)> in{};
 
-    Kind kind_ = Kind::Null;
-    bool bool_ = false;
-    int64_t int_ = 0;
-    double double_ = 0.0;
-    std::string string_;
-    std::vector<Value> array_;
-    std::vector<std::pair<std::string, Value>> object_;
+    template <size_t I, typename... Args>
+    explicit Value(std::in_place_index_t<I> tag, Args &&...args)
+        : v_(tag, std::forward<Args>(args)...)
+    {
+    }
+
+    /** The kind-K alternative; the caller has checked kind(). */
+    template <Kind K>
+    auto &get() { return *std::get_if<static_cast<size_t>(K)>(&v_); }
+    template <Kind K>
+    const auto &
+    get() const
+    {
+        return *std::get_if<static_cast<size_t>(K)>(&v_);
+    }
+
+    /** Alternative i holds Kind(i), so kind() is the index. */
+    std::variant<std::monostate, bool, int64_t, double, std::string,
+                 std::vector<Value>, std::vector<Member>, std::string>
+        v_;
 };
 
 } // namespace gopim::json

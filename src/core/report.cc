@@ -1,5 +1,8 @@
 #include "core/report.hh"
 
+#include <optional>
+#include <utility>
+
 #include "common/logging.hh"
 #include "sim/engine.hh"
 
@@ -32,6 +35,25 @@ hardwareJson(const reram::AcceleratorConfig &hw)
     hardware.set("pes_per_tile", hw.tile.pesPerTile);
     hardware.set("tiles_per_chip", hw.chip.tilesPerChip);
     return hardware;
+}
+
+/**
+ * hardwareJson(hw).canonical(), kept per thread for the last `hw`
+ * asked for: a service, router or harness plans and keys every run
+ * under one fixed config, so the section costs a comparison instead
+ * of a build and a sort. Equal configs serialize alike (the only
+ * equal doubles with different bytes, 0.0 and -0.0, are not valid
+ * latencies).
+ */
+const std::string &
+canonicalHardware(const reram::AcceleratorConfig &hw)
+{
+    thread_local std::optional<
+        std::pair<reram::AcceleratorConfig, std::string>>
+        last;
+    if (!last || !(last->first == hw))
+        last.emplace(hw, hardwareJson(hw).canonical());
+    return last->second;
 }
 
 } // namespace
@@ -141,7 +163,7 @@ planConfigPrefix(const SystemConfig &system,
     config.set("micro_batches_per_batch", system.microBatchesPerBatch);
     config.set("policy", std::move(policy));
     config.set("fault", std::move(faultCfg));
-    config.set("hardware", hardwareJson(hw));
+    config.set("hardware", json::Value::raw(canonicalHardware(hw)));
     return config;
 }
 

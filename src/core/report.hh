@@ -42,8 +42,10 @@ json::Value gridToJson(const std::vector<ComparisonRow> &rows);
  * runs with equal prefixes can share one StagePlan (core::PlanMemo
  * keys on this). With simContextJson added under "sim" it covers
  * every input of a run's result, which the serving layer hashes into
- * content-addressed cache keys (serialize with Value::canonical() so
- * member order never matters).
+ * content-addressed cache keys. Serialize it with Value::canonical()
+ * only: member order never matters there, and the "hardware" section
+ * is a json::Value::raw of its canonical bytes, serialized once per
+ * thread for the last hardware config seen.
  */
 json::Value planConfigPrefix(const SystemConfig &system,
                              const reram::AcceleratorConfig &hw,

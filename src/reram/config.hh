@@ -38,6 +38,8 @@ struct CrossbarConfig
      * counts imply 2 slices per 16-bit value (see DESIGN.md §2).
      */
     uint32_t slicesPerValue() const { return 2; }
+
+    bool operator==(const CrossbarConfig &) const = default;
 };
 
 /** Per-PE peripheral circuit parameters (Table II, PE properties). */
@@ -74,6 +76,8 @@ struct PeConfig
     double saPowerMw = 0.8;
     double saAreaMm2 = 0.00096;
     uint32_t saCount = 16;
+
+    bool operator==(const PeConfig &) const = default;
 };
 
 /** Per-tile parameters (Table II, tile properties). */
@@ -95,6 +99,8 @@ struct TileConfig
     double pfuPowerMw = 3.2;
     double pfuAreaMm2 = 0.00192;
     uint32_t pfuCount = 8;
+
+    bool operator==(const TileConfig &) const = default;
 };
 
 /** Chip-level parameters (Table II, chip properties). */
@@ -110,6 +116,8 @@ struct ChipConfig
     uint32_t globalBufferKb = 128;
     /** ReRAM write endurance (writes per cell over the lifetime). */
     double writeEndurance = 1e8;
+
+    bool operator==(const ChipConfig &) const = default;
 };
 
 /** Complete accelerator configuration. */
@@ -154,6 +162,8 @@ struct AcceleratorConfig
 
     /** The paper's published configuration (Table II). */
     static AcceleratorConfig paperDefault();
+
+    bool operator==(const AcceleratorConfig &) const = default;
 };
 
 } // namespace gopim::reram

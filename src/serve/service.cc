@@ -287,6 +287,10 @@ Service::observeEmitted(const Output &output)
                                output.dispatchedUs);
     // Running totals, raised monotonically so a stale read can never
     // lower them; the last response of a stream leaves them exact.
+    // Workers fill plans_, so these gauges are a function of the
+    // input stream only at --jobs=1: at --jobs > 1 two workers that
+    // miss the same plan at once both count a miss and both build it
+    // (the response bytes stay identical either way).
     if (plans_) {
         const auto plans = plans_->stats();
         metrics.memoHits->recordMax(static_cast<int64_t>(plans.hits));

@@ -32,6 +32,7 @@
 #include "cluster/worker.hh"
 #include "common/flags.hh"
 #include "common/hash.hh"
+#include "common/json.hh"
 #include "common/net.hh"
 #include "core/options.hh"
 #include "obs/metrics.hh"
@@ -431,6 +432,121 @@ TEST(AdmissionTest, DepthDrivenDecisionsAndMetrics)
         4);
     EXPECT_EQ(registry.findCounter("cluster.shed.count")->value(),
               1u);
+}
+
+// ---------------------------------------------------------------
+// Router and shards key alike (in-process workers)
+// ---------------------------------------------------------------
+
+TEST(RouterKeyTest, ShardResponseKeyAndPlacementMatchCacheKey)
+{
+    // A non-default geometry, so neither side can lean on a hardware
+    // section serialized for the paper default.
+    reram::AcceleratorConfig hw =
+        reram::AcceleratorConfig::paperDefault();
+    hw.crossbar.rows = 128;
+    hw.pe.crossbarsPerPe = 16;
+
+    constexpr size_t kShards = 3;
+    serve::ServiceConfig serviceConfig;
+    serviceConfig.jobs = 1;
+    serviceConfig.hw = hw;
+    cluster::WorkerOptions options;
+    options.defaultsFp = serve::defaultsFingerprint(
+        serviceConfig.defaults, serviceConfig.hw);
+
+    std::vector<std::unique_ptr<serve::Service>> services;
+    std::vector<net::Fd> listeners;
+    // Declared after what the workers use, so a failed assertion
+    // joins them before those go away.
+    std::vector<std::jthread> workers;
+    std::vector<std::string> names;
+    cluster::RouterConfig routerConfig;
+    routerConfig.defaults = serviceConfig.defaults;
+    routerConfig.hw = hw;
+    for (size_t i = 0; i < kShards; ++i) {
+        std::string error;
+        uint16_t port = 0;
+        listeners.emplace_back(
+            net::listenTcp("127.0.0.1", 0, &port, &error));
+        ASSERT_GE(listeners.back().get(), 0) << error;
+        services.push_back(
+            std::make_unique<serve::Service>(serviceConfig));
+        // Each worker serves the router's one connection until the
+        // router closes it.
+        workers.emplace_back([listenFd = listeners.back().get(),
+                              service = services.back().get(),
+                              &options] {
+            net::Fd conn(net::acceptWithTimeout(listenFd, 10000));
+            if (conn.get() >= 0)
+                cluster::pumpFramedConnection(*service, conn.get(),
+                                              options);
+        });
+        cluster::ShardSpec spec;
+        spec.name = "shard" + std::to_string(i);
+        spec.host = "127.0.0.1";
+        spec.port = port;
+        names.push_back(spec.name);
+        routerConfig.shards.push_back(spec);
+    }
+
+    const char *const bodies[] = {
+        R"({"dataset":"ddi"})",
+        R"({"dataset":"Cora","system":"Serial"})",
+        R"({"dataset":"ddi","engine":"event","seed":3})",
+        R"({"dataset":"Cora","theta":0.5,"baseline":"Serial"})",
+        R"({"dataset":"ddi","stuck_on_rate":0.01,"repair":"ecc"})",
+        R"({"workload":"gnn-infer","dataset":"Cora","partition":"col"})",
+        R"({"workload":"cnn-infer","dataset":"mnist"})",
+        R"({"dataset":"Cora","seed":5,"micro_batch":32})",
+        R"({"dataset":"ddi","seed":2})",
+        R"({"dataset":"ddi","seed":4})",
+        R"({"dataset":"Cora","system":"ReGraphX","seed":6})",
+    };
+    std::vector<size_t> landed(kShards, 0);
+    {
+        cluster::Router router(std::move(routerConfig));
+        ASSERT_EQ(router.start(), "");
+        for (const char *text : bodies) {
+            json::Value body;
+            ASSERT_TRUE(json::Value::parse(text, &body));
+            serve::Request request;
+            ASSERT_TRUE(
+                serve::parseRequest(body, serviceConfig.defaults,
+                                    &request)
+                    .ok());
+            serve::ResolvedRequest resolved;
+            ASSERT_TRUE(serve::resolveRequest(request, &resolved).ok());
+            const std::string key = serve::cacheKey(resolved, hw);
+
+            // One request per stream: the shard whose miss count
+            // moves is the one the router picked.
+            std::vector<uint64_t> before;
+            for (const auto &service : services)
+                before.push_back(service->misses());
+            std::istringstream in(std::string(text) + "\n");
+            std::ostringstream out;
+            router.processStream(in, out);
+
+            json::Value response;
+            ASSERT_TRUE(json::Value::parse(out.str(), &response))
+                << out.str();
+            const json::Value *responseKey = response.find("key");
+            ASSERT_NE(responseKey, nullptr) << out.str();
+            EXPECT_EQ(responseKey->asString(), key) << text;
+
+            const size_t expected = cluster::rendezvousShard(key, names);
+            for (size_t i = 0; i < kShards; ++i)
+                EXPECT_EQ(services[i]->misses() - before[i],
+                          i == expected ? 1u : 0u)
+                    << text << " on " << names[i];
+            ++landed[expected];
+        }
+    }
+    // The bodies spread over every shard, so each placement above
+    // was a real choice.
+    for (size_t i = 0; i < kShards; ++i)
+        EXPECT_GE(landed[i], 1u) << names[i];
 }
 
 // ---------------------------------------------------------------

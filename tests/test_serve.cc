@@ -10,8 +10,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
+#include <cstdint>
+#include <cstdio>
 #include <future>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -63,6 +67,111 @@ TEST(JsonTest, CanonicalSortsKeysRecursively)
     v.set("alpha", 3);
     EXPECT_EQ(v.canonical(),
               "{\"alpha\":3,\"outer\":{\"a\":2,\"z\":1}}");
+}
+
+TEST(JsonTest, WriterBytesArePinned)
+{
+    // Every control byte, the two escaped printables, DEL and
+    // multi-byte UTF-8 (the last two written raw), as a value and as
+    // a key.
+    std::string text;
+    for (int c = 0; c < 0x20; ++c)
+        text += static_cast<char>(c);
+    text += "\"\\\x7f\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80";
+    const std::string escaped =
+        R"(\u0000\u0001\u0002\u0003\u0004\u0005\u0006\u0007\u0008\t\n)"
+        R"(\u000b\u000c\r\u000e\u000f\u0010\u0011\u0012\u0013\u0014)"
+        R"(\u0015\u0016\u0017\u0018\u0019\u001a\u001b\u001c\u001d)"
+        R"(\u001e\u001f\"\\)"
+        "\x7f\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80";
+    EXPECT_EQ(json::escape(text), escaped);
+
+    json::Value numbers = json::Value::array();
+    for (const double d :
+         {std::nan(""), HUGE_VAL, -HUGE_VAL, -0.0, 5e-324, 1e21, 1e-7,
+          0.1 + 0.2})
+        numbers.push(d);
+    numbers.push(std::numeric_limits<int64_t>::min());
+    numbers.push(std::numeric_limits<int64_t>::max());
+    const std::string numbersBytes =
+        "[null,null,null,-0,5e-324,1e+21,1e-07,0.30000000000000004,"
+        "-9223372036854775808,9223372036854775807]";
+
+    json::Value prefixes = json::Value::object();
+    prefixes.set("ab", 1);
+    prefixes.set("a_b", 2);
+    prefixes.set("a", 3);
+    json::Value nested = json::Value::object();
+    nested.set("empty_array", json::Value::array());
+    nested.set("empty_object", json::Value::object());
+    nested.set("prefixes", std::move(prefixes));
+
+    json::Value doc = json::Value::object();
+    doc.set("z", text);
+    doc.set(text, true);
+    doc.set("numbers", std::move(numbers));
+    doc.set("nested", std::move(nested));
+    doc.set("b", false);
+    doc.set("n", nullptr);
+
+    EXPECT_EQ(doc.dump(),
+              "{\"z\":\"" + escaped + "\",\"" + escaped +
+                  "\":true,\"numbers\":" + numbersBytes +
+                  ",\"nested\":{\"empty_array\":[],\"empty_object\":{},"
+                  "\"prefixes\":{\"ab\":1,\"a_b\":2,\"a\":3}},"
+                  "\"b\":false,\"n\":null}");
+    EXPECT_EQ(doc.canonical(),
+              "{\"" + escaped + "\":true,\"b\":false,\"n\":null,"
+                  "\"nested\":{\"empty_array\":[],\"empty_object\":{},"
+                  "\"prefixes\":{\"a\":3,\"a_b\":2,\"ab\":1}},"
+                  "\"numbers\":" + numbersBytes + ",\"z\":\"" + escaped +
+                  "\"}");
+    EXPECT_EQ(doc.dumpIndented(2),
+              "  {\n"
+              "    \"z\": \"" + escaped + "\",\n"
+              "    \"" + escaped + "\": true,\n"
+              "    \"numbers\": [null, null, null, -0, 5e-324, 1e+21, "
+              "1e-07, 0.30000000000000004, -9223372036854775808, "
+              "9223372036854775807],\n"
+              "    \"nested\": {\n"
+              "      \"empty_array\": [],\n"
+              "      \"empty_object\": {},\n"
+              "      \"prefixes\": {\n"
+              "        \"ab\": 1,\n"
+              "        \"a_b\": 2,\n"
+              "        \"a\": 3\n"
+              "      }\n"
+              "    },\n"
+              "    \"b\": false,\n"
+              "    \"n\": null\n"
+              "  }");
+
+    // More members than any small-buffer threshold, inserted out of
+    // order: dump keeps insertion order, canonical sorts.
+    json::Value wide = json::Value::object();
+    std::string wideDump = "{", wideCanonical = "{";
+    for (int i = 0; i < 300; ++i) {
+        const int k = i * 37 % 300;
+        char name[8];
+        std::snprintf(name, sizeof(name), "m%03d", k);
+        wide.set(name, k);
+        wideDump += std::string(i ? "," : "") + "\"" + name +
+                    "\":" + std::to_string(k);
+        std::snprintf(name, sizeof(name), "m%03d", i);
+        wideCanonical += std::string(i ? "," : "") + "\"" + name +
+                         "\":" + std::to_string(i);
+    }
+    EXPECT_EQ(wide.dump(), wideDump + "}");
+    EXPECT_EQ(wide.canonical(), wideCanonical + "}");
+
+    // set() on an existing key overwrites its value in place.
+    json::Value over = json::Value::object();
+    over.set("x", 1);
+    over.set("y", 2);
+    json::Value &x = over.set("x", "three");
+    EXPECT_EQ(&x, over.find("x"));
+    EXPECT_EQ(over.size(), 2u);
+    EXPECT_EQ(over.dump(), "{\"x\":\"three\",\"y\":2}");
 }
 
 TEST(JsonTest, ParseRoundTrip)
@@ -324,6 +433,35 @@ TEST(CacheKeyTest, DigestsMatchGoldenTable)
     defaults.sim.seed = 2;
     defaults.fault.params.stuckOnRate = 0.01;
     EXPECT_EQ(serve::defaultsFingerprint(defaults, hw), "c991dd7cf91dba39");
+}
+
+TEST(CacheKeyTest, HardwareSectionFollowsTheConfigInOneThread)
+{
+    // The hardware section is serialized once per thread for the
+    // last config seen: switching configs must switch the bytes, and
+    // a thread that only ever saw one config must agree.
+    json::Value body;
+    ASSERT_TRUE(json::Value::parse(R"({"dataset":"Cora"})", &body));
+    serve::Request request;
+    ASSERT_TRUE(
+        serve::parseRequest(body, serve::Request{}, &request).ok());
+    serve::ResolvedRequest resolved;
+    ASSERT_TRUE(serve::resolveRequest(request, &resolved).ok());
+    const reram::AcceleratorConfig paper =
+        reram::AcceleratorConfig::paperDefault();
+    reram::AcceleratorConfig wide = paper;
+    wide.crossbar.cols = 128;
+
+    const std::string paperKey = serve::cacheKey(resolved, paper);
+    const std::string wideKey = serve::cacheKey(resolved, wide);
+    EXPECT_EQ(paperKey, "134c6763d44ba50e"); // the golden table's Cora
+    EXPECT_NE(wideKey, paperKey);
+    EXPECT_EQ(serve::cacheKey(resolved, paper), paperKey);
+    std::string freshWideKey;
+    std::thread([&] {
+        freshWideKey = serve::cacheKey(resolved, wide);
+    }).join();
+    EXPECT_EQ(freshWideKey, wideKey);
 }
 
 TEST(CacheKeyTest, IdAndTraceOutDoNotAffectTheKey)
@@ -1242,6 +1380,35 @@ TEST(ServicePlanMemo, MixedStreamIsIdenticalAcrossCapacitiesAndJobs)
             EXPECT_EQ(out.str(), reference)
                 << "capacity " << capacity << ", jobs " << jobs;
         }
+    }
+}
+
+TEST(ServicePlanMemo, GaugesRepeatAcrossIdenticalSingleJobRuns)
+{
+    // Workers fill the plan memo, so only --jobs=1 makes its gauges
+    // a function of the input: two identical runs, evicting, must
+    // export the same counts.
+    const std::string stream = mixedMemoStream();
+    std::vector<int64_t> reference;
+    for (int run = 0; run < 2; ++run) {
+        serve::ServiceConfig config;
+        config.jobs = 1;
+        config.cacheCapacity = 1;
+        config.metrics = std::make_shared<obs::MetricsRegistry>();
+        serve::Service service(config);
+        std::istringstream in(stream);
+        std::ostringstream out;
+        service.processStream(in, out);
+        std::vector<int64_t> gauges;
+        for (const char *name :
+             {"serve.plan_memo.hits", "serve.plan_memo.misses",
+              "serve.plan_memo.evictions", "serve.plan_memo.entries"})
+            gauges.push_back(gaugeValue(*config.metrics, name));
+        EXPECT_GT(gauges[1], 0);
+        EXPECT_GT(gauges[2], 0);
+        if (reference.empty())
+            reference = gauges;
+        EXPECT_EQ(gauges, reference) << "run " << run;
     }
 }
 
