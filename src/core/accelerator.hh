@@ -119,7 +119,7 @@ StageCosts gcnTrainCosts(const gcn::Workload &workload,
  * plan built once can be re-executed under many sim contexts
  * (different engines/seeds) with bit-identical results to planning
  * from scratch each time. That is the contract the memoized runGrid
- * path and serve's plan memo (core::PlanMemo) rely on.
+ * path and serve's plan memo rely on.
  */
 struct StagePlan
 {

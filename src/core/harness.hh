@@ -24,9 +24,9 @@
 namespace gopim::core {
 
 /**
- * Allocated, sim-independent StagePlans keyed by a canonical plan
- * config: planConfigPrefix() in the harness, the same prefix plus the
- * workload family in serve (serve/request.cc).
+ * The harness's allocated, sim-independent StagePlans keyed by
+ * planConfigPrefix(...).canonical(). Serve memoizes plan futures
+ * instead, entered at dispatch (serve/service.hh).
  */
 using PlanMemo = MemoTable<StagePlan>;
 

@@ -39,8 +39,8 @@ json::Value gridToJson(const std::vector<ComparisonRow> &rows);
  * replica allocation) but not how the plan is timed: dataset
  * statistics, model shape, batching, the system's policy, allocator,
  * pipelining and fault configuration, and the hardware geometry. Two
- * runs with equal prefixes can share one StagePlan (core::PlanMemo
- * keys on this). With simContextJson added under "sim" it covers
+ * runs with equal prefixes can share one StagePlan (the harness's
+ * core::PlanMemo and serve's plan keys build on this). With simContextJson added under "sim" it covers
  * every input of a run's result, which the serving layer hashes into
  * content-addressed cache keys. Serialize it with Value::canonical()
  * only: member order never matters there, and the "hardware" section

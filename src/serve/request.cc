@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/hash.hh"
@@ -433,9 +434,22 @@ configuredSystem(const ResolvedRequest &resolved)
 namespace {
 
 /**
+ * The baseline run's SystemConfig: makeSystem(baseline) in the
+ * request's sim context and fault environment (no theta policy).
+ */
+core::SystemConfig
+baselineSystem(const ResolvedRequest &resolved)
+{
+    core::SystemConfig base = core::makeSystem(resolved.baseline);
+    base.sim = resolved.request.sim;
+    base.fault = resolved.request.fault;
+    return base;
+}
+
+/**
  * The sim-independent config one run of `resolved` under `system`
- * plans from, and so the plan-memo key: core::planConfigPrefix plus
- * the workload family (and the partitioning for gnn-infer). cacheKey
+ * plans from, and so its plan key: core::planConfigPrefix plus the
+ * workload family (and the partitioning for gnn-infer). cacheKey
  * adds the sim context and the baseline.
  */
 json::Value
@@ -459,59 +473,95 @@ planConfig(const ResolvedRequest &resolved,
 
 } // namespace
 
+PlanKeys
+planKeys(const ResolvedRequest &resolved,
+         const reram::AcceleratorConfig &hw)
+{
+    PlanKeys keys;
+    keys.system =
+        planConfig(resolved, configuredSystem(resolved), hw).canonical();
+    if (resolved.hasBaseline)
+        keys.baseline =
+            planConfig(resolved, baselineSystem(resolved), hw)
+                .canonical();
+    return keys;
+}
+
 RequestRun
 runRequest(const ResolvedRequest &resolved,
-           const reram::AcceleratorConfig &hw, core::PlanMemo *plans)
+           const reram::AcceleratorConfig &hw, RequestPlans plans)
 {
-    RequestRun out;
-    core::SystemConfig system = configuredSystem(resolved);
-    // A per-request trace_out gets its own sink so the file holds
-    // only this run; otherwise the context's sink (if any) records.
-    if (!resolved.request.traceOut.empty()) {
-        out.trace = std::make_shared<sim::ChromeTraceSink>();
-        system.sim.traceSink = out.trace;
-    }
+    // A promise this request owns is set on every path: with the
+    // plan below, or with the exception that stopped any step first.
+    try {
+        RequestRun out;
+        core::SystemConfig system = configuredSystem(resolved);
+        // A per-request trace_out gets its own sink so the file holds
+        // only this run; otherwise the context's sink (if any)
+        // records.
+        if (!resolved.request.traceOut.empty()) {
+            out.trace = std::make_shared<sim::ChromeTraceSink>();
+            system.sim.traceSink = out.trace;
+        }
+        std::optional<core::SystemConfig> base;
+        if (resolved.hasBaseline)
+            base = baselineSystem(resolved);
 
-    // parseRequest rejects fault knobs for the inference families, so
-    // their plan is their compiled costs, allocated.
-    const bool familyRun =
-        resolved.request.family != workload::FamilyKind::GcnTrain;
-    const gcn::ProfileProvider profile =
-        gcn::lazyProfile(resolved.workload);
-    std::optional<core::StageCosts> costs;
-    const auto planFor = [&](const core::SystemConfig &sys) {
-        const auto build = [&] {
+        // parseRequest rejects fault knobs for the inference
+        // families, so their plan is their compiled costs, allocated.
+        const bool familyRun =
+            resolved.request.family != workload::FamilyKind::GcnTrain;
+        const gcn::ProfileProvider profile =
+            gcn::lazyProfile(resolved.workload);
+        std::optional<core::StageCosts> costs;
+        const auto build = [&](const core::SystemConfig &sys) {
             if (!familyRun)
-                return core::Accelerator(hw, sys).buildPlan(
-                    resolved.workload, profile);
+                return std::make_shared<const core::StagePlan>(
+                    core::Accelerator(hw, sys).buildPlan(
+                        resolved.workload, profile));
             if (!costs)
                 costs = workload::familyCosts(resolved.spec, hw);
-            return core::allocatePlan(*costs, sys, hw);
+            return std::make_shared<const core::StagePlan>(
+                core::allocatePlan(*costs, sys, hw));
         };
-        return plans ? plans->getOrBuild(
-                           planConfig(resolved, sys, hw).canonical(),
-                           build)
-                     : std::make_shared<const core::StagePlan>(build());
-    };
-    // The plan's label names a gcn-train result. A family's label
-    // names its ISA streams and traces; its result names the dataset.
-    const auto runOn = [&](const core::SystemConfig &sys,
-                           const core::StagePlan &plan) {
-        core::RunResult result = core::executePlan(plan, sys, hw);
-        if (familyRun)
-            result.datasetName = resolved.spec.dataset;
-        return result;
-    };
+        const auto planFor = [&](PlanSource &source,
+                                 const core::SystemConfig &sys) {
+            if (source.own) {
+                PlanHandle plan = build(sys);
+                std::exchange(source.own, nullptr)->set_value(plan);
+                return plan;
+            }
+            return source.wait.valid() ? source.wait.get() : build(sys);
+        };
+        // Owned plans first: a request waiting on one of them never
+        // waits behind this request's waits or runs.
+        PlanHandle basePlan;
+        if (base && plans.baseline.own && !plans.system.own)
+            basePlan = planFor(plans.baseline, *base);
+        out.plan = planFor(plans.system, system);
+        if (base && !basePlan)
+            basePlan = planFor(plans.baseline, *base);
 
-    out.plan = planFor(system);
-    out.run = runOn(system, *out.plan);
-    if (resolved.hasBaseline) {
-        core::SystemConfig base = core::makeSystem(resolved.baseline);
-        base.sim = resolved.request.sim;
-        base.fault = resolved.request.fault;
-        out.baseline = runOn(base, *planFor(base));
+        // The plan's label names a gcn-train result. A family's label
+        // names its ISA streams and traces; its result names the
+        // dataset.
+        const auto runOn = [&](const core::SystemConfig &sys,
+                               const core::StagePlan &plan) {
+            core::RunResult result = core::executePlan(plan, sys, hw);
+            if (familyRun)
+                result.datasetName = resolved.spec.dataset;
+            return result;
+        };
+        out.run = runOn(system, *out.plan);
+        if (base)
+            out.baseline = runOn(*base, *basePlan);
+        return out;
+    } catch (...) {
+        for (PlanSource *source : {&plans.system, &plans.baseline})
+            if (source->own)
+                source->own->set_exception(std::current_exception());
+        throw;
     }
-    return out;
 }
 
 std::string

@@ -11,13 +11,15 @@
 #ifndef GOPIM_SERVE_REQUEST_HH
 #define GOPIM_SERVE_REQUEST_HH
 
+#include <future>
 #include <memory>
 #include <optional>
 #include <string>
 
 #include "common/flags.hh"
 #include "common/json.hh"
-#include "core/harness.hh"
+#include "core/accelerator.hh"
+#include "core/result.hh"
 #include "core/systems.hh"
 #include "fault/model.hh"
 #include "gcn/workload.hh"
@@ -150,6 +152,43 @@ RequestError resolveRequest(const Request &request,
  */
 core::SystemConfig configuredSystem(const ResolvedRequest &resolved);
 
+/** An allocated plan, shared by every run that plans to it. */
+using PlanHandle = std::shared_ptr<const core::StagePlan>;
+
+/**
+ * Where one run's plan comes from. `own` set: this request builds
+ * the plan and fulfils the promise, which others may be waiting on.
+ * Else `wait` valid: another request owns the build; take its plan.
+ * Neither: build it locally (gopim_sim's path).
+ */
+struct PlanSource
+{
+    std::shared_ptr<std::promise<PlanHandle>> own;
+    std::shared_future<PlanHandle> wait;
+};
+
+/** The plan sources of a request's system run and baseline run. */
+struct RequestPlans
+{
+    PlanSource system;
+    PlanSource baseline;
+};
+
+/**
+ * A request's plan keys: the canonical plan config of its system
+ * run and, when it names one, of its baseline run ("" otherwise).
+ * A plan config is the cache key's config without the sim context
+ * and the baseline name, so runs whose keys are equal allocate the
+ * same plan.
+ */
+struct PlanKeys
+{
+    std::string system;
+    std::string baseline;
+};
+PlanKeys planKeys(const ResolvedRequest &resolved,
+                  const reram::AcceleratorConfig &hw);
+
 /** One request's runs. */
 struct RequestRun
 {
@@ -160,7 +199,7 @@ struct RequestRun
      * "cnn-infer[cifar]"), stages and micro-batches head the CLI text
      * report.
      */
-    std::shared_ptr<const core::StagePlan> plan;
+    PlanHandle plan;
     /** The system run's trace when trace_out is set; caller writes it. */
     std::shared_ptr<sim::ChromeTraceSink> trace;
 };
@@ -171,23 +210,24 @@ struct RequestRun
  * environment, so the speedup isolates the system. Each run plans to
  * an allocated core::StagePlan in one place: gcn-train through
  * core::Accelerator::buildPlan, the inference families by allocating
- * their compiled costs. `plans`, when given, memoizes those plans
- * under the run's plan config (the cache key's config without the
- * sim context and the baseline), so a hit skips costing and
- * allocation and only core::executePlan runs. On a miss the vertex
+ * their compiled costs. `plans` says where each plan comes from.
+ * Owned plans are built first, before any wait and any run, and
+ * every owned promise is fulfilled with the plan or the exception
+ * that stopped its build. A plan taken from another request skips
+ * costing and allocation, so only core::executePlan runs. The vertex
  * profile (built only when the policy ranks vertices or the fault
  * model needs wear vectors) and a family's compiled costs are built
  * at most once and shared with the baseline.
  */
 RequestRun runRequest(const ResolvedRequest &resolved,
                       const reram::AcceleratorConfig &hw,
-                      core::PlanMemo *plans = nullptr);
+                      RequestPlans plans = {});
 
 /**
  * Content-addressed cache key: hex FNV-1a digest of the canonical
  * (sorted-key) JSON of the configured system's plan config
  * (core::planConfigPrefix plus the workload family, and the
- * partitioning for gnn-infer; the plan-memo key runRequest uses) plus
+ * partitioning for gnn-infer; planKeys' system key) plus
  * its "sim" section (core::simContextJson) and the baseline system
  * name. Stable across request field reordering and across processes.
  */

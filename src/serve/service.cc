@@ -13,6 +13,28 @@
 
 namespace gopim::serve {
 
+namespace {
+
+/**
+ * The one memo entry rule: the future `memo` holds under `key`. A
+ * miss stores the future of a fresh promise and hands that promise
+ * to `owner`, whose task then owns the computation; a hit leaves
+ * `owner` null. Without a memo every entry is a miss.
+ */
+template <typename T>
+std::shared_future<T>
+enterMemo(MemoTable<std::shared_future<T>> *memo, std::string key,
+          std::shared_ptr<std::promise<T>> *owner)
+{
+    const auto start = [owner] {
+        *owner = std::make_shared<std::promise<T>>();
+        return (*owner)->get_future().share();
+    };
+    return memo ? *memo->getOrBuild(std::move(key), start) : start();
+}
+
+} // namespace
+
 Service::Service(ServiceConfig config)
     : config_(std::move(config)),
       maxQueue_(config_.maxQueue),
@@ -24,8 +46,9 @@ Service::Service(ServiceConfig config)
         results_ = std::make_unique<
             MemoTable<std::shared_future<std::string>>>(
             config_.cacheCapacity);
-        plans_ =
-            std::make_unique<core::PlanMemo>(2 * config_.cacheCapacity);
+        plans_ = std::make_unique<
+            MemoTable<std::shared_future<PlanHandle>>>(
+            2 * config_.cacheCapacity);
     }
     if (obs::MetricsRegistry *m = config_.metrics.get()) {
         Instruments &i = instruments_;
@@ -106,9 +129,10 @@ Service::cacheStats() const
 }
 
 std::string
-Service::simulate(const ResolvedRequest &resolved) const
+Service::simulate(const ResolvedRequest &resolved,
+                  const RequestPlans &plans) const
 {
-    const RequestRun out = runRequest(resolved, config_.hw, plans_.get());
+    const RequestRun out = runRequest(resolved, config_.hw, plans);
     json::Value result = core::runResultToJson(out.run);
     if (out.baseline) {
         result.set("baseline", out.baseline->systemName);
@@ -187,8 +211,9 @@ Service::dispatch(const std::string &line, Envelope envelope)
     // memoizes its future before the simulation starts: a repeat
     // takes that future whether the run has finished or not, so the
     // decision, the LRU order and every eviction — and therefore the
-    // response bytes — never depend on worker timing. Only the
-    // decision happens under dispatchMutex_; the (potentially long)
+    // response bytes — never depend on worker timing. The plan memo
+    // is entered the same way, only on a result miss. Only the
+    // decisions happen under dispatchMutex_; the (potentially long)
     // backpressure wait below does not, so hits()/misses()/
     // statsJson() stay responsive while the dispatcher is blocked on
     // a full queue.
@@ -198,21 +223,36 @@ Service::dispatch(const std::string &line, Envelope envelope)
     // task's own future, so the task can be submitted after the lock
     // is released while hits already hold the shared future.
     std::shared_ptr<std::promise<std::string>> promise;
-    const auto start = [&promise] {
-        promise = std::make_shared<std::promise<std::string>>();
-        return promise->get_future().share();
-    };
+    RequestPlans plans;
     {
         std::lock_guard<std::mutex> lock(dispatchMutex_);
         ++stream_.requests;
-        output.pending =
-            results_ ? *results_->getOrBuild(key, start) : start();
+        output.pending = enterMemo(results_.get(), key, &promise);
         cached = !promise;
         ++(cached ? hits_ : misses_);
         hitsNow = hits_;
         missesNow = misses_;
         if (metricsOn)
             (cached ? metrics.hits : metrics.misses)->add();
+        if (promise && plans_) {
+            PlanKeys keys = planKeys(resolved, config_.hw);
+            plans.system.wait = enterMemo(
+                plans_.get(), std::move(keys.system), &plans.system.own);
+            if (resolved.hasBaseline)
+                plans.baseline.wait =
+                    enterMemo(plans_.get(), std::move(keys.baseline),
+                              &plans.baseline.own);
+            if (metricsOn) {
+                const auto memo = plans_->stats();
+                metrics.memoHits->set(static_cast<int64_t>(memo.hits));
+                metrics.memoMisses->set(
+                    static_cast<int64_t>(memo.misses));
+                metrics.memoEvictions->set(
+                    static_cast<int64_t>(memo.evictions));
+                metrics.memoEntries->set(
+                    static_cast<int64_t>(memo.entries));
+            }
+        }
     }
 
     if (promise) {
@@ -225,14 +265,15 @@ Service::dispatch(const std::string &line, Envelope envelope)
         } else {
             acquireQueueSlot();
         }
-        pool_.submit([this, resolved = std::move(resolved), promise] {
+        pool_.submit([this, resolved = std::move(resolved), promise,
+                      plans = std::move(plans)] {
             struct SlotGuard
             {
                 Service *service;
                 ~SlotGuard() { service->releaseQueueSlot(); }
             } guard{this};
             try {
-                promise->set_value(simulate(resolved));
+                promise->set_value(simulate(resolved, plans));
             } catch (...) {
                 promise->set_exception(std::current_exception());
             }
@@ -285,26 +326,13 @@ Service::observeEmitted(const Output &output)
         metrics.errors->add();
     metrics.latencyUs->observe(obs::profileNowUs() -
                                output.dispatchedUs);
-    // Running totals, raised monotonically so a stale read can never
-    // lower them; the last response of a stream leaves them exact.
-    // Workers fill plans_, so these gauges are a function of the
-    // input stream only at --jobs=1: at --jobs > 1 two workers that
-    // miss the same plan at once both count a miss and both build it
-    // (the response bytes stay identical either way).
-    if (plans_) {
-        const auto plans = plans_->stats();
-        metrics.memoHits->recordMax(static_cast<int64_t>(plans.hits));
-        metrics.memoMisses->recordMax(static_cast<int64_t>(plans.misses));
-        metrics.memoEvictions->recordMax(
-            static_cast<int64_t>(plans.evictions));
-        metrics.memoEntries->set(static_cast<int64_t>(plans.entries));
-    }
 }
 
 Service::Pending
 Service::submit(const std::string &line, Envelope envelope)
 {
     Pending pending;
+    std::lock_guard<std::mutex> lock(submitMutex_);
     pending.output_ = dispatch(line, envelope);
     return pending;
 }

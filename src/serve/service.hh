@@ -7,19 +7,29 @@
  * responses in request order. A {"type":"stats"} line is answered in
  * place with a live stats snapshot (same shape as the --stats
  * trailer) without touching the simulation path. A miss runs
- * through serve::runRequest, the same runner gopim_sim uses, with
- * this service's plan memo attached.
+ * through serve::runRequest, the same runner gopim_sim uses, with the
+ * plans this service's plan memo entered for it.
  *
- * Determinism contract: request parsing and every result-memo
- * operation (lookup, insert, LRU touch, eviction) happen serially in
- * input order on the dispatcher thread. The memo stores each
- * request's result future as soon as it is dispatched, so a repeat
- * of a finished request and a repeat of a running one are the same
- * hit. Hits, misses and evictions are therefore a pure function of
- * the input stream, responses are emitted strictly in input order,
- * and the response bytes (either envelope, stats lines included) are
- * identical for any worker count. A hit replays the exact bytes a
- * fresh simulation would have produced.
+ * Determinism contract: request parsing and every memo operation
+ * (lookup, insert, LRU touch, eviction, in the result memo and the
+ * plan memo) happen serially in input order on the dispatcher
+ * thread. Each memo stores a future as soon as the request that
+ * needs it is dispatched, so a repeat of a finished computation and
+ * a repeat of a running one are the same hit. Hits, misses,
+ * evictions and every exported memo counter are therefore a pure
+ * function of the input stream, responses are emitted strictly in
+ * input order, and the response bytes (either envelope, stats lines
+ * included) are identical for any worker count. A hit replays the
+ * exact bytes a fresh simulation would have produced.
+ *
+ * Plan waits cannot deadlock. A plan-memo miss makes its request the
+ * plan's owner, and a later request that needs the plan waits on it
+ * inside its own task. Invariant: an owner's task is submitted to
+ * the pool before any of its waiters' tasks (submit() is serialized
+ * from memo entry to pool submission), ThreadPool starts tasks in
+ * FIFO order, and runRequest builds every plan a task owns before it
+ * waits on anything. So every owner is running or done before a
+ * waiter blocks, and it fulfils its promise without waiting.
  */
 
 #ifndef GOPIM_SERVE_SERVICE_HH
@@ -35,7 +45,6 @@
 
 #include "common/memo_table.hh"
 #include "common/thread_pool.hh"
-#include "core/harness.hh"
 #include "obs/metrics.hh"
 #include "reram/config.hh"
 #include "serve/request.hh"
@@ -67,8 +76,8 @@ struct ServiceConfig
     /**
      * Resident entries in the result memo. The plan memo holds twice
      * as many allocated plans: a request plans its system and its
-     * baseline. 0 disables both: every request is then a miss, and
-     * repeats are not coalesced.
+     * baseline. 0 disables both: every request is then a miss,
+     * repeats are not coalesced, and every run plans locally.
      */
     size_t cacheCapacity = 256;
     /**
@@ -131,10 +140,10 @@ class Service
 
     /**
      * Parse/validate/route one JSONL line and start its simulation
-     * (or resolve it against the result memo). Serial per caller
-     * thread: the hit/miss decision happens in call order, so callers
-     * that submit in input order get deterministic bytes for any
-     * worker count. May block on the bounded-queue backpressure.
+     * (or resolve it against the result memo). Calls are serialized:
+     * the hit/miss decisions happen in call order, so callers that
+     * submit in input order get deterministic bytes for any worker
+     * count. May block on the bounded-queue backpressure.
      */
     Pending submit(const std::string &line,
                    Envelope envelope = Envelope::Full);
@@ -197,8 +206,9 @@ class Service
     /** Render an Output to its final response line (may block). */
     std::string render(Output &output);
 
-    /** runRequest with the plan memo, write trace_out, serialize. */
-    std::string simulate(const ResolvedRequest &resolved) const;
+    /** runRequest on the entered plans, write trace_out, serialize. */
+    std::string simulate(const ResolvedRequest &resolved,
+                         const RequestPlans &plans) const;
 
     void acquireQueueSlot();
     void releaseQueueSlot();
@@ -216,7 +226,7 @@ class Service
         obs::Gauge *inflightMax = nullptr;
         obs::Histogram *queueWaitUs = nullptr;
         obs::Histogram *latencyUs = nullptr;
-        /** Plan-memo counters (serve.plan_memo.*). */
+        /** Plan-memo counters (serve.plan_memo.*), set at dispatch. */
         obs::Gauge *memoHits = nullptr;
         obs::Gauge *memoMisses = nullptr;
         obs::Gauge *memoEvictions = nullptr;
@@ -234,16 +244,22 @@ class Service
      */
     std::unique_ptr<MemoTable<std::shared_future<std::string>>> results_;
     /**
-     * Allocated plans a result-memo miss reuses, for every family,
-     * keyed by the request's plan config (serve/request.cc); null
-     * when cacheCapacity is 0. Holds at most 2 x cacheCapacity
-     * plans. Filled by the workers, so its counters may depend on
-     * worker timing; they never reach the response bytes.
+     * Allocated plans by plan key (serve::planKeys), one future per
+     * key from the dispatch of the result-memo miss that first needs
+     * it, for every family; null when cacheCapacity is 0. Holds at
+     * most 2 x cacheCapacity plans. Entered only under
+     * dispatchMutex_, like results_; a failed build's future stays
+     * memoized the same way.
      */
-    std::unique_ptr<core::PlanMemo> plans_;
+    std::unique_ptr<MemoTable<std::shared_future<PlanHandle>>> plans_;
     Instruments instruments_;
 
-    /** Serializes dispatch: counters + result memo. */
+    /**
+     * Held by submit() from parsing through pool submission, so tasks
+     * reach the pool in memo-entry order (the plan-wait invariant).
+     */
+    std::mutex submitMutex_;
+    /** Guards the dispatch counters and both memos' entry. */
     mutable std::mutex dispatchMutex_;
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;

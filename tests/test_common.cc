@@ -322,11 +322,11 @@ TEST(MemoTable, UnboundedTableNeverEvicts)
         memo.insert(static_cast<uint64_t>(i), std::to_string(i), i);
     EXPECT_EQ(memo.size(), 100u);
     EXPECT_EQ(memo.evictions(), 0u);
-    // Raw pointers are stable on an unbounded table.
-    const int *first = memo.find(0, "0");
+    // The oldest entry survives a further insert.
+    const MemoTable<int>::Handle first = memo.lookup(0, "0");
     ASSERT_NE(first, nullptr);
     memo.insert(100, "100", 100);
-    EXPECT_EQ(memo.find(0, "0"), first);
+    EXPECT_EQ(memo.lookup(0, "0"), first);
 }
 
 TEST(MemoTable, CapacityOneKeepsOnlyTheNewest)

@@ -318,8 +318,8 @@ TEST(PlanCache, FingerprintCollisionsCannotAliasPlans)
     cache.insert(fp, "config-b", b);
     EXPECT_EQ(cache.size(), 2u);
 
-    const StagePlan *gotA = cache.find(fp, "config-a");
-    const StagePlan *gotB = cache.find(fp, "config-b");
+    const PlanMemo::Handle gotA = cache.lookup(fp, "config-a");
+    const PlanMemo::Handle gotB = cache.lookup(fp, "config-b");
     ASSERT_NE(gotA, nullptr);
     ASSERT_NE(gotB, nullptr);
     EXPECT_NE(gotA, gotB);
@@ -328,14 +328,14 @@ TEST(PlanCache, FingerprintCollisionsCannotAliasPlans)
     EXPECT_EQ(gotB->stageTimesNs, (std::vector<double>{9.0}));
 
     // A third key in the same bucket misses rather than aliasing.
-    EXPECT_EQ(cache.find(fp, "config-c"), nullptr);
+    EXPECT_EQ(cache.lookup(fp, "config-c"), nullptr);
 
     // Re-inserting an existing key keeps the first entry (planning
     // is deterministic; racing builders produce identical plans).
     StagePlan aAgain;
     aAgain.totalMicroBatches = 333;
-    EXPECT_EQ(cache.insert(fp, "config-a", aAgain).get(), gotA);
-    EXPECT_EQ(cache.find(fp, "config-a")->totalMicroBatches, 111u);
+    EXPECT_EQ(cache.insert(fp, "config-a", aAgain), gotA);
+    EXPECT_EQ(cache.lookup(fp, "config-a")->totalMicroBatches, 111u);
 }
 
 TEST(Harness, PlanSplitMatchesMonolithicRun)

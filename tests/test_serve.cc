@@ -29,6 +29,7 @@
 #include "common/flags.hh"
 #include "common/json.hh"
 #include "core/options.hh"
+#include "core/report.hh"
 #include "obs/metrics.hh"
 #include "serve/cache.hh"
 #include "serve/request.hh"
@@ -1383,32 +1384,106 @@ TEST(ServicePlanMemo, MixedStreamIsIdenticalAcrossCapacitiesAndJobs)
     }
 }
 
-TEST(ServicePlanMemo, GaugesRepeatAcrossIdenticalSingleJobRuns)
+/**
+ * The memo counters of a metrics export: the four plan-memo gauges,
+ * then the result-memo and request counters (-1 = not exported).
+ */
+std::vector<int64_t>
+memoCounters(const obs::MetricsRegistry &m)
 {
-    // Workers fill the plan memo, so only --jobs=1 makes its gauges
-    // a function of the input: two identical runs, evicting, must
-    // export the same counts.
+    std::vector<int64_t> values;
+    for (const char *name :
+         {"serve.plan_memo.hits", "serve.plan_memo.misses",
+          "serve.plan_memo.evictions", "serve.plan_memo.entries"})
+        values.push_back(gaugeValue(m, name));
+    for (const char *name :
+         {"serve.cache.hit.count", "serve.cache.miss.count",
+          "serve.request.count", "serve.request.error.count"}) {
+        const obs::Counter *counter = m.findCounter(name);
+        values.push_back(counter ? static_cast<int64_t>(counter->value())
+                                 : -1);
+    }
+    return values;
+}
+
+TEST(ServicePlanMemo, CountersAreIdenticalAcrossJobsAndCapacities)
+{
+    // Both memos are entered at dispatch in input order, so every
+    // memo counter in the metrics export is a function of the input:
+    // at each capacity, two runs on four workers export exactly what
+    // one worker does. (Latency and queue-wait histograms are timing
+    // and are not compared.)
     const std::string stream = mixedMemoStream();
-    std::vector<int64_t> reference;
-    for (int run = 0; run < 2; ++run) {
+    for (const size_t capacity : {0, 1, 64}) {
+        std::vector<int64_t> reference;
+        for (const size_t jobs : {1, 4, 4}) {
+            serve::ServiceConfig config;
+            config.jobs = jobs;
+            config.cacheCapacity = capacity;
+            config.metrics = std::make_shared<obs::MetricsRegistry>();
+            serve::Service service(config);
+            std::istringstream in(stream);
+            std::ostringstream out;
+            service.processStream(in, out);
+            const std::vector<int64_t> counters =
+                memoCounters(*config.metrics);
+            if (reference.empty())
+                reference = counters;
+            EXPECT_EQ(counters, reference)
+                << "capacity " << capacity << ", jobs " << jobs;
+        }
+        if (capacity == 0) {
+            // No plan memo: every gauge stays at zero.
+            EXPECT_EQ(std::vector<int64_t>(reference.begin(),
+                                           reference.begin() + 4),
+                      std::vector<int64_t>(4, 0));
+        } else if (capacity == 1) {
+            EXPECT_GT(reference[1], 0); // plan misses
+            EXPECT_GT(reference[2], 0); // plan evictions
+        }
+    }
+}
+
+TEST(ServicePlanMemo, BurstSharingOnePlanBuildsItOnce)
+{
+    // Twelve result misses that differ only in sim fields share one
+    // GoPIM ddi plan. Four workers run them at once, yet the first
+    // line owns the one build and the other eleven wait on it.
+    std::vector<std::string> lines;
+    for (const char *engine : {"closed", "event", "replay"})
+        for (const char *knob :
+             {R"("buffer_slots":2)", R"("buffer_slots":8)",
+              R"("retry_prob":0.1)", R"("retry_prob":0.3)"})
+            lines.push_back(std::string(R"({"dataset":"ddi","engine":")") +
+                            engine + "\"," + knob + "}");
+    std::string stream;
+    std::vector<std::string> expected;
+    for (const std::string &line : lines) {
+        stream += line + "\n";
+        expected.push_back(uncachedStable(line));
+    }
+    const auto n = static_cast<int64_t>(lines.size());
+    for (int run = 0; run < 3; ++run) {
         serve::ServiceConfig config;
-        config.jobs = 1;
-        config.cacheCapacity = 1;
+        config.jobs = 4;
         config.metrics = std::make_shared<obs::MetricsRegistry>();
         serve::Service service(config);
         std::istringstream in(stream);
         std::ostringstream out;
-        service.processStream(in, out);
-        std::vector<int64_t> gauges;
-        for (const char *name :
-             {"serve.plan_memo.hits", "serve.plan_memo.misses",
-              "serve.plan_memo.evictions", "serve.plan_memo.entries"})
-            gauges.push_back(gaugeValue(*config.metrics, name));
-        EXPECT_GT(gauges[1], 0);
-        EXPECT_GT(gauges[2], 0);
-        if (reference.empty())
-            reference = gauges;
-        EXPECT_EQ(gauges, reference) << "run " << run;
+        service.processStream(in, out, false, serve::Envelope::Stable);
+        EXPECT_EQ(service.misses(), lines.size());
+        std::istringstream responses(out.str());
+        std::string response;
+        for (size_t i = 0; i < lines.size(); ++i) {
+            ASSERT_TRUE(std::getline(responses, response)) << i;
+            EXPECT_EQ(response, expected[i]) << lines[i];
+        }
+        const auto &m = *config.metrics;
+        EXPECT_EQ(gaugeValue(m, "serve.plan_memo.misses"), 1)
+            << "run " << run;
+        EXPECT_EQ(gaugeValue(m, "serve.plan_memo.hits"), n - 1)
+            << "run " << run;
+        EXPECT_EQ(gaugeValue(m, "serve.plan_memo.entries"), 1);
     }
 }
 
@@ -1486,9 +1561,10 @@ TEST(ServicePlanMemo, BoundedByCacheCapacityAndOutOfResponseBytes)
 
 TEST(PlanLaziness, MemoHitReadsNoProfile)
 {
-    // A GoPIM plan ranks vertices, so a miss builds the profile. A
-    // repeat on another engine gets the very plan the miss stored:
-    // planning, the only profile reader, does not run again.
+    // A GoPIM plan ranks vertices, so its owner builds the profile. A
+    // waiter on another engine takes the very plan the owner built:
+    // planning, the only profile reader, does not run again, and the
+    // waiter's run matches one that plans for itself.
     const auto hw = reram::AcceleratorConfig::paperDefault();
     const auto resolve = [](const std::string &text) {
         json::Value body;
@@ -1500,15 +1576,24 @@ TEST(PlanLaziness, MemoHitReadsNoProfile)
         EXPECT_TRUE(serve::resolveRequest(request, &resolved).ok());
         return resolved;
     };
-    core::PlanMemo plans;
-    const auto first = serve::runRequest(
-        resolve(R"({"dataset":"ddi","engine":"closed"})"), hw, &plans);
-    const auto second = serve::runRequest(
-        resolve(R"({"dataset":"ddi","engine":"event"})"), hw, &plans);
-    EXPECT_EQ(first.plan.get(), second.plan.get());
-    EXPECT_EQ(plans.misses(), 1u);
-    EXPECT_EQ(plans.hits(), 1u);
+    const auto closed = resolve(R"({"dataset":"ddi","engine":"closed"})");
+    const auto event = resolve(R"({"dataset":"ddi","engine":"event"})");
+    const serve::PlanKeys keys = serve::planKeys(closed, hw);
+    EXPECT_EQ(serve::planKeys(event, hw).system, keys.system);
+    EXPECT_TRUE(keys.baseline.empty());
+
+    auto promise = std::make_shared<std::promise<serve::PlanHandle>>();
+    serve::RequestPlans owner, waiter;
+    owner.system.own = promise;
+    waiter.system.wait = promise->get_future().share();
+    const auto first = serve::runRequest(closed, hw, owner);
+    const auto second = serve::runRequest(event, hw, waiter);
+    EXPECT_EQ(second.plan.get(), first.plan.get());
     EXPECT_EQ(first.plan->label, "ddi");
+    const auto local = serve::runRequest(event, hw);
+    EXPECT_NE(local.plan.get(), first.plan.get());
+    EXPECT_EQ(core::runResultToJson(second.run).dump(),
+              core::runResultToJson(local.run).dump());
 }
 
 } // namespace
