@@ -3,7 +3,8 @@
  * Cluster-layer tests: rendezvous placement (balanced, join-order
  * independent, minimally disruptive), the length-prefixed frame
  * codec, stale-Unix-socket reclamation, the worker-side framed pump
- * (byte-equal to Service::handleLine), and the router end to end —
+ * (byte-equal to Service::handleLine), the router's hello and the
+ * error lines it answers itself, and the router end to end —
  * including the headline chaos claim: a 3-shard cluster with workers
  * SIGKILLed and respawned mid-load emits a response stream
  * byte-identical to a single-process `gopim_serve --envelope=stable`
@@ -399,6 +400,28 @@ TEST(WorkerPumpTest, RejectsBadProtocolAndMismatchedDefaults)
     }
 }
 
+TEST(WorkerPumpTest, DefaultsMismatchBytesNameTheWorker)
+{
+    serve::Service service(stubConfig(1));
+    SocketPair pair;
+    cluster::WorkerOptions options;
+    options.defaultsFp = "0123456789abcdef";
+    std::thread worker([&] {
+        cluster::pumpFramedConnection(service, pair.b, options);
+    });
+    ASSERT_TRUE(net::writeFrame(
+        pair.a, cluster::helloLine("test", serve::Envelope::Full,
+                                   "ffffffffffffffff")));
+    std::string reply;
+    ASSERT_EQ(net::readFrame(pair.a, &reply), net::IoStatus::Ok);
+    EXPECT_EQ(reply,
+              "{\"type\":\"error\",\"code\":\"defaults_mismatch\","
+              "\"error\":\"serving defaults mismatch: worker "
+              "'0123456789abcdef' vs peer 'ffffffffffffffff' (start "
+              "both with identical --engine/--seed/fault flags)\"}");
+    worker.join();
+}
+
 // ---------------------------------------------------------------
 // Admission control
 // ---------------------------------------------------------------
@@ -547,6 +570,150 @@ TEST(RouterKeyTest, ShardResponseKeyAndPlacementMatchCacheKey)
     // was a real choice.
     for (size_t i = 0; i < kShards; ++i)
         EXPECT_GE(landed[i], 1u) << names[i];
+}
+
+// ---------------------------------------------------------------
+// Router front end (never started: nothing here reaches a shard)
+// ---------------------------------------------------------------
+
+/** Run Router::processFramed on one end of a socketpair. */
+struct FramedRouter
+{
+    cluster::Router router;
+    SocketPair pair;
+    std::thread session;
+
+    explicit FramedRouter(cluster::RouterConfig config)
+        : router(std::move(config)),
+          session([this] { router.processFramed(pair.b); })
+    {
+    }
+    ~FramedRouter()
+    {
+        pair.closeA();
+        session.join();
+    }
+
+    /** Send one frame, read the reply ("" when the router closed). */
+    std::string
+    exchange(const std::string &frame)
+    {
+        std::string reply;
+        if (!net::writeFrame(pair.a, frame) ||
+            net::readFrame(pair.a, &reply) != net::IoStatus::Ok)
+            return "";
+        return reply;
+    }
+};
+
+TEST(RouterHelloTest, BadProtocolIsAProtocolMismatch)
+{
+    FramedRouter framed{cluster::RouterConfig{}};
+    EXPECT_EQ(framed.exchange(R"({"proto":"bogus.v9"})"),
+              "{\"type\":\"error\",\"code\":\"protocol_mismatch\","
+              "\"error\":\"unsupported protocol 'bogus.v9' "
+              "(expected gopim.cluster.v1)\"}");
+}
+
+TEST(RouterHelloTest, OnlyTheStableEnvelopeIsServed)
+{
+    const std::string rejection =
+        "{\"type\":\"error\",\"code\":\"protocol_mismatch\","
+        "\"error\":\"the router serves only the stable envelope "
+        "(cache counters are per-shard)\"}";
+    {
+        FramedRouter framed{cluster::RouterConfig{}};
+        EXPECT_EQ(framed.exchange(
+                      R"({"proto":"gopim.cluster.v1","role":"client"})"),
+                  rejection);
+    }
+    {
+        FramedRouter framed{cluster::RouterConfig{}};
+        EXPECT_EQ(framed.exchange(cluster::helloLine(
+                      "client", serve::Envelope::Full, "")),
+                  rejection);
+    }
+}
+
+TEST(RouterHelloTest, WrongFingerprintIsADefaultsMismatchNamingTheRouter)
+{
+    const cluster::RouterConfig config;
+    const std::string fp =
+        serve::defaultsFingerprint(config.defaults, config.hw);
+    FramedRouter framed{config};
+    EXPECT_EQ(framed.exchange(cluster::helloLine(
+                  "client", serve::Envelope::Stable, "ffffffffffffffff")),
+              "{\"type\":\"error\",\"code\":\"defaults_mismatch\","
+              "\"error\":\"serving defaults mismatch: router '" +
+                  fp +
+                  "' vs peer 'ffffffffffffffff' (start both with "
+                  "identical --engine/--seed/fault flags)\"}");
+}
+
+TEST(RouterHelloTest, GoodHelloIsAcceptedAndStatsAreAnswered)
+{
+    const cluster::RouterConfig config;
+    const std::string fp =
+        serve::defaultsFingerprint(config.defaults, config.hw);
+    FramedRouter framed{config};
+    EXPECT_EQ(framed.exchange(cluster::helloLine(
+                  "client", serve::Envelope::Stable, fp)),
+              cluster::helloOkLine(fp));
+    json::Value stats;
+    ASSERT_TRUE(json::Value::parse(framed.exchange(R"({"type":"stats"})"),
+                                   &stats));
+    EXPECT_EQ(stats.find("type")->asString(), "stats");
+    EXPECT_EQ(stats.find("requests")->asInt(), 1);
+}
+
+TEST(RouterFrontEndTest, ErrorLinesEqualTheServiceStableLines)
+{
+    // Each row: a line the router rejects itself, and the error code
+    // that rejection must carry.
+    const std::pair<const char *, const char *> rows[] = {
+        {"this is not json", "bad_json"},
+        {R"({"id":"a","dataset":)", "bad_json"},
+        {"[1,2,3]", "bad_request"},
+        {R"("ddi")", "bad_request"},
+        {R"({"id":"t","seed":"seven"})", "bad_type"},
+        {R"({"id":7,"dataset":"ddi"})", "bad_type"},
+        {R"({"id":"r","micro_batch":0})", "out_of_range"},
+        {R"({"id":"w","dataset":"ddi","epochs":64103990})",
+         "out_of_range"},
+        {R"({"dataset":"ddi","epochs":64103990})", "out_of_range"},
+        {R"({"id":"d","dataset":"no-such-graph"})", "unknown_name"},
+        {R"({"id":"s","system":"NoSuchSystem"})", "unknown_name"},
+        {R"({"id":"e","engine":"warp-drive"})", "unknown_name"},
+        {R"({"id":"l","workload":"gnn-train-ish"})", "unknown_name"},
+        {R"({"id":"f","datset":"ddi"})", "unknown_field"},
+        {R"({"id":"h","micro_btach":32})", "unknown_field"},
+        {R"({"id":"g","workload":"gnn-infer","dataset":"Cora",)"
+         R"("stuck_on_rate":0.01})",
+         "bad_request"},
+    };
+    serve::Service service(stubConfig(1));
+    cluster::RouterConfig config;
+    config.defaults = stubConfig(1).defaults;
+    cluster::Router router(std::move(config));
+    for (const auto &[line, code] : rows) {
+        const std::string expected =
+            service.handleLine(line, serve::Envelope::Stable);
+        ASSERT_EQ(expected.rfind(R"({"type":"error")", 0), 0u)
+            << line << " -> " << expected;
+        EXPECT_NE(expected.find(std::string(R"("code":")") + code +
+                                "\""),
+                  std::string::npos)
+            << line << " -> " << expected;
+        std::istringstream in(std::string(line) + "\n");
+        std::ostringstream out;
+        router.processStream(in, out);
+        EXPECT_EQ(out.str(), expected + "\n") << line;
+    }
+    // The typo hint is part of the bytes both sides must agree on.
+    EXPECT_NE(service.handleLine(R"({"datset":"ddi"})",
+                                 serve::Envelope::Stable)
+                  .find("did you mean 'dataset'"),
+              std::string::npos);
 }
 
 // ---------------------------------------------------------------
