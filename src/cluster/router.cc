@@ -21,16 +21,31 @@ namespace gopim::cluster {
 
 namespace {
 
-bool
-isErrorLine(const std::string &line)
-{
-    return line.rfind("{\"type\":\"error\"", 0) == 0;
-}
-
 void
 sleepMs(uint32_t ms)
 {
     std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+}
+
+/** SIGKILL and reap a spawned worker, if any; `*pid` ends at -1. */
+void
+killWorker(int64_t *pid)
+{
+    if (*pid <= 0)
+        return;
+    killProcess(*pid, SIGKILL);
+    reapProcess(*pid, true);
+    *pid = -1;
+}
+
+/** The answer to a request whose shard was given up. */
+std::string
+unavailableLine(const std::string &id, const std::string &shardName)
+{
+    return serve::errorResponseLine(
+        id, {"shard_unavailable", "",
+             "shard '" + shardName +
+                 "' is unavailable (worker failed permanently)"});
 }
 
 } // namespace
@@ -72,11 +87,9 @@ Router::~Router()
                 if (!reaped)
                     sleepMs(20);
             }
-            if (!reaped) {
-                killProcess(shard.pid, SIGKILL);
-                reapProcess(shard.pid, true);
-            }
-            shard.pid = -1;
+            if (reaped)
+                shard.pid = -1;
+            killWorker(&shard.pid); // escalates only if it lingers
         }
     }
 }
@@ -132,9 +145,7 @@ Router::connectShard(Shard &shard)
             }
         }
         if (reported == 0) {
-            killProcess(shard.pid, SIGKILL);
-            reapProcess(shard.pid, true);
-            shard.pid = -1;
+            killWorker(&shard.pid);
             return "worker did not report a port via " +
                    shard.spec.portFile;
         }
@@ -145,11 +156,7 @@ Router::connectShard(Shard &shard)
     // Any failure from here on must not leak a just-spawned worker:
     // the caller's retry would spawn another one on top of it.
     auto fail = [&](std::string reason) {
-        if (shard.pid > 0) {
-            killProcess(shard.pid, SIGKILL);
-            reapProcess(shard.pid, true);
-            shard.pid = -1;
-        }
+        killWorker(&shard.pid);
         return reason;
     };
 
@@ -212,7 +219,7 @@ Router::readerLoop(Shard &shard)
         }
         Journaled front = std::move(shard.journal.front());
         shard.journal.pop_front();
-        front.entry->isError = isErrorLine(payload);
+        front.entry->isError = serve::isErrorLine(payload);
         front.entry->response = std::move(payload);
         front.entry->done = true;
         admission_.onComplete(shard.index);
@@ -239,11 +246,8 @@ Router::failJournal(Shard &shard)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     for (Journaled &journaled : shard.journal) {
-        journaled.entry->response = serve::errorResponseLine(
-            journaled.entry->id,
-            {"shard_unavailable", "",
-             "shard '" + shard.spec.name +
-                 "' is unavailable (worker failed permanently)"});
+        journaled.entry->response =
+            unavailableLine(journaled.entry->id, shard.spec.name);
         journaled.entry->isError = true;
         journaled.entry->done = true;
     }
@@ -256,12 +260,8 @@ void
 Router::reviveShard(Shard &shard, StreamStats *stats)
 {
     disconnectShard(shard);
-    if (shard.pid > 0) {
-        // Crashed or chaos-killed: reap the corpse before respawning.
-        killProcess(shard.pid, SIGKILL);
-        reapProcess(shard.pid, true);
-        shard.pid = -1;
-    }
+    // Crashed or chaos-killed: reap the corpse before respawning.
+    killWorker(&shard.pid);
 
     // The journal cannot change while the shard is dead (its reader
     // is joined and only this session thread appends), so a plain
@@ -295,11 +295,7 @@ Router::reviveShard(Shard &shard, StreamStats *stats)
             // half-open connection (and its reader thread) down
             // before the next attempt respawns.
             disconnectShard(shard);
-            if (shard.pid > 0) {
-                killProcess(shard.pid, SIGKILL);
-                reapProcess(shard.pid, true);
-                shard.pid = -1;
-            }
+            killWorker(&shard.pid);
             continue;
         }
         ++shard.restarts;
@@ -367,44 +363,16 @@ Router::dispatchLine(const std::string &line, StreamStats *stats)
     ++stats->requests;
     requestCount_->add();
 
-    // The parse/validate path below mirrors serve::Service::dispatch
-    // byte for byte: a request rejected at the router produces the
-    // same error line a worker would have produced.
-    json::Value body;
-    std::string parseError;
-    if (!json::Value::parse(line, &body, &parseError))
+    const serve::DecodedLine decoded =
+        serve::decodeLine(line, config_.defaults, config_.hw);
+    // Stats queries are answered by the router itself — they ask
+    // about the serving process, and here that is the cluster.
+    if (decoded.stats)
+        return immediateEntry(statsJson().dump(), false);
+    if (!decoded.error.ok())
         return immediateEntry(
-            serve::errorResponseLine(
-                "", {"bad_json", "", "invalid JSON: " + parseError}),
-            true);
-
-    std::string id;
-    if (body.isObject()) {
-        if (const json::Value *idField = body.find("id");
-            idField && idField->isString())
-            id = idField->asString();
-        // Stats queries are answered by the router itself — they ask
-        // about the serving process, and here that is the cluster.
-        if (const json::Value *type = body.find("type");
-            type && type->isString() && type->asString() == "stats")
-            return immediateEntry(statsJson().dump(), false);
-    }
-
-    serve::Request request;
-    if (serve::RequestError err =
-            parseRequest(body, config_.defaults, &request);
-        !err.ok())
-        return immediateEntry(serve::errorResponseLine(id, err),
-                              true);
-
-    serve::ResolvedRequest resolved;
-    if (serve::RequestError err = resolveRequest(request, &resolved);
-        !err.ok())
-        return immediateEntry(
-            serve::errorResponseLine(request.id, err), true);
-
-    const std::string key = cacheKey(resolved, config_.hw);
-    const size_t index = shardFor(key);
+            serve::errorResponseLine(decoded.id, decoded.error), true);
+    const size_t index = shardFor(decoded.key);
     Shard &shard = *shards_[index];
 
     // Admission: shed fast, block on saturation, revive on demand.
@@ -413,13 +381,7 @@ Router::dispatchLine(const std::string &line, StreamStats *stats)
         if (shard.gone) {
             lock.unlock();
             return immediateEntry(
-                serve::errorResponseLine(
-                    request.id,
-                    {"shard_unavailable", "",
-                     "shard '" + shard.spec.name +
-                         "' is unavailable (worker failed "
-                         "permanently)"}),
-                true);
+                unavailableLine(decoded.id, shard.spec.name), true);
         }
         if (shard.dead) {
             lock.unlock();
@@ -437,7 +399,7 @@ Router::dispatchLine(const std::string &line, StreamStats *stats)
             ++stats->shed;
             return immediateEntry(
                 serve::errorResponseLine(
-                    request.id,
+                    decoded.id,
                     {"overloaded", "",
                      "shard '" + shard.spec.name +
                          "' is overloaded (" +
@@ -449,7 +411,7 @@ Router::dispatchLine(const std::string &line, StreamStats *stats)
     }
 
     auto entry = std::make_shared<Entry>();
-    entry->id = request.id;
+    entry->id = decoded.id;
     entry->routed = true;
     entry->dispatchedUs = obs::profileNowUs();
     shard.journal.push_back({line, entry});
@@ -568,42 +530,9 @@ Router::processStream(std::istream &in, std::ostream &out)
 Router::StreamStats
 Router::processFramed(int clientFd)
 {
-    StreamStats stats;
-    std::string payload;
-    if (net::readFrame(clientFd, &payload) != net::IoStatus::Ok)
-        return stats;
-    Hello hello;
-    if (std::string problem = parseHello(payload, &hello);
-        !problem.empty()) {
-        net::writeFrame(clientFd,
-                        serve::errorResponseLine(
-                            "", {"protocol_mismatch", "", problem}));
-        return stats;
-    }
-    if (hello.envelope != serve::Envelope::Stable) {
-        net::writeFrame(
-            clientFd,
-            serve::errorResponseLine(
-                "", {"protocol_mismatch", "",
-                     "the router serves only the stable envelope "
-                     "(cache counters are per-shard)"}));
-        return stats;
-    }
-    if (!hello.defaultsFp.empty() &&
-        hello.defaultsFp != defaultsFp_) {
-        net::writeFrame(
-            clientFd,
-            serve::errorResponseLine(
-                "", {"defaults_mismatch", "",
-                     "serving defaults mismatch: router '" +
-                         defaultsFp_ + "' vs peer '" +
-                         hello.defaultsFp +
-                         "' (start both with identical --engine/"
-                         "--seed/fault flags)"}));
-        return stats;
-    }
-    if (!net::writeFrame(clientFd, helloOkLine(defaultsFp_)))
-        return stats;
+    if (!acceptHello(clientFd, "router", defaultsFp_,
+                     serve::Envelope::Full, true))
+        return {};
 
     bool peerGone = false;
     return runSession(

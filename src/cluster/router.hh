@@ -4,11 +4,11 @@
  * while preserving the single-process byte contract.
  *
  * Determinism argument, in three parts:
- *  1. Placement — every request is parsed/resolved exactly as a
- *     worker would and rendezvous-hashed by its content-addressed
- *     cache key (shards.hh), so repeats of a key always reach the
- *     same shard and each shard's LRU cache behaves exactly like a
- *     single-process cache over its key subset.
+ *  1. Placement — every request is decoded by serve::decodeLine,
+ *     the workers' own decoder, and rendezvous-hashed by its
+ *     content-addressed cache key (shards.hh), so repeats of a key
+ *     always reach the same shard and each shard's LRU cache behaves
+ *     exactly like a single-process cache over its key subset.
  *  2. Envelope — workers speak the Stable envelope (service.hh), so
  *     response bytes are a pure function of (id, key, result) and
  *     never of a shard's private hit/miss history.
@@ -191,7 +191,7 @@ class Router
     /** Revive every dead shard that still owes journal entries. */
     void recoverDeadShards(StreamStats *stats);
 
-    /** Parse/route/admit one line; never blocks on results. */
+    /** Decode/route/admit one line; never blocks on results. */
     EntryPtr dispatchLine(const std::string &line,
                           StreamStats *stats);
     EntryPtr immediateEntry(std::string response, bool isError);

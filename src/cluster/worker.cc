@@ -3,6 +3,7 @@
 #include <condition_variable>
 #include <deque>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -12,41 +13,16 @@
 
 namespace gopim::cluster {
 
-WorkerStats
+serve::Service::StreamStats
 pumpFramedConnection(serve::Service &service, int fd,
                      const WorkerOptions &options)
 {
-    WorkerStats stats;
+    serve::Service::StreamStats stats;
 
-    // --- hello exchange -------------------------------------------
-    std::string payload;
-    if (net::readFrame(fd, &payload) != net::IoStatus::Ok)
-        return stats;
-    Hello hello;
-    if (std::string problem = parseHello(payload, &hello);
-        !problem.empty()) {
-        net::writeFrame(
-            fd, serve::errorResponseLine(
-                    "", {"protocol_mismatch", "", problem}));
-        return stats;
-    }
-    if (!hello.defaultsFp.empty() &&
-        hello.defaultsFp != options.defaultsFp) {
-        net::writeFrame(
-            fd,
-            serve::errorResponseLine(
-                "", {"defaults_mismatch", "",
-                     "serving defaults mismatch: worker '" +
-                         options.defaultsFp + "' vs peer '" +
-                         hello.defaultsFp +
-                         "' (start both with identical --engine/"
-                         "--seed/fault flags)"}));
-        return stats;
-    }
-    const serve::Envelope envelope = hello.envelopeSet
-                                         ? hello.envelope
-                                         : options.defaultEnvelope;
-    if (!net::writeFrame(fd, helloOkLine(options.defaultsFp)))
+    const std::optional<serve::Envelope> envelope =
+        acceptHello(fd, "worker", options.defaultsFp,
+                    options.defaultEnvelope, false);
+    if (!envelope)
         return stats;
 
     // --- pipelined request/response pump --------------------------
@@ -74,7 +50,7 @@ pumpFramedConnection(serve::Service &service, int fd,
             lock.unlock();
             const std::string line = service.finish(pending);
             lock.lock();
-            if (line.rfind("{\"type\":\"error\"", 0) == 0)
+            if (serve::isErrorLine(line))
                 ++stats.errors;
             // A vanished peer stops the writes but not the drain:
             // every submitted request still completes through the
@@ -90,7 +66,7 @@ pumpFramedConnection(serve::Service &service, int fd,
             break;
         ++stats.requests;
         serve::Service::Pending pending =
-            service.submit(line, envelope);
+            service.submit(line, *envelope);
         {
             std::lock_guard<std::mutex> lock(mutex);
             window.push_back(std::move(pending));
@@ -104,25 +80,6 @@ pumpFramedConnection(serve::Service &service, int fd,
     }
     writer.join();
     return stats;
-}
-
-WorkerStats
-serveFramed(serve::Service &service, int listenFd,
-            const WorkerOptions &options,
-            const volatile std::sig_atomic_t *stop)
-{
-    WorkerStats total;
-    while (!*stop) {
-        const int conn = net::acceptWithTimeout(listenFd, 200);
-        if (conn < 0)
-            continue;
-        net::Fd guard(conn);
-        const WorkerStats stats =
-            pumpFramedConnection(service, conn, options);
-        total.requests += stats.requests;
-        total.errors += stats.errors;
-    }
-    return total;
 }
 
 } // namespace gopim::cluster

@@ -1,18 +1,17 @@
 /**
  * @file
  * Worker-side framed transport: serves the cluster wire protocol
- * (hello + length-prefixed JSONL frames) over a listening socket on
- * top of a serve::Service. Each connection is pipelined — a reader
- * pushes request frames into the service while a writer emits
- * responses strictly in request order — so one router connection
- * keeps the whole worker pool busy without reordering bytes.
+ * (hello + length-prefixed JSONL frames) on one connection on top of
+ * a serve::Service; gopim_serve --tcp runs it on every connection it
+ * accepts. Each connection is pipelined — a reader pushes request
+ * frames into the service while a writer emits responses strictly in
+ * request order — so one router connection keeps the whole worker
+ * pool busy without reordering bytes.
  */
 
 #ifndef GOPIM_CLUSTER_WORKER_HH
 #define GOPIM_CLUSTER_WORKER_HH
 
-#include <csignal>
-#include <cstdint>
 #include <string>
 
 #include "serve/service.hh"
@@ -28,28 +27,14 @@ struct WorkerOptions
     serve::Envelope defaultEnvelope = serve::Envelope::Full;
 };
 
-/** Requests/errors handled on one connection or listener. */
-struct WorkerStats
-{
-    uint64_t requests = 0;
-    uint64_t errors = 0;
-};
-
 /**
  * Handle one framed connection end to end (hello exchange, then
- * pipelined request/response frames until the peer closes). Exposed
- * separately from serveFramed so tests can drive a socketpair.
+ * pipelined request/response frames until the peer closes); returns
+ * the requests and errors it answered.
  */
-WorkerStats pumpFramedConnection(serve::Service &service, int fd,
-                                 const WorkerOptions &options);
-
-/**
- * Accept loop: serve framed connections one at a time until *stop
- * becomes nonzero. Does not close `listenFd`.
- */
-WorkerStats serveFramed(serve::Service &service, int listenFd,
-                        const WorkerOptions &options,
-                        const volatile std::sig_atomic_t *stop);
+serve::Service::StreamStats
+pumpFramedConnection(serve::Service &service, int fd,
+                     const WorkerOptions &options);
 
 } // namespace gopim::cluster
 

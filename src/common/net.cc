@@ -1,7 +1,9 @@
 #include "common/net.hh"
 
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -302,6 +304,37 @@ acceptWithTimeout(int listenFd, int timeoutMs)
     if (rc <= 0 || !(pfd.revents & POLLIN))
         return -1;
     return ::accept(listenFd, nullptr, nullptr);
+}
+
+void
+acceptUntil(int listenFd, const volatile std::sig_atomic_t *stop,
+            const std::function<void(int)> &handle)
+{
+    while (!*stop) {
+        const Fd conn(acceptWithTimeout(listenFd, 200));
+        if (conn.valid())
+            handle(conn.get());
+    }
+}
+
+bool
+writePortFile(const std::string &path, uint16_t port, std::string *error)
+{
+    if (path.empty())
+        return true;
+    const std::string tmp = path + ".tmp";
+    {
+        std::ofstream out(tmp);
+        if (!(out << port << '\n')) {
+            setError(error, "cannot write port file " + tmp);
+            return false;
+        }
+    }
+    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+        setError(error, "cannot rename " + tmp + " to " + path);
+        return false;
+    }
+    return true;
 }
 
 } // namespace gopim::net

@@ -15,7 +15,9 @@
 #ifndef GOPIM_COMMON_NET_HH
 #define GOPIM_COMMON_NET_HH
 
+#include <csignal>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 
@@ -97,9 +99,27 @@ int listenUnix(const std::string &path, std::string *error,
 
 /**
  * poll()-based accept: returns the connected fd, or -1 on timeout /
- * transient failure (callers loop on a stop flag).
+ * transient failure.
  */
 int acceptWithTimeout(int listenFd, int timeoutMs);
+
+/**
+ * The accept loop of every listener: poll `listenFd` in 200 ms ticks
+ * and hand each connection to `handle`, one at a time, until *stop
+ * becomes nonzero. A connection is closed once `handle` returns;
+ * `listenFd` is not.
+ */
+void acceptUntil(int listenFd, const volatile std::sig_atomic_t *stop,
+                 const std::function<void(int)> &handle);
+
+/**
+ * Report a listener's bound port to `path` ("" = no report) for the
+ * process waiting on it: written to `path`.tmp, then renamed into
+ * place, so a reader never sees a partial number. False with `error`
+ * filled when the file cannot be written.
+ */
+bool writePortFile(const std::string &path, uint16_t port,
+                   std::string *error);
 
 } // namespace gopim::net
 

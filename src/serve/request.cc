@@ -577,21 +577,54 @@ errorResponseLine(const std::string &id, const RequestError &error)
     return line;
 }
 
+bool
+isErrorLine(const std::string &line)
+{
+    return line.rfind("{\"type\":\"error\"", 0) == 0;
+}
+
 std::string
 defaultsFingerprint(const Request &defaults,
                     const reram::AcceleratorConfig &hw)
 {
-    Request request;
-    if (RequestError err = parseRequest(json::Value::object(),
-                                        defaults, &request);
-        !err.ok())
+    DecodedLine decoded = decodeLine("{}", defaults, hw);
+    if (!decoded.error.ok())
         fatal("serving defaults do not form a valid request: ",
-              err.message);
-    ResolvedRequest resolved;
-    if (RequestError err = resolveRequest(request, &resolved);
-        !err.ok())
-        fatal("serving defaults do not resolve: ", err.message);
-    return cacheKey(resolved, hw);
+              decoded.error.message);
+    return decoded.key;
+}
+
+DecodedLine
+decodeLine(const std::string &line, const Request &defaults,
+           const reram::AcceleratorConfig &hw)
+{
+    DecodedLine out;
+    json::Value body;
+    std::string parseError;
+    if (!json::Value::parse(line, &body, &parseError)) {
+        out.error = {"bad_json", "", "invalid JSON: " + parseError};
+        return out;
+    }
+    if (body.isObject()) {
+        if (const json::Value *id = body.find("id"); id && id->isString())
+            out.id = id->asString();
+        // A query, not a simulation request: the caller answers it.
+        if (const json::Value *type = body.find("type");
+            type && type->isString() && type->asString() == "stats") {
+            out.stats = true;
+            return out;
+        }
+    }
+    Request request;
+    out.error = parseRequest(body, defaults, &request);
+    if (!out.error.ok())
+        return out;
+    out.id = request.id;
+    out.error = resolveRequest(request, &out.resolved);
+    if (!out.error.ok())
+        return out;
+    out.key = cacheKey(out.resolved, hw);
+    return out;
 }
 
 std::string

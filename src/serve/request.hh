@@ -6,6 +6,8 @@
  * declared by core::addSimFlags), resolved onto the existing
  * workload/system machinery, hashed into a content-addressed cache
  * key, and run by runRequest, which the service and gopim_sim share.
+ * decodeLine takes a JSONL line through all of it up to the key; the
+ * service and the cluster router both decode through it.
  */
 
 #ifndef GOPIM_SERVE_REQUEST_HH
@@ -129,6 +131,9 @@ RequestError parseRequest(const json::Value &body,
 std::string errorResponseLine(const std::string &id,
                               const RequestError &error);
 
+/** True when `line` is an error response (errorResponseLine). */
+bool isErrorLine(const std::string &line);
+
 /**
  * Fingerprint of the execution-relevant serving defaults: the cache
  * key the empty request {} resolves to under `defaults` + `hw`. Two
@@ -233,6 +238,29 @@ RequestRun runRequest(const ResolvedRequest &resolved,
  */
 std::string cacheKey(const ResolvedRequest &resolved,
                      const reram::AcceleratorConfig &hw);
+
+/**
+ * One decoded JSONL line: exactly one of a rejection (`error`), a
+ * {"type":"stats"} query (`stats`), or a request with its cache key.
+ */
+struct DecodedLine
+{
+    std::string id;           ///< the id to echo, even on a rejection
+    RequestError error;       ///< !ok(): the line is rejected
+    bool stats = false;       ///< a stats query (the server answers)
+    ResolvedRequest resolved; ///< otherwise: the request...
+    std::string key;          ///< ...and cacheKey(resolved, hw)
+};
+
+/**
+ * The one line decoder of every serving process: JSON parse (else
+ * `bad_json`), id echo, stats query, then parseRequest against
+ * `defaults`, resolveRequest and cacheKey on `hw`. serve::Service and
+ * the cluster router both decode through it, so a line either one
+ * rejects gets the same error bytes.
+ */
+DecodedLine decodeLine(const std::string &line, const Request &defaults,
+                       const reram::AcceleratorConfig &hw);
 
 } // namespace gopim::serve
 

@@ -156,56 +156,25 @@ Service::dispatch(const std::string &line, Envelope envelope)
         metrics.requests->add();
     }
 
-    json::Value body;
-    std::string parseError;
-    if (!json::Value::parse(line, &body, &parseError)) {
-        output.error = {"bad_json", "", "invalid JSON: " + parseError};
-        std::lock_guard<std::mutex> lock(dispatchMutex_);
-        ++stream_.requests;
-        return output;
-    }
-    if (body.isObject()) {
-        // Echo the id even on validation failures.
-        if (const json::Value *id = body.find("id");
-            id && id->isString())
-            output.id = id->asString();
-        // {"type":"stats"} extension: a live stats snapshot, emitted
-        // in order like any response. Handled before parseRequest —
-        // it is a query, not a simulation request.
-        if (const json::Value *type = body.find("type");
-            type && type->isString() && type->asString() == "stats") {
-            StreamStats current;
-            {
-                std::lock_guard<std::mutex> lock(dispatchMutex_);
-                ++stream_.requests;
-                current = stream_;
-            }
+    DecodedLine decoded = decodeLine(line, config_.defaults, config_.hw);
+    output.id = std::move(decoded.id);
+    if (decoded.stats || !decoded.error.ok()) {
+        // A {"type":"stats"} query is answered in order like any
+        // response, with a live snapshot that counts the query itself.
+        StreamStats current;
+        {
+            std::lock_guard<std::mutex> lock(dispatchMutex_);
+            ++stream_.requests;
+            current = stream_;
+        }
+        if (decoded.stats) {
             output.raw = true;
             output.value = statsJson(current).dump();
-            return output;
+        } else {
+            output.error = std::move(decoded.error);
         }
-    }
-
-    Request request;
-    if (RequestError err =
-            parseRequest(body, config_.defaults, &request);
-        !err.ok()) {
-        output.error = std::move(err);
-        std::lock_guard<std::mutex> lock(dispatchMutex_);
-        ++stream_.requests;
         return output;
     }
-    output.id = request.id;
-
-    ResolvedRequest resolved;
-    if (RequestError err = resolveRequest(request, &resolved);
-        !err.ok()) {
-        output.error = std::move(err);
-        std::lock_guard<std::mutex> lock(dispatchMutex_);
-        ++stream_.requests;
-        return output;
-    }
-    const std::string key = cacheKey(resolved, config_.hw);
 
     // The hit/miss decision is serial in input order, and a miss
     // memoizes its future before the simulation starts: a repeat
@@ -227,7 +196,7 @@ Service::dispatch(const std::string &line, Envelope envelope)
     {
         std::lock_guard<std::mutex> lock(dispatchMutex_);
         ++stream_.requests;
-        output.pending = enterMemo(results_.get(), key, &promise);
+        output.pending = enterMemo(results_.get(), decoded.key, &promise);
         cached = !promise;
         ++(cached ? hits_ : misses_);
         hitsNow = hits_;
@@ -235,10 +204,10 @@ Service::dispatch(const std::string &line, Envelope envelope)
         if (metricsOn)
             (cached ? metrics.hits : metrics.misses)->add();
         if (promise && plans_) {
-            PlanKeys keys = planKeys(resolved, config_.hw);
+            PlanKeys keys = planKeys(decoded.resolved, config_.hw);
             plans.system.wait = enterMemo(
                 plans_.get(), std::move(keys.system), &plans.system.own);
-            if (resolved.hasBaseline)
+            if (decoded.resolved.hasBaseline)
                 plans.baseline.wait =
                     enterMemo(plans_.get(), std::move(keys.baseline),
                               &plans.baseline.own);
@@ -255,6 +224,25 @@ Service::dispatch(const std::string &line, Envelope envelope)
         }
     }
 
+    output.prefix = "{\"type\":\"result\"";
+    if (!output.id.empty())
+        output.prefix += ",\"id\":\"" + json::escape(output.id) + "\"";
+    output.prefix += ",\"key\":\"" + decoded.key + "\"";
+    if (envelope == Envelope::Full) {
+        // Memo metadata: useful to a single-process client, but
+        // dependent on this process's input history — the Stable
+        // envelope leaves it out so shards stay byte-comparable.
+        output.prefix +=
+            cached ? ",\"cached\":true" : ",\"cached\":false";
+        output.prefix += ",\"hits\":" + std::to_string(hitsNow);
+        output.prefix += ",\"misses\":" + std::to_string(missesNow);
+        const std::string &traceOut = decoded.resolved.request.traceOut;
+        if (!cached && !traceOut.empty())
+            output.prefix +=
+                ",\"trace\":\"" + json::escape(traceOut) + "\"";
+    }
+    output.prefix += ",\"result\":";
+
     if (promise) {
         // Backpressure wait happens outside dispatchMutex_.
         if (metricsOn) {
@@ -265,8 +253,8 @@ Service::dispatch(const std::string &line, Envelope envelope)
         } else {
             acquireQueueSlot();
         }
-        pool_.submit([this, resolved = std::move(resolved), promise,
-                      plans = std::move(plans)] {
+        pool_.submit([this, resolved = std::move(decoded.resolved),
+                      promise, plans = std::move(plans)] {
             struct SlotGuard
             {
                 Service *service;
@@ -280,23 +268,6 @@ Service::dispatch(const std::string &line, Envelope envelope)
         });
     }
 
-    output.prefix = "{\"type\":\"result\"";
-    if (!output.id.empty())
-        output.prefix += ",\"id\":\"" + json::escape(output.id) + "\"";
-    output.prefix += ",\"key\":\"" + key + "\"";
-    if (envelope == Envelope::Full) {
-        // Memo metadata: useful to a single-process client, but
-        // dependent on this process's input history — the Stable
-        // envelope leaves it out so shards stay byte-comparable.
-        output.prefix +=
-            cached ? ",\"cached\":true" : ",\"cached\":false";
-        output.prefix += ",\"hits\":" + std::to_string(hitsNow);
-        output.prefix += ",\"misses\":" + std::to_string(missesNow);
-        if (!cached && !request.traceOut.empty())
-            output.prefix += ",\"trace\":\"" +
-                             json::escape(request.traceOut) + "\"";
-    }
-    output.prefix += ",\"result\":";
     return output;
 }
 

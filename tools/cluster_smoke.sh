@@ -28,7 +28,10 @@ trap 'rm -rf "$work"' EXIT
 
 # A fig13-style grid (datasets x systems x seeds x micro-batches),
 # repeated so the stream exceeds 1000 requests and re-hits the LRU
-# caches, plus one invalid line per repetition to pin error routing.
+# caches, plus four invalid lines per repetition (an unknown dataset,
+# unparseable JSON, an unknown field, and an epochs count whose
+# micro-batch total wraps 32 bits) to pin the shared line decoder's
+# error bytes.
 requests=$work/requests.jsonl
 : > "$requests"
 for rep in $(seq 1 28); do
@@ -44,8 +47,12 @@ for rep in $(seq 1 28); do
             done
         done
     done
-    printf '{"dataset":"no-such-dataset","id":"bad-%s"}\n' "$rep" \
-        >> "$requests"
+    {
+        printf '{"dataset":"no-such-dataset","id":"bad-%s"}\n' "$rep"
+        printf '{"id":"json-%s","dataset":\n' "$rep"
+        printf '{"id":"field-%s","datset":"ddi"}\n' "$rep"
+        printf '{"id":"wrap-%s","dataset":"ddi","epochs":64103990}\n' "$rep"
+    } >> "$requests"
 done
 lines=$(wc -l < "$requests")
 [ "$lines" -ge 1000 ] || { echo "stream too short: $lines" >&2; exit 1; }

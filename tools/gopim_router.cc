@@ -25,9 +25,7 @@
  */
 
 #include <csignal>
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -154,7 +152,8 @@ main(int argc, char **argv)
                     "report the client-facing TCP port to this file");
     flags.addBool("stats", false,
                   "append a router {\"type\":\"stats\"} line after "
-                  "the stream");
+                  "the stream (ignored under --tcp, whose clients ask "
+                  "with {\"type\":\"stats\"} lines)");
     flags.addInt("chaos-kill-every", 0,
                  "chaos: SIGKILL a random spawned worker every N "
                  "emitted responses (0 = off)");
@@ -204,27 +203,14 @@ main(int argc, char **argv)
         const int listenFd =
             net::listenTcp("127.0.0.1", static_cast<uint16_t>(tcpPort),
                            &boundPort, &error);
-        if (listenFd < 0)
+        if (listenFd < 0 ||
+            !net::writePortFile(flags.getString("port-file"),
+                                boundPort, &error))
             fatal(error);
-        if (const std::string portFile = flags.getString("port-file");
-            !portFile.empty()) {
-            const std::string tmp = portFile + ".tmp";
-            std::ofstream out(tmp);
-            if (!out)
-                fatal("cannot write port file ", tmp);
-            out << boundPort << '\n';
-            out.close();
-            if (std::rename(tmp.c_str(), portFile.c_str()) != 0)
-                fatal("cannot rename ", tmp, " to ", portFile);
-        }
         inform("routing on 127.0.0.1:", boundPort, " across ",
                router.statsJson().find("shards")->size(),
                " shard(s); SIGINT/SIGTERM to exit");
-        while (!g_stop) {
-            const int conn = net::acceptWithTimeout(listenFd, 200);
-            if (conn < 0)
-                continue;
-            net::Fd guard(conn);
+        net::acceptUntil(listenFd, &g_stop, [&](int conn) {
             const auto connStats = router.processFramed(conn);
             stats.requests += connStats.requests;
             stats.errors += connStats.errors;
@@ -232,7 +218,7 @@ main(int argc, char **argv)
             stats.chaosKills += connStats.chaosKills;
             stats.restarts = connStats.restarts;
             stats.reissued = connStats.reissued;
-        }
+        });
         ::close(listenFd);
     } else {
         stats = router.processStream(std::cin, std::cout);

@@ -22,13 +22,9 @@
  */
 
 #include <csignal>
-#include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 
-#include <poll.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include "cluster/worker.hh"
@@ -101,10 +97,7 @@ serveSocket(serve::Service &service, const std::string &path,
            " (SIGINT/SIGTERM to drain and exit)");
 
     serve::Service::StreamStats total;
-    while (!g_stop) {
-        const int conn = net::acceptWithTimeout(listenFd, 200);
-        if (conn < 0)
-            continue;
+    net::acceptUntil(listenFd, &g_stop, [&](int conn) {
         std::istringstream in(readAll(conn));
         std::ostringstream out;
         const auto stats =
@@ -112,29 +105,13 @@ serveSocket(serve::Service &service, const std::string &path,
         total.requests += stats.requests;
         total.errors += stats.errors;
         net::writeAll(conn, out.str());
-        ::close(conn);
-    }
+    });
 
     ::close(listenFd);
     ::unlink(path.c_str());
     service.drain();
     flushStats(service, total);
     return 0;
-}
-
-/** Report the bound port atomically (write tmp, rename into place). */
-void
-writePortFile(const std::string &path, uint16_t port)
-{
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp);
-        if (!out)
-            fatal("cannot write port file ", tmp);
-        out << port << '\n';
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0)
-        fatal("cannot rename ", tmp, " to ", path);
 }
 
 /**
@@ -152,10 +129,8 @@ serveTcp(serve::Service &service, int port,
     uint16_t boundPort = 0;
     const int listenFd = net::listenTcp(
         "127.0.0.1", static_cast<uint16_t>(port), &boundPort, &error);
-    if (listenFd < 0)
+    if (listenFd < 0 || !net::writePortFile(portFile, boundPort, &error))
         fatal(error);
-    if (!portFile.empty())
-        writePortFile(portFile, boundPort);
     inform("listening on 127.0.0.1:", boundPort,
            " (framed cluster protocol; SIGINT/SIGTERM to exit)");
 
@@ -163,14 +138,16 @@ serveTcp(serve::Service &service, int port,
     options.defaultsFp =
         serve::defaultsFingerprint(config.defaults, config.hw);
     options.defaultEnvelope = envelope;
-    const cluster::WorkerStats stats =
-        cluster::serveFramed(service, listenFd, options, &g_stop);
+    serve::Service::StreamStats total;
+    net::acceptUntil(listenFd, &g_stop, [&](int conn) {
+        const auto stats =
+            cluster::pumpFramedConnection(service, conn, options);
+        total.requests += stats.requests;
+        total.errors += stats.errors;
+    });
 
     ::close(listenFd);
     service.drain();
-    serve::Service::StreamStats total;
-    total.requests = stats.requests;
-    total.errors = stats.errors;
     flushStats(service, total);
     return 0;
 }
@@ -208,7 +185,8 @@ main(int argc, char **argv)
     flags.setIntRange("max-queue", 0, 1 << 20);
     flags.addBool("stats", false,
                   "append a {\"type\":\"stats\"} JSONL summary line "
-                  "per stream");
+                  "per stream (ignored under --tcp, whose peers ask "
+                  "with {\"type\":\"stats\"} lines)");
     core::addSimFlags(flags);
     if (!flags.parse(argc, argv))
         return 0;
