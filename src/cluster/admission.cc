@@ -82,10 +82,4 @@ AdmissionController::inflight(size_t shard) const
     return inflight_[shard]->value();
 }
 
-uint64_t
-AdmissionController::shedCount() const
-{
-    return shed_->value();
-}
-
 } // namespace gopim::cluster

@@ -73,7 +73,6 @@ class AdmissionController
     void resetInflight(size_t shard, int64_t depth);
 
     int64_t inflight(size_t shard) const;
-    uint64_t shedCount() const;
 
   private:
     AdmissionConfig config_;

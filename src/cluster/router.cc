@@ -257,7 +257,7 @@ Router::failJournal(Shard &shard)
 }
 
 void
-Router::reviveShard(Shard &shard, StreamStats *stats)
+Router::reviveShard(Shard &shard)
 {
     disconnectShard(shard);
     // Crashed or chaos-killed: reap the corpse before respawning.
@@ -299,12 +299,6 @@ Router::reviveShard(Shard &shard, StreamStats *stats)
             continue;
         }
         ++shard.restarts;
-        ++restarts_;
-        reissued_ += replay.size();
-        if (stats != nullptr) {
-            ++stats->restarts;
-            stats->reissued += replay.size();
-        }
         metrics_->counter("cluster.restart.count").add();
         metrics_->counter("cluster.reissue.count")
             .add(replay.size());
@@ -325,7 +319,7 @@ Router::reviveShard(Shard &shard, StreamStats *stats)
 }
 
 void
-Router::recoverDeadShards(StreamStats *stats)
+Router::recoverDeadShards()
 {
     for (auto &shardPtr : shards_) {
         Shard &shard = *shardPtr;
@@ -336,7 +330,7 @@ Router::recoverDeadShards(StreamStats *stats)
                 shard.dead && !shard.gone && !shard.journal.empty();
         }
         if (needsRevival)
-            reviveShard(shard, stats);
+            reviveShard(shard);
     }
 }
 
@@ -357,10 +351,8 @@ Router::shardFor(const std::string &key) const
 }
 
 Router::EntryPtr
-Router::dispatchLine(const std::string &line, StreamStats *stats)
+Router::dispatchLine(const std::string &line)
 {
-    ++requests_;
-    ++stats->requests;
     requestCount_->add();
 
     const serve::DecodedLine decoded =
@@ -385,7 +377,7 @@ Router::dispatchLine(const std::string &line, StreamStats *stats)
         }
         if (shard.dead) {
             lock.unlock();
-            reviveShard(shard, stats);
+            reviveShard(shard);
             lock.lock();
             continue;
         }
@@ -396,7 +388,6 @@ Router::dispatchLine(const std::string &line, StreamStats *stats)
             const int64_t depth = admission_.inflight(index);
             lock.unlock();
             admission_.onShed(index);
-            ++stats->shed;
             return immediateEntry(
                 serve::errorResponseLine(
                     decoded.id,
@@ -430,21 +421,18 @@ Router::dispatchLine(const std::string &line, StreamStats *stats)
     return entry;
 }
 
-Router::StreamStats
+void
 Router::runSession(
     const std::function<bool(std::string *)> &nextLine,
     const std::function<void(const std::string &)> &emit)
 {
-    StreamStats stats;
     std::deque<EntryPtr> window;
 
     auto emitEntry = [&](const EntryPtr &entry) {
         emit(entry->response);
         ++emitted_;
-        if (entry->isError) {
+        if (entry->isError)
             ++errors_;
-            ++stats.errors;
-        }
         if (entry->routed)
             admission_.observeLatency(obs::profileNowUs() -
                                       entry->dispatchedUs);
@@ -452,7 +440,8 @@ Router::runSession(
         // SIGKILL one seeded-random spawned worker — the recovery
         // path must keep the stream byte-identical regardless.
         if (config_.chaosKillEvery != 0 &&
-            chaosKills_ < config_.chaosKillCount &&
+            metrics_->counter("cluster.chaos.kill.count").value() <
+                config_.chaosKillCount &&
             emitted_ % config_.chaosKillEvery == 0) {
             std::vector<Shard *> candidates;
             for (auto &shardPtr : shards_)
@@ -465,8 +454,6 @@ Router::runSession(
                        victim.spec.name, "' after ", emitted_,
                        " responses");
                 killProcess(victim.pid, SIGKILL);
-                ++chaosKills_;
-                ++stats.chaosKills;
                 metrics_->counter("cluster.chaos.kill.count").add();
             }
         }
@@ -492,31 +479,27 @@ Router::runSession(
     while (nextLine(&line)) {
         if (line.find_first_not_of(" \t\r") == std::string::npos)
             continue;
-        window.push_back(dispatchLine(line, &stats));
+        window.push_back(dispatchLine(line));
         drainReady();
-        recoverDeadShards(&stats);
+        recoverDeadShards();
     }
 
     // Drain: emit the rest in order, reviving dead shards as needed.
     while (true) {
         drainReady();
-        recoverDeadShards(&stats);
+        recoverDeadShards();
         std::unique_lock<std::mutex> lock(mutex_);
         if (window.empty())
             break;
         if (!window.front()->done)
             cv_.wait_for(lock, std::chrono::milliseconds(50));
     }
-
-    stats.restarts = restarts_;
-    stats.reissued = reissued_;
-    return stats;
 }
 
-Router::StreamStats
+void
 Router::processStream(std::istream &in, std::ostream &out)
 {
-    StreamStats stats = runSession(
+    runSession(
         [&in](std::string *line) {
             return static_cast<bool>(std::getline(in, *line));
         },
@@ -524,18 +507,17 @@ Router::processStream(std::istream &in, std::ostream &out)
             out << response << '\n';
         });
     out.flush();
-    return stats;
 }
 
-Router::StreamStats
+void
 Router::processFramed(int clientFd)
 {
     if (!acceptHello(clientFd, "router", defaultsFp_,
                      serve::Envelope::Full, true))
-        return {};
+        return;
 
     bool peerGone = false;
-    return runSession(
+    runSession(
         [clientFd](std::string *line) {
             return net::readFrame(clientFd, line) ==
                    net::IoStatus::Ok;
@@ -568,12 +550,13 @@ Router::statsJson() const
     }
     json::Value v = json::Value::object();
     v.set("type", "stats");
-    v.set("requests", requests_);
+    v.set("requests", requestCount_->value());
     v.set("errors", errors_);
-    v.set("shed", admission_.shedCount());
-    v.set("restarts", restarts_);
-    v.set("reissued", reissued_);
-    v.set("chaos_kills", chaosKills_);
+    v.set("shed", metrics_->counter("cluster.shed.count").value());
+    v.set("restarts", metrics_->counter("cluster.restart.count").value());
+    v.set("reissued", metrics_->counter("cluster.reissue.count").value());
+    v.set("chaos_kills",
+          metrics_->counter("cluster.chaos.kill.count").value());
     v.set("inflight", journaled);
     v.set("shards", std::move(inflight));
     return v;

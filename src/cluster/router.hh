@@ -24,6 +24,9 @@
  * because re-simulation of a deterministic request reproduces the
  * same result bytes. A seeded chaos mode (kill a worker every N
  * responses) makes that claim testable end to end.
+ *
+ * Requests, sheds, restarts, re-issues and chaos kills are counted
+ * only in metrics() (cluster.*.count); statsJson() reads them back.
  */
 
 #ifndef GOPIM_CLUSTER_ROUTER_HH
@@ -105,37 +108,27 @@ class Router
      */
     std::string start();
 
-    struct StreamStats
-    {
-        uint64_t requests = 0;
-        uint64_t errors = 0;
-        uint64_t shed = 0;
-        uint64_t restarts = 0;
-        uint64_t reissued = 0;
-        uint64_t chaosKills = 0;
-    };
-
     /**
      * Route JSONL requests from `in` until EOF; one response line
      * per request to `out`, in input order. Responses stream as soon
      * as order allows.
      */
-    StreamStats processStream(std::istream &in, std::ostream &out);
+    void processStream(std::istream &in, std::ostream &out);
 
     /**
      * Client-facing framed transport: hello exchange on `clientFd`,
      * then one request per frame in, one response per frame out (in
      * order). Returns when the client closes.
      */
-    StreamStats processFramed(int clientFd);
+    void processFramed(int clientFd);
 
     /** Rendezvous placement of a content-addressed key. */
     size_t shardFor(const std::string &key) const;
 
-    /** The registry admission control records into. */
+    /** The registry admission control and the counts record into. */
     obs::MetricsRegistry &metrics() { return *metrics_; }
 
-    /** Router stats snapshot ({"type":"stats"} answers). */
+    /** Router stats snapshot over all sessions ({"type":"stats"}). */
     json::Value statsJson() const;
 
   private:
@@ -185,19 +178,18 @@ class Router
      * re-issue its journal; marks it gone after restartAttempts
      * failed rounds.
      */
-    void reviveShard(Shard &shard, StreamStats *stats);
+    void reviveShard(Shard &shard);
     /** Fail a gone shard's journal with shard_unavailable errors. */
     void failJournal(Shard &shard);
     /** Revive every dead shard that still owes journal entries. */
-    void recoverDeadShards(StreamStats *stats);
+    void recoverDeadShards();
 
     /** Decode/route/admit one line; never blocks on results. */
-    EntryPtr dispatchLine(const std::string &line,
-                          StreamStats *stats);
+    EntryPtr dispatchLine(const std::string &line);
     EntryPtr immediateEntry(std::string response, bool isError);
 
     /** The session pump shared by both client transports. */
-    StreamStats
+    void
     runSession(const std::function<bool(std::string *)> &nextLine,
                const std::function<void(const std::string &)> &emit);
 
@@ -211,10 +203,6 @@ class Router
     std::string defaultsFp_;
     Rng chaosRng_;
     uint64_t emitted_ = 0;
-    uint64_t chaosKills_ = 0;
-    uint64_t restarts_ = 0;
-    uint64_t reissued_ = 0;
-    uint64_t requests_ = 0;
     uint64_t errors_ = 0;
     bool started_ = false;
 

@@ -3,10 +3,9 @@
  * Worker-side framed transport: serves the cluster wire protocol
  * (hello + length-prefixed JSONL frames) on one connection on top of
  * a serve::Service; gopim_serve --tcp runs it on every connection it
- * accepts. Each connection is pipelined — a reader pushes request
- * frames into the service while a writer emits responses strictly in
- * request order — so one router connection keeps the whole worker
- * pool busy without reordering bytes.
+ * accepts. After the hello it runs serve::Service::pumpSession, the
+ * pump stdin streams use, so one router connection keeps the whole
+ * worker pool busy without reordering bytes; it counts nothing.
  */
 
 #ifndef GOPIM_CLUSTER_WORKER_HH
@@ -29,10 +28,9 @@ struct WorkerOptions
 
 /**
  * Handle one framed connection end to end (hello exchange, then
- * pipelined request/response frames until the peer closes); returns
- * the requests and errors it answered.
+ * pipelined request/response frames until the peer closes).
  */
-serve::Service::StreamStats
+void
 pumpFramedConnection(serve::Service &service, int fd,
                      const WorkerOptions &options);
 

@@ -1,11 +1,12 @@
 #include "serve/service.hh"
 
 #include <chrono>
+#include <deque>
+#include <exception>
 #include <istream>
 #include <ostream>
+#include <thread>
 #include <utility>
-
-#include <deque>
 
 #include "common/logging.hh"
 #include "core/report.hh"
@@ -165,6 +166,8 @@ Service::dispatch(const std::string &line, Envelope envelope)
         {
             std::lock_guard<std::mutex> lock(dispatchMutex_);
             ++stream_.requests;
+            if (!decoded.error.ok())
+                ++stream_.errors;
             current = stream_;
         }
         if (decoded.stats) {
@@ -283,6 +286,8 @@ Service::render(Output &output)
     } catch (const std::exception &e) {
         output.error = {"simulation_failed", "",
                         std::string("simulation failed: ") + e.what()};
+        std::lock_guard<std::mutex> lock(dispatchMutex_);
+        ++stream_.errors;
         return errorResponseLine(output.id, output.error);
     }
 }
@@ -324,10 +329,6 @@ Service::finish(Pending &pending)
     Output &output = pending.output_;
     std::string response = render(output);
     observeEmitted(output);
-    if (!output.error.ok()) {
-        std::lock_guard<std::mutex> lock(dispatchMutex_);
-        ++stream_.errors;
-    }
     return response;
 }
 
@@ -336,6 +337,61 @@ Service::handleLine(const std::string &line, Envelope envelope)
 {
     Pending pending = submit(line, envelope);
     return finish(pending);
+}
+
+void
+Service::pumpSession(
+    const std::function<bool(std::string *)> &nextLine,
+    const std::function<bool(const std::string &, bool)> &emit,
+    Envelope envelope)
+{
+    // submit() blocks on the bounded queue, so the window needs no
+    // bound of its own.
+    std::mutex mutex;
+    std::condition_variable cv;
+    std::deque<Pending> window;
+    bool eof = false;
+
+    std::thread writer([&] {
+        bool peerGone = false;
+        std::unique_lock<std::mutex> lock(mutex);
+        while (true) {
+            cv.wait(lock, [&] { return eof || !window.empty(); });
+            if (window.empty())
+                return; // eof and drained
+            Pending pending = std::move(window.front());
+            window.pop_front();
+            lock.unlock();
+            const std::string response = finish(pending);
+            lock.lock();
+            const bool flush = window.empty() || !ready(window.front());
+            lock.unlock();
+            if (!peerGone)
+                peerGone = !emit(response, flush);
+            lock.lock();
+        }
+    });
+
+    std::exception_ptr failure;
+    try {
+        std::string line;
+        while (nextLine(&line)) {
+            Pending pending = submit(line, envelope);
+            std::lock_guard<std::mutex> lock(mutex);
+            window.push_back(std::move(pending));
+            cv.notify_all(); // under the lock: no lost wake-up
+        }
+    } catch (...) {
+        failure = std::current_exception();
+    }
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        eof = true;
+        cv.notify_all();
+    }
+    writer.join();
+    if (failure)
+        std::rethrow_exception(failure);
 }
 
 Service::StreamStats
@@ -347,34 +403,25 @@ Service::processStream(std::istream &in, std::ostream &out,
         stream_ = {};
     }
 
-    // Responses wait in a deque window: entries are released as they
-    // are emitted, so memory tracks the in-flight window instead of
-    // the whole stream.
-    std::deque<Pending> window;
+    // Only the writer thread may flush `out` while the pump runs.
+    std::ostream *const tie = in.tie(nullptr);
+    pumpSession(
+        [&in](std::string *line) {
+            while (std::getline(in, *line))
+                if (line->find_first_not_of(" \t\r") != std::string::npos)
+                    return true;
+            return false;
+        },
+        [&out](const std::string &response, bool flush) {
+            out << response << '\n';
+            if (flush)
+                out.flush();
+            return static_cast<bool>(out);
+        },
+        envelope);
+    in.tie(tie);
 
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.find_first_not_of(" \t\r") == std::string::npos)
-            continue;
-        window.push_back(submit(line, envelope));
-        // Flush every response whose turn has come and whose result
-        // is ready, so output streams while the pool keeps working.
-        while (!window.empty() && ready(window.front())) {
-            out << finish(window.front()) << '\n';
-            window.pop_front();
-        }
-    }
-    // Drain: emit the rest in order, blocking as needed.
-    while (!window.empty()) {
-        out << finish(window.front()) << '\n';
-        window.pop_front();
-    }
-
-    StreamStats stats;
-    {
-        std::lock_guard<std::mutex> lock(dispatchMutex_);
-        stats = stream_;
-    }
+    const StreamStats stats = streamStats();
     if (config_.metrics)
         obs::recordPoolUtilization(*config_.metrics, "serve.pool",
                                    pool_.threadCount(),
@@ -385,6 +432,13 @@ Service::processStream(std::istream &in, std::ostream &out,
         out << statsJson(stats).dump() << '\n';
     out.flush();
     return stats;
+}
+
+Service::StreamStats
+Service::streamStats() const
+{
+    std::lock_guard<std::mutex> lock(dispatchMutex_);
+    return stream_;
 }
 
 json::Value

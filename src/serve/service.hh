@@ -10,6 +10,10 @@
  * through serve::runRequest, the same runner gopim_sim uses, with the
  * plans this service's plan memo entered for it.
  *
+ * Every stream runs through one pump, pumpSession: processStream
+ * (stdin, each --socket connection) and cluster::pumpFramedConnection.
+ * It counts nothing; a stream's counts have one store, stream_.
+ *
  * Determinism contract: request parsing and every memo operation
  * (lookup, insert, LRU touch, eviction, in the result memo and the
  * plan memo) happen serially in input order on the dispatcher
@@ -37,6 +41,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <iosfwd>
 #include <memory>
@@ -165,6 +170,12 @@ class Service
     std::string handleLine(const std::string &line,
                            Envelope envelope = Envelope::Full);
 
+    /**
+     * A stream's counts. Requests and rejected lines count at dispatch,
+     * so a {"type":"stats"} answer counts every line before it at any
+     * --jobs; simulation_failed, known only at render, counts when
+     * emitted.
+     */
     struct StreamStats
     {
         uint64_t requests = 0;
@@ -172,15 +183,30 @@ class Service
     };
 
     /**
-     * Read JSONL requests from `in` until EOF, write one JSONL
-     * response per request to `out` in input order. When `emitStats`
-     * is set, a final {"type":"stats",...} line summarizes the
-     * stream. Completed responses are flushed as soon as order
-     * allows, so output streams while later requests still compute.
+     * The in-order session pump: submits each line `nextLine` yields
+     * on the calling thread; a writer thread finishes them in input
+     * order and passes each response to `emit`, with `flush` set when
+     * the next one is not ready. Once `emit` returns false (peer gone)
+     * the writer stops emitting but still finishes every request.
+     */
+    void pumpSession(const std::function<bool(std::string *)> &nextLine,
+                     const std::function<bool(const std::string &,
+                                              bool flush)> &emit,
+                     Envelope envelope);
+
+    /**
+     * Read JSONL requests from `in` until EOF (blank lines skipped),
+     * write one JSONL response per request to `out` in input order
+     * through pumpSession, counting from zero. When `emitStats` is
+     * set, a final {"type":"stats",...} line summarizes the stream.
+     * `out` is flushed whenever the next response is not ready.
      */
     StreamStats processStream(std::istream &in, std::ostream &out,
                               bool emitStats = false,
                               Envelope envelope = Envelope::Full);
+
+    /** The stream counts (framed connections never reset them). */
+    StreamStats streamStats() const;
 
     /** Block until every submitted simulation has finished. */
     void drain();
@@ -263,7 +289,7 @@ class Service
     mutable std::mutex dispatchMutex_;
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;
-    /** Per-stream request/error counts ({"type":"stats"} queries). */
+    /** Per-stream request/error counts, the one store of both. */
     StreamStats stream_;
 
     std::mutex queueMutex_;

@@ -14,11 +14,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <sys/socket.h>
@@ -359,6 +361,73 @@ TEST(WorkerPumpTest, ResponsesMatchHandleLineByteForByte)
     }
     pair.closeA();
     worker.join();
+}
+
+TEST(WorkerPumpTest, FramedLinesEqualProcessStreamLines)
+{
+    // Results, repeats, an error line per decode error code, and
+    // stats queries, whose counts must agree on both transports.
+    std::vector<std::string> lines;
+    for (int i = 0; i < 16; ++i)
+        lines.push_back("{\"id\":\"m" + std::to_string(i) +
+                        "\",\"dataset\":\"ddi\",\"seed\":" +
+                        std::to_string(i % 5 + 1) + "}");
+    const std::vector<std::string> odd = {
+        "not json",
+        R"({"type":"stats"})",
+        "[1,2,3]",
+        R"({"id":"t","seed":"seven"})",
+        R"({"id":"r","micro_batch":0})",
+        R"({"id":"d","dataset":"no-such-graph"})",
+        R"({"id":"f","datset":"ddi"})",
+        R"({"type":"stats"})",
+    };
+    for (size_t i = 0; i < odd.size(); ++i)
+        lines.insert(lines.begin() + static_cast<long>(2 * i + 1),
+                     odd[i]);
+    lines.push_back(R"({"type":"stats"})");
+
+    std::string text;
+    for (const std::string &line : lines)
+        text += line + "\n";
+    serve::Service streamed(stubConfig(2));
+    std::istringstream in(text);
+    std::ostringstream out;
+    streamed.processStream(in, out, false, serve::Envelope::Stable);
+
+    const serve::ServiceConfig config = stubConfig(2);
+    serve::Service service(config);
+    const std::string fp =
+        serve::defaultsFingerprint(config.defaults, config.hw);
+    SocketPair pair;
+    ASSERT_GE(pair.a, 0);
+    cluster::WorkerOptions options;
+    options.defaultsFp = fp;
+    std::thread worker([&] {
+        cluster::pumpFramedConnection(service, pair.b, options);
+    });
+    std::string framed;
+    std::string reply;
+    if (net::writeFrame(pair.a, cluster::helloLine(
+                                    "test", serve::Envelope::Stable,
+                                    fp)) &&
+        net::readFrame(pair.a, &reply) == net::IoStatus::Ok) {
+        for (const std::string &line : lines)
+            EXPECT_TRUE(net::writeFrame(pair.a, line));
+        for (size_t i = 0; i < lines.size(); ++i) {
+            std::string response;
+            if (net::readFrame(pair.a, &response) != net::IoStatus::Ok)
+                break;
+            framed += response + "\n";
+        }
+    }
+    pair.closeA();
+    worker.join();
+
+    EXPECT_EQ(reply, cluster::helloOkLine(fp));
+    EXPECT_EQ(framed, out.str());
+    EXPECT_NE(out.str().find("\"errors\":6"), std::string::npos)
+        << out.str();
 }
 
 TEST(WorkerPumpTest, RejectsBadProtocolAndMismatchedDefaults)
@@ -722,7 +791,22 @@ TEST(RouterFrontEndTest, ErrorLinesEqualTheServiceStableLines)
 
 #ifdef GOPIM_SERVE_BIN
 
-std::string
+/** A fresh directory, removed with everything in it at scope exit. */
+struct ScratchDir
+{
+    std::string path; ///< "" when the directory could not be made
+
+    explicit ScratchDir(std::string made) : path(std::move(made)) {}
+    ScratchDir(const ScratchDir &) = delete;
+    ScratchDir &operator=(const ScratchDir &) = delete;
+    ~ScratchDir()
+    {
+        if (!path.empty())
+            std::filesystem::remove_all(path);
+    }
+};
+
+ScratchDir
 tempDirFor(const std::string &tag)
 {
     std::string tmpl = testing::TempDir() + tag + ".XXXXXX";
@@ -730,7 +814,7 @@ tempDirFor(const std::string &tag)
     buf.push_back('\0');
     const char *dir = ::mkdtemp(buf.data());
     EXPECT_NE(dir, nullptr);
-    return dir ? std::string(dir) : std::string();
+    return ScratchDir(dir ? std::string(dir) : std::string());
 }
 
 /** The ≥1k-request chaos stream: mixed datasets/systems/seeds. */
@@ -821,15 +905,16 @@ spawnedShards(size_t count, const std::string &dir)
 
 TEST(RouterChaosTest, ByteIdentityAcrossWorkerKillAndRestart)
 {
-    const std::string dir = tempDirFor("gopim_cluster_chaos");
-    ASSERT_FALSE(dir.empty());
+    // Declared before the router: removed after its workers are gone.
+    const ScratchDir dir = tempDirFor("gopim_cluster_chaos");
+    ASSERT_FALSE(dir.path.empty());
     // 12 reps x 36 valid + 3 invalid = 468 + ... => make it >= 1000.
     const std::string requests = chaosRequestStream(26); // 1014 lines
-    const std::string golden = singleProcessGolden(requests, dir);
+    const std::string golden = singleProcessGolden(requests, dir.path);
     ASSERT_FALSE(golden.empty());
 
     cluster::RouterConfig config;
-    config.shards = spawnedShards(3, dir);
+    config.shards = spawnedShards(3, dir.path);
     config.defaults = workerDefaults();
     config.chaosKillEvery = 150;
     config.chaosKillCount = 2;
@@ -840,38 +925,41 @@ TEST(RouterChaosTest, ByteIdentityAcrossWorkerKillAndRestart)
 
     std::istringstream in(requests);
     std::ostringstream out;
-    const cluster::Router::StreamStats stats =
-        router.processStream(in, out);
+    router.processStream(in, out);
 
-    EXPECT_EQ(stats.requests, 1014u);
-    EXPECT_EQ(stats.chaosKills, 2u);
-    EXPECT_GE(stats.restarts, 1u);
-    EXPECT_EQ(stats.shed, 0u);
     // The headline claim: kill-and-restart under load changes
     // nothing about the response bytes or their order.
     EXPECT_EQ(out.str(), golden);
     // ...and the recovery is visible in the metrics the operator
-    // exports.
+    // exports and in the router's stats line, which reads them.
+    const json::Value stats = router.statsJson();
     EXPECT_GE(router.metrics()
                   .findCounter("cluster.restart.count")
                   ->value(),
               1u);
+    EXPECT_GE(stats.find("restarts")->asInt(), 1);
     EXPECT_EQ(router.metrics()
                   .findCounter("cluster.chaos.kill.count")
                   ->value(),
               2u);
+    EXPECT_EQ(stats.find("chaos_kills")->asInt(), 2);
     EXPECT_EQ(
         router.metrics().findCounter("cluster.request.count")->value(),
         1014u);
+    EXPECT_EQ(stats.find("requests")->asInt(), 1014);
+    EXPECT_EQ(router.metrics().findCounter("cluster.shed.count")->value(),
+              0u);
+    EXPECT_EQ(stats.find("shed")->asInt(), 0);
 }
 
 TEST(RouterShedTest, UndersizedShardShedsVisiblyInMetrics)
 {
-    const std::string dir = tempDirFor("gopim_cluster_shed");
-    ASSERT_FALSE(dir.empty());
+    // Declared before the router: removed after its worker is gone.
+    const ScratchDir dir = tempDirFor("gopim_cluster_shed");
+    ASSERT_FALSE(dir.path.empty());
 
     cluster::RouterConfig config;
-    config.shards = spawnedShards(1, dir);
+    config.shards = spawnedShards(1, dir.path);
     config.defaults = workerDefaults();
     // Use a deliberately slow single worker thread.
     config.shards[0].command = {GOPIM_SERVE_BIN, "--jobs=1"};
@@ -892,11 +980,15 @@ TEST(RouterShedTest, UndersizedShardShedsVisiblyInMetrics)
                     std::to_string(i + 1) + ",\"epochs\":4}\n";
     std::istringstream in(requests);
     std::ostringstream out;
-    const cluster::Router::StreamStats stats =
-        router.processStream(in, out);
+    router.processStream(in, out);
 
-    EXPECT_EQ(stats.requests, 64u);
-    EXPECT_GE(stats.shed, 1u) << "undersized shard never shed";
+    const uint64_t shed =
+        router.metrics().findCounter("cluster.shed.count")->value();
+    EXPECT_EQ(
+        router.metrics().findCounter("cluster.request.count")->value(),
+        64u);
+    EXPECT_EQ(router.statsJson().find("requests")->asInt(), 64);
+    EXPECT_GE(shed, 1u) << "undersized shard never shed";
     // Every shed is a structured, machine-readable rejection...
     size_t overloadedLines = 0;
     std::istringstream lines(out.str());
@@ -909,12 +1001,12 @@ TEST(RouterShedTest, UndersizedShardShedsVisiblyInMetrics)
             ++overloadedLines;
     }
     EXPECT_EQ(total, 64u); // in-order, one response per request
-    EXPECT_EQ(overloadedLines, stats.shed);
-    // ...and the shed counter the decision used is the one exported.
-    EXPECT_EQ(router.metrics()
-                  .findCounter("cluster.shed.count")
-                  ->value(),
-              stats.shed);
+    EXPECT_EQ(overloadedLines, shed);
+    // ...and the shed counter the decision used is the one the stats
+    // line reports.
+    EXPECT_EQ(static_cast<uint64_t>(
+                  router.statsJson().find("shed")->asInt()),
+              shed);
 }
 
 TEST(RouterStartTest, FailsFastOnDeadEndpoint)

@@ -1236,6 +1236,162 @@ TEST(ServiceTest, StatsQueryAnswersInStreamOrder)
     EXPECT_EQ(service.misses(), 2u);
 }
 
+/**
+ * Input that hands out `text`, then holds at its end until release():
+ * a client that has sent its lines and waits before it sends more or
+ * closes.
+ */
+class HeldInput final : public std::streambuf
+{
+  public:
+    explicit HeldInput(std::string text) : text_(std::move(text))
+    {
+        setg(text_.data(), text_.data(), text_.data() + text_.size());
+    }
+
+    /** True once the reader has taken every line and asks for more. */
+    bool
+    waitUntilHeld(std::chrono::seconds limit)
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        return cv_.wait_for(lock, limit, [this] { return held_; });
+    }
+
+    /** Let the reader see end of input. */
+    void
+    release()
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        released_ = true;
+        cv_.notify_all();
+    }
+
+  protected:
+    int_type
+    underflow() override
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        held_ = true;
+        cv_.notify_all();
+        cv_.wait(lock, [this] { return released_; });
+        return traits_type::eof();
+    }
+
+  private:
+    std::string text_;
+    std::mutex mutex_;
+    std::condition_variable cv_;
+    bool held_ = false;
+    bool released_ = false;
+};
+
+/** Unbuffered output another thread may read while it is written. */
+class SharedOutput final : public std::streambuf
+{
+  public:
+    std::string
+    text() const
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return text_;
+    }
+
+  protected:
+    int_type
+    overflow(int_type c) override
+    {
+        if (traits_type::eq_int_type(c, traits_type::eof()))
+            return traits_type::not_eof(c);
+        std::lock_guard<std::mutex> lock(mutex_);
+        text_ += traits_type::to_char_type(c);
+        return c;
+    }
+
+    std::streamsize
+    xsputn(const char *s, std::streamsize n) override
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        text_.append(s, static_cast<size_t>(n));
+        return n;
+    }
+
+  private:
+    mutable std::mutex mutex_;
+    std::string text_;
+};
+
+TEST(ServiceTest, StdinAnswersBeforeTheNextLineArrives)
+{
+    auto gate = std::make_shared<GateEngine>();
+    serve::ServiceConfig config;
+    config.jobs = 1;
+    config.defaults.sim.engineOverride = gate;
+    serve::Service service(config);
+
+    HeldInput input("{\"id\":\"first\",\"dataset\":\"Cora\"}\n");
+    SharedOutput output;
+    std::istream in(&input);
+    std::ostream out(&output);
+    std::thread stream([&] { service.processStream(in, out); });
+
+    // The line was submitted while its simulation could not finish;
+    // the client now waits for the answer before it sends anything.
+    EXPECT_TRUE(input.waitUntilHeld(std::chrono::seconds(5)));
+    gate->release();
+    std::string seen;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while ((seen = output.text()).empty() &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    input.release();
+    stream.join();
+
+    EXPECT_TRUE(lineSays(seen, "\"id\":\"first\""))
+        << "no answer before end of input: '" << seen << "'";
+    EXPECT_EQ(output.text(), seen);
+}
+
+TEST(ServiceTest, StatsQueryCountsEveryRejectionBeforeIt)
+{
+    // The result ahead of the invalid line is held in the gate, so
+    // the error line cannot be emitted before the stats query is
+    // answered; the query must count it all the same.
+    for (size_t jobs : {1, 4}) {
+        for (int repeat = 0; repeat < 3; ++repeat) {
+            auto gate = std::make_shared<GateEngine>();
+            serve::ServiceConfig config;
+            config.jobs = jobs;
+            config.defaults.sim.engineOverride = gate;
+            serve::Service service(config);
+
+            HeldInput input("{\"dataset\":\"Cora\",\"seed\":1}\n"
+                            "not json\n"
+                            "{\"type\":\"stats\"}\n");
+            std::istream in(&input);
+            std::ostringstream out;
+            std::thread stream(
+                [&] { service.processStream(in, out); });
+            EXPECT_TRUE(input.waitUntilHeld(std::chrono::seconds(5)));
+            gate->release();
+            input.release();
+            stream.join();
+
+            std::vector<std::string> lines;
+            std::istringstream split(out.str());
+            std::string line;
+            while (std::getline(split, line))
+                lines.push_back(line);
+            ASSERT_EQ(lines.size(), 3u) << out.str();
+            EXPECT_TRUE(lineSays(lines[1], "\"code\":\"bad_json\""));
+            EXPECT_TRUE(lineSays(lines[2], "\"requests\":3"))
+                << lines[2];
+            EXPECT_TRUE(lineSays(lines[2], "\"errors\":1"))
+                << "jobs " << jobs << ": " << lines[2];
+        }
+    }
+}
+
 TEST(ServiceTest, MetricsRecordLatenciesAndOutcomes)
 {
     serve::ServiceConfig config;

@@ -10,7 +10,8 @@
 #     {"type":"stats"} trailer, NOT stderr — inform() is suppressed
 #     at the default log level),
 #   - the router metrics export (METRICS_router.json) carries the
-#     restart/reissue counters.
+#     restart/reissue counters,
+#   - the router removed its /tmp/gopim_router.* port-file directory.
 #
 # Usage: tools/cluster_smoke.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -62,6 +63,8 @@ echo "single-process golden (gopim_serve --envelope=stable) ..."
 "$serve" --envelope=stable --jobs=4 \
     < "$requests" > "$work/golden.jsonl"
 
+port_dirs() { find /tmp -maxdepth 1 -name 'gopim_router.*' | wc -l; }
+dirs_before=$(port_dirs)
 echo "3-shard cluster with one chaos kill mid-stream ..."
 "$router" --workers=3 --worker-cmd="$serve --jobs=2" \
     --chaos-kill-every=400 --chaos-kill-count=1 --chaos-seed=7 \
@@ -92,4 +95,6 @@ grep -q '"schema": "gopim.metrics.v1"' METRICS_router.json
 grep -q 'cluster.restart.count' METRICS_router.json
 grep -q 'cluster.request.count' METRICS_router.json
 echo "METRICS_router.json carries the cluster counters"
+[ "$(port_dirs)" -le "$dirs_before" ] \
+    || { echo "gopim_router left its port-file directory" >&2; exit 1; }
 echo "cluster smoke OK"

@@ -26,6 +26,7 @@
 
 #include <csignal>
 #include <cstdlib>
+#include <filesystem>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -65,8 +66,9 @@ splitList(const std::string &text, char sep)
     return parts;
 }
 
+/** The flags' shards; `*portDir` is set when they are spawned. */
 std::vector<cluster::ShardSpec>
-shardSpecs(const Flags &flags)
+shardSpecs(const Flags &flags, std::string *portDir)
 {
     const std::string connect = flags.getString("connect");
     const int64_t workers = flags.getInt("workers");
@@ -97,18 +99,54 @@ shardSpecs(const Flags &flags)
     // Spawned workers report their ephemeral ports through files in
     // a private scratch directory.
     char dirTemplate[] = "/tmp/gopim_router.XXXXXX";
-    const char *portDir = ::mkdtemp(dirTemplate);
-    if (portDir == nullptr)
+    if (::mkdtemp(dirTemplate) == nullptr)
         fatal("cannot create port-file directory");
+    *portDir = dirTemplate;
     for (int64_t i = 0; i < workers; ++i) {
         cluster::ShardSpec spec;
         spec.name = "shard" + std::to_string(i);
         spec.command = command;
-        spec.portFile =
-            std::string(portDir) + "/" + spec.name + ".port";
+        spec.portFile = *portDir + "/" + spec.name + ".port";
         specs.push_back(std::move(spec));
     }
     return specs;
+}
+
+/** Serve clients, then report the totals; "" or a listen error. */
+std::string
+serveClients(cluster::Router &router, const Flags &flags)
+{
+    const int tcpPort = static_cast<int>(flags.getInt("tcp"));
+    if (tcpPort >= 0) {
+        std::signal(SIGINT, handleSignal);
+        std::signal(SIGTERM, handleSignal);
+        std::string error;
+        uint16_t boundPort = 0;
+        const int listenFd =
+            net::listenTcp("127.0.0.1", static_cast<uint16_t>(tcpPort),
+                           &boundPort, &error);
+        if (listenFd < 0 ||
+            !net::writePortFile(flags.getString("port-file"),
+                                boundPort, &error))
+            return error;
+        inform("routing on 127.0.0.1:", boundPort, " across ",
+               router.statsJson().find("shards")->size(),
+               " shard(s); SIGINT/SIGTERM to exit");
+        net::acceptUntil(listenFd, &g_stop,
+                         [&](int conn) { router.processFramed(conn); });
+        ::close(listenFd);
+    } else {
+        router.processStream(std::cin, std::cout);
+        if (flags.getBool("stats"))
+            std::cout << router.statsJson().dump() << '\n';
+    }
+
+    const json::Value s = router.statsJson();
+    inform("routed ", s.find("requests")->asInt(), " request(s), ",
+           s.find("errors")->asInt(), " error(s), ",
+           s.find("shed")->asInt(), " shed, ", s.find("restarts")->asInt(),
+           " shard restart(s), ", s.find("reissued")->asInt(), " re-issued");
+    return "";
 }
 
 } // namespace
@@ -167,7 +205,8 @@ main(int argc, char **argv)
         return 0;
 
     cluster::RouterConfig config;
-    config.shards = shardSpecs(flags);
+    std::string portDir;
+    config.shards = shardSpecs(flags, &portDir);
     config.defaults = serve::requestDefaults(flags);
     // A copy: config moves into the router below.
     const sim::SimContext defaultCtx = config.defaults.sim;
@@ -189,46 +228,18 @@ main(int argc, char **argv)
     // so a single --metrics-out file tells the whole story.
     config.metrics = defaultCtx.metrics;
 
-    cluster::Router router(std::move(config));
-    if (std::string problem = router.start(); !problem.empty())
-        fatal("cluster start failed: ", problem);
-
-    cluster::Router::StreamStats stats;
-    const int tcpPort = static_cast<int>(flags.getInt("tcp"));
-    if (tcpPort >= 0) {
-        std::signal(SIGINT, handleSignal);
-        std::signal(SIGTERM, handleSignal);
-        std::string error;
-        uint16_t boundPort = 0;
-        const int listenFd =
-            net::listenTcp("127.0.0.1", static_cast<uint16_t>(tcpPort),
-                           &boundPort, &error);
-        if (listenFd < 0 ||
-            !net::writePortFile(flags.getString("port-file"),
-                                boundPort, &error))
-            fatal(error);
-        inform("routing on 127.0.0.1:", boundPort, " across ",
-               router.statsJson().find("shards")->size(),
-               " shard(s); SIGINT/SIGTERM to exit");
-        net::acceptUntil(listenFd, &g_stop, [&](int conn) {
-            const auto connStats = router.processFramed(conn);
-            stats.requests += connStats.requests;
-            stats.errors += connStats.errors;
-            stats.shed += connStats.shed;
-            stats.chaosKills += connStats.chaosKills;
-            stats.restarts = connStats.restarts;
-            stats.reissued = connStats.reissued;
-        });
-        ::close(listenFd);
-    } else {
-        stats = router.processStream(std::cin, std::cout);
-        if (flags.getBool("stats"))
-            std::cout << router.statsJson().dump() << '\n';
+    std::string problem;
+    {
+        cluster::Router router(std::move(config));
+        problem = router.start();
+        problem = problem.empty() ? serveClients(router, flags)
+                                  : "cluster start failed: " + problem;
     }
-
-    inform("routed ", stats.requests, " request(s), ", stats.errors,
-           " error(s), ", stats.shed, " shed, ", stats.restarts,
-           " shard restart(s), ", stats.reissued, " re-issued");
+    // The router has reaped every worker, so no port file is in use.
+    if (!portDir.empty())
+        std::filesystem::remove_all(portDir);
+    if (!problem.empty())
+        fatal(problem);
     core::writeMetricsIfRequested(flags, defaultCtx);
     return 0;
 }

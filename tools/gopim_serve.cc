@@ -138,17 +138,13 @@ serveTcp(serve::Service &service, int port,
     options.defaultsFp =
         serve::defaultsFingerprint(config.defaults, config.hw);
     options.defaultEnvelope = envelope;
-    serve::Service::StreamStats total;
     net::acceptUntil(listenFd, &g_stop, [&](int conn) {
-        const auto stats =
-            cluster::pumpFramedConnection(service, conn, options);
-        total.requests += stats.requests;
-        total.errors += stats.errors;
+        cluster::pumpFramedConnection(service, conn, options);
     });
 
     ::close(listenFd);
     service.drain();
-    flushStats(service, total);
+    flushStats(service, service.streamStats());
     return 0;
 }
 
