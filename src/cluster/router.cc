@@ -5,8 +5,7 @@
 #include <csignal>
 #include <cstdio>
 #include <fstream>
-#include <istream>
-#include <ostream>
+#include <functional>
 #include <thread>
 #include <utility>
 
@@ -16,6 +15,7 @@
 #include "cluster/wire.hh"
 #include "common/logging.hh"
 #include "obs/profile.hh"
+#include "serve/pump.hh"
 
 namespace gopim::cluster {
 
@@ -58,6 +58,7 @@ Router::Router(RouterConfig config)
       admission_(config_.admission, *metrics_,
                  config_.shards.size()),
       requestCount_(&metrics_->counter("cluster.request.count")),
+      errorCount_(&metrics_->counter("cluster.error.count")),
       chaosRng_(config_.chaosSeed)
 {
     shards_.reserve(config_.shards.size());
@@ -97,6 +98,7 @@ Router::~Router()
 std::string
 Router::start()
 {
+    std::lock_guard<std::mutex> owner(ownerMutex_);
     if (started_)
         return "router already started";
     if (shards_.empty())
@@ -211,15 +213,17 @@ Router::readerLoop(Shard &shard)
         if (status != net::IoStatus::Ok || shard.journal.empty()) {
             // Connection lost — or a frame with nothing journaled
             // against it, which only a corrupted peer can produce.
-            // Either way this connection is done; the session thread
-            // revives the shard and re-issues its journal.
+            // Either way this connection is done; the next holder of
+            // the owner lock revives the shard and re-issues its
+            // journal.
             shard.dead = true;
             cv_.notify_all();
             return;
         }
         Journaled front = std::move(shard.journal.front());
         shard.journal.pop_front();
-        front.entry->isError = serve::isErrorLine(payload);
+        if (serve::isErrorLine(payload))
+            errorCount_->add();
         front.entry->response = std::move(payload);
         front.entry->done = true;
         admission_.onComplete(shard.index);
@@ -245,12 +249,13 @@ void
 Router::failJournal(Shard &shard)
 {
     std::lock_guard<std::mutex> lock(mutex_);
+    shard.gone = true;
     for (Journaled &journaled : shard.journal) {
         journaled.entry->response =
             unavailableLine(journaled.entry->id, shard.spec.name);
-        journaled.entry->isError = true;
         journaled.entry->done = true;
     }
+    errorCount_->add(shard.journal.size());
     shard.journal.clear();
     admission_.resetInflight(shard.index, 0);
     cv_.notify_all();
@@ -264,7 +269,7 @@ Router::reviveShard(Shard &shard)
     killWorker(&shard.pid);
 
     // The journal cannot change while the shard is dead (its reader
-    // is joined and only this session thread appends), so a plain
+    // is joined and only the owner-lock holder appends), so a plain
     // snapshot is re-issuable as-is, in order.
     std::vector<std::string> replay;
     {
@@ -298,48 +303,50 @@ Router::reviveShard(Shard &shard)
             killWorker(&shard.pid);
             continue;
         }
-        ++shard.restarts;
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            ++shard.restarts;
+        }
         metrics_->counter("cluster.restart.count").add();
         metrics_->counter("cluster.reissue.count")
             .add(replay.size());
-        inform("cluster: shard '", shard.spec.name,
-               "' restarted; re-issued ", replay.size(),
-               " in-flight request(s)");
         return;
     }
 
     warn("cluster: shard '", shard.spec.name, "' gave up after ",
          config_.restartAttempts,
          " restart attempts; failing its in-flight requests");
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        shard.gone = true;
-    }
     failJournal(shard);
+}
+
+Router::Shard *
+Router::shardOwingRevival()
+{
+    for (auto &shard : shards_)
+        if (shard->dead && !shard->gone && !shard->journal.empty())
+            return shard.get();
+    return nullptr;
 }
 
 void
 Router::recoverDeadShards()
 {
-    for (auto &shardPtr : shards_) {
-        Shard &shard = *shardPtr;
-        bool needsRevival = false;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            needsRevival =
-                shard.dead && !shard.gone && !shard.journal.empty();
-        }
-        if (needsRevival)
-            reviveShard(shard);
+    std::lock_guard<std::mutex> owner(ownerMutex_);
+    std::unique_lock<std::mutex> lock(mutex_);
+    while (Shard *shard = shardOwingRevival()) {
+        lock.unlock();
+        reviveShard(*shard);
+        lock.lock();
     }
 }
 
 Router::EntryPtr
 Router::immediateEntry(std::string response, bool isError)
 {
+    if (isError)
+        errorCount_->add();
     auto entry = std::make_shared<Entry>();
     entry->done = true;
-    entry->isError = isError;
     entry->response = std::move(response);
     return entry;
 }
@@ -364,6 +371,9 @@ Router::dispatchLine(const std::string &line)
     if (!decoded.error.ok())
         return immediateEntry(
             serve::errorResponseLine(decoded.id, decoded.error), true);
+    // Owned from routing through the frame write: no revival can swap
+    // the shard's connection or journal under this line.
+    std::lock_guard<std::mutex> owner(ownerMutex_);
     const size_t index = shardFor(decoded.key);
     Shard &shard = *shards_[index];
 
@@ -412,8 +422,8 @@ Router::dispatchLine(const std::string &line)
 
     if (!net::writeFrame(fd, line)) {
         // Death detected on write: the request is journaled, so the
-        // revival path (recoverDeadShards / next dispatch to this
-        // shard) re-issues it — the entry still completes.
+        // revival path (finishEntry / next dispatch to this shard)
+        // re-issues it — the entry still completes.
         std::lock_guard<std::mutex> guard(mutex_);
         shard.dead = true;
         cv_.notify_all();
@@ -421,92 +431,55 @@ Router::dispatchLine(const std::string &line)
     return entry;
 }
 
-void
-Router::runSession(
-    const std::function<bool(std::string *)> &nextLine,
-    const std::function<void(const std::string &)> &emit)
+bool
+Router::entryDone(const EntryPtr &entry) const
 {
-    std::deque<EntryPtr> window;
+    std::lock_guard<std::mutex> lock(mutex_);
+    return entry->done;
+}
 
-    auto emitEntry = [&](const EntryPtr &entry) {
-        emit(entry->response);
-        ++emitted_;
-        if (entry->isError)
-            ++errors_;
-        if (entry->routed)
-            admission_.observeLatency(obs::profileNowUs() -
-                                      entry->dispatchedUs);
-        // Chaos harness: every chaosKillEvery emitted responses,
-        // SIGKILL one seeded-random spawned worker — the recovery
-        // path must keep the stream byte-identical regardless.
-        if (config_.chaosKillEvery != 0 &&
-            metrics_->counter("cluster.chaos.kill.count").value() <
-                config_.chaosKillCount &&
-            emitted_ % config_.chaosKillEvery == 0) {
-            std::vector<Shard *> candidates;
-            for (auto &shardPtr : shards_)
-                if (shardPtr->pid > 0 && !shardPtr->gone)
-                    candidates.push_back(shardPtr.get());
-            if (!candidates.empty()) {
-                Shard &victim = *candidates[chaosRng_.uniformInt(
-                    static_cast<uint64_t>(candidates.size()))];
-                inform("cluster: chaos kill of shard '",
-                       victim.spec.name, "' after ", emitted_,
-                       " responses");
-                killProcess(victim.pid, SIGKILL);
-                metrics_->counter("cluster.chaos.kill.count").add();
-            }
-        }
-    };
-
-    // Flush every response whose turn has come and is done, so output
-    // streams in input order while shards keep working.
-    auto drainReady = [&] {
-        while (true) {
-            EntryPtr front;
-            {
-                std::lock_guard<std::mutex> lock(mutex_);
-                if (window.empty() || !window.front()->done)
-                    return;
-                front = std::move(window.front());
-                window.pop_front();
-            }
-            emitEntry(front);
-        }
-    };
-
-    std::string line;
-    while (nextLine(&line)) {
-        if (line.find_first_not_of(" \t\r") == std::string::npos)
-            continue;
-        window.push_back(dispatchLine(line));
-        drainReady();
-        recoverDeadShards();
-    }
-
-    // Drain: emit the rest in order, reviving dead shards as needed.
+std::string
+Router::finishEntry(EntryPtr &entry)
+{
+    std::unique_lock<std::mutex> lock(mutex_);
     while (true) {
-        drainReady();
-        recoverDeadShards();
-        std::unique_lock<std::mutex> lock(mutex_);
-        if (window.empty())
+        cv_.wait(lock, [&] { return entry->done || shardOwingRevival(); });
+        if (entry->done)
             break;
-        if (!window.front()->done)
-            cv_.wait_for(lock, std::chrono::milliseconds(50));
+        lock.unlock();
+        recoverDeadShards();
+        lock.lock();
     }
+    lock.unlock();
+    if (entry->routed)
+        admission_.observeLatency(obs::profileNowUs() -
+                                  entry->dispatchedUs);
+    // Chaos harness: every chaosKillEvery responses, SIGKILL one
+    // seeded-random spawned worker; recovery keeps the bytes unchanged.
+    if (config_.chaosKillEvery != 0) {
+        std::lock_guard<std::mutex> owner(ownerMutex_);
+        obs::Counter &kills =
+            metrics_->counter("cluster.chaos.kill.count");
+        std::vector<Shard *> candidates;
+        for (auto &shardPtr : shards_)
+            if (shardPtr->pid > 0 && !shardPtr->gone)
+                candidates.push_back(shardPtr.get());
+        if (++emitted_ % config_.chaosKillEvery == 0 &&
+            kills.value() < config_.chaosKillCount && !candidates.empty()) {
+            const uint64_t pick = chaosRng_.uniformInt(candidates.size());
+            killProcess(candidates[pick]->pid, SIGKILL);
+            kills.add();
+        }
+    }
+    return std::move(entry->response);
 }
 
 void
 Router::processStream(std::istream &in, std::ostream &out)
 {
-    runSession(
-        [&in](std::string *line) {
-            return static_cast<bool>(std::getline(in, *line));
-        },
-        [&out](const std::string &response) {
-            out << response << '\n';
-        });
-    out.flush();
+    serve::pumpStream(in, out, std::bind_front(&Router::dispatchLine, this),
+                      std::bind_front(&Router::entryDone, this),
+                      std::bind_front(&Router::finishEntry, this));
 }
 
 void
@@ -515,17 +488,10 @@ Router::processFramed(int clientFd)
     if (!acceptHello(clientFd, "router", defaultsFp_,
                      serve::Envelope::Full, true))
         return;
-
-    bool peerGone = false;
-    runSession(
-        [clientFd](std::string *line) {
-            return net::readFrame(clientFd, line) ==
-                   net::IoStatus::Ok;
-        },
-        [clientFd, &peerGone](const std::string &response) {
-            if (!peerGone && !net::writeFrame(clientFd, response))
-                peerGone = true;
-        });
+    serve::pumpFrames(clientFd,
+                      std::bind_front(&Router::dispatchLine, this),
+                      std::bind_front(&Router::entryDone, this),
+                      std::bind_front(&Router::finishEntry, this));
 }
 
 json::Value
@@ -551,7 +517,7 @@ Router::statsJson() const
     json::Value v = json::Value::object();
     v.set("type", "stats");
     v.set("requests", requestCount_->value());
-    v.set("errors", errors_);
+    v.set("errors", errorCount_->value());
     v.set("shed", metrics_->counter("cluster.shed.count").value());
     v.set("restarts", metrics_->counter("cluster.restart.count").value());
     v.set("reissued", metrics_->counter("cluster.reissue.count").value());

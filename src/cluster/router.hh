@@ -25,20 +25,22 @@
  * same result bytes. A seeded chaos mode (kill a worker every N
  * responses) makes that claim testable end to end.
  *
- * Requests, sheds, restarts, re-issues and chaos kills are counted
- * only in metrics() (cluster.*.count); statsJson() reads them back.
+ * Both client transports run through serve::pumpSession, the pump
+ * serve::Service uses. Requests, errors, sheds, restarts, re-issues
+ * and chaos kills are counted only in metrics() (cluster.*.count);
+ * statsJson() reads them back. Requests and the router's own error
+ * lines count at dispatch, a shard's error line when it completes.
  */
 
 #ifndef GOPIM_CLUSTER_ROUTER_HH
 #define GOPIM_CLUSTER_ROUTER_HH
 
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <iosfwd>
 #include <memory>
 #include <mutex>
-#include <condition_variable>
-#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -109,16 +111,16 @@ class Router
     std::string start();
 
     /**
-     * Route JSONL requests from `in` until EOF; one response line
-     * per request to `out`, in input order. Responses stream as soon
-     * as order allows.
+     * Route JSONL requests from `in` until EOF (blank lines skipped);
+     * one response line per request to `out`, in input order, each
+     * written as soon as order allows.
      */
     void processStream(std::istream &in, std::ostream &out);
 
     /**
      * Client-facing framed transport: hello exchange on `clientFd`,
      * then one request per frame in, one response per frame out (in
-     * order). Returns when the client closes.
+     * order, blank frames included). Returns when the client closes.
      */
     void processFramed(int clientFd);
 
@@ -136,7 +138,6 @@ class Router
     struct Entry
     {
         bool done = false;
-        bool isError = false;
         bool routed = false;     ///< reached a shard (latency counts)
         std::string response;    ///< final line, no newline
         std::string id;
@@ -174,43 +175,49 @@ class Router
     /** Join the reader and drop the connection (does not revive). */
     void disconnectShard(Shard &shard);
     /**
-     * Main-thread revival: respawn/reconnect a dead shard and
-     * re-issue its journal; marks it gone after restartAttempts
-     * failed rounds.
+     * Respawn/reconnect a dead shard and re-issue its journal; marks
+     * it gone after restartAttempts failed rounds. The caller holds
+     * ownerMutex_.
      */
     void reviveShard(Shard &shard);
-    /** Fail a gone shard's journal with shard_unavailable errors. */
+    /** Mark a shard gone; fail its journal with shard_unavailable. */
     void failJournal(Shard &shard);
-    /** Revive every dead shard that still owes journal entries. */
+    /** A dead, not gone shard that owes journal entries (mutex_ held). */
+    Shard *shardOwingRevival();
+    /** Revive every such shard. */
     void recoverDeadShards();
 
-    /** Decode/route/admit one line; never blocks on results. */
+    // The pump's submit, ready and finish. dispatchLine never waits on
+    // results; finishEntry waits for one, reviving dead shards.
     EntryPtr dispatchLine(const std::string &line);
     EntryPtr immediateEntry(std::string response, bool isError);
-
-    /** The session pump shared by both client transports. */
-    void
-    runSession(const std::function<bool(std::string *)> &nextLine,
-               const std::function<void(const std::string &)> &emit);
+    bool entryDone(const EntryPtr &entry) const;
+    std::string finishEntry(EntryPtr &entry);
 
     RouterConfig config_;
     std::shared_ptr<obs::MetricsRegistry> metrics_;
     AdmissionController admission_;
-    /** Resolved once: dispatchLine bumps it on every request. */
+    /** Resolved once: bumped on every request / error line. */
     obs::Counter *requestCount_;
+    obs::Counter *errorCount_;
     std::vector<std::string> names_;
     std::vector<std::unique_ptr<Shard>> shards_;
     std::string defaultsFp_;
-    Rng chaosRng_;
-    uint64_t emitted_ = 0;
-    uint64_t errors_ = 0;
+    Rng chaosRng_;          ///< under ownerMutex_
+    uint64_t emitted_ = 0;  ///< under ownerMutex_
     bool started_ = false;
 
     /**
+     * Held to change a shard's connection, process or journal tail:
+     * by dispatch from routing through the frame write, by revival and
+     * by the chaos kill, never by readers. So a journal cannot change
+     * while its shard is revived. Taken before mutex_.
+     */
+    std::mutex ownerMutex_;
+    /**
      * One mutex/cv pair guards all cross-thread state (journals,
-     * entry done flags, dead flags). Reader threads hold it only to
-     * match one frame; contention is negligible next to simulation
-     * cost, and a single lock keeps the invariants auditable.
+     * entry done flags, dead/gone flags, restart counts). Reader
+     * threads hold it only to match one frame.
      */
     mutable std::mutex mutex_;
     std::condition_variable cv_;

@@ -1,7 +1,9 @@
 #include "cluster/worker.hh"
 
+#include <functional>
+
 #include "cluster/wire.hh"
-#include "common/net.hh"
+#include "serve/pump.hh"
 
 namespace gopim::cluster {
 
@@ -13,14 +15,13 @@ pumpFramedConnection(serve::Service &service, int fd,
                                       options.defaultEnvelope, false);
     if (!envelope)
         return;
-    service.pumpSession(
-        [fd](std::string *line) {
-            return net::readFrame(fd, line) == net::IoStatus::Ok;
+    serve::pumpFrames(
+        fd,
+        [&service, envelope = *envelope](const std::string &line) {
+            return service.submit(line, envelope);
         },
-        [fd](const std::string &response, bool) {
-            return net::writeFrame(fd, response);
-        },
-        *envelope);
+        std::bind_front(&serve::Service::ready, &service),
+        std::bind_front(&serve::Service::finish, &service));
 }
 
 } // namespace gopim::cluster

@@ -3,9 +3,10 @@
  * Worker-side framed transport: serves the cluster wire protocol
  * (hello + length-prefixed JSONL frames) on one connection on top of
  * a serve::Service; gopim_serve --tcp runs it on every connection it
- * accepts. After the hello it runs serve::Service::pumpSession, the
- * pump stdin streams use, so one router connection keeps the whole
- * worker pool busy without reordering bytes; it counts nothing.
+ * accepts. After the hello it runs serve::pumpFrames over the
+ * service's submit/ready/finish — the pump stdin streams and the
+ * router use — so one router connection keeps the whole worker pool
+ * busy without reordering bytes; it counts nothing.
  */
 
 #ifndef GOPIM_CLUSTER_WORKER_HH

@@ -1,6 +1,7 @@
 #include "common/net.hh"
 
 #include <cerrno>
+#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -16,6 +17,8 @@
 namespace gopim::net {
 
 namespace {
+
+volatile std::sig_atomic_t gStopRequested = 0;
 
 void
 setError(std::string *error, const std::string &message)
@@ -307,10 +310,12 @@ acceptWithTimeout(int listenFd, int timeoutMs)
 }
 
 void
-acceptUntil(int listenFd, const volatile std::sig_atomic_t *stop,
-            const std::function<void(int)> &handle)
+acceptUntil(int listenFd, const std::function<void(int)> &handle)
 {
-    while (!*stop) {
+    const auto requestStop = [](int) { gStopRequested = 1; };
+    std::signal(SIGINT, requestStop);
+    std::signal(SIGTERM, requestStop);
+    while (!gStopRequested) {
         const Fd conn(acceptWithTimeout(listenFd, 200));
         if (conn.valid())
             handle(conn.get());

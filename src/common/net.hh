@@ -15,7 +15,6 @@
 #ifndef GOPIM_COMMON_NET_HH
 #define GOPIM_COMMON_NET_HH
 
-#include <csignal>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -104,13 +103,12 @@ int listenUnix(const std::string &path, std::string *error,
 int acceptWithTimeout(int listenFd, int timeoutMs);
 
 /**
- * The accept loop of every listener: poll `listenFd` in 200 ms ticks
- * and hand each connection to `handle`, one at a time, until *stop
- * becomes nonzero. A connection is closed once `handle` returns;
- * `listenFd` is not.
+ * The accept loop of every listener: catch SIGINT and SIGTERM, poll
+ * `listenFd` in 200 ms ticks and hand each connection to `handle`,
+ * one at a time, until either signal arrives. A connection is closed
+ * once `handle` returns; `listenFd` is not.
  */
-void acceptUntil(int listenFd, const volatile std::sig_atomic_t *stop,
-                 const std::function<void(int)> &handle);
+void acceptUntil(int listenFd, const std::function<void(int)> &handle);
 
 /**
  * Report a listener's bound port to `path` ("" = no report) for the

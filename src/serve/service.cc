@@ -1,16 +1,14 @@
 #include "serve/service.hh"
 
 #include <chrono>
-#include <deque>
 #include <exception>
-#include <istream>
+#include <functional>
 #include <ostream>
-#include <thread>
 #include <utility>
 
-#include "common/logging.hh"
 #include "core/report.hh"
 #include "obs/profile.hh"
+#include "serve/pump.hh"
 
 namespace gopim::serve {
 
@@ -339,61 +337,6 @@ Service::handleLine(const std::string &line, Envelope envelope)
     return finish(pending);
 }
 
-void
-Service::pumpSession(
-    const std::function<bool(std::string *)> &nextLine,
-    const std::function<bool(const std::string &, bool)> &emit,
-    Envelope envelope)
-{
-    // submit() blocks on the bounded queue, so the window needs no
-    // bound of its own.
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::deque<Pending> window;
-    bool eof = false;
-
-    std::thread writer([&] {
-        bool peerGone = false;
-        std::unique_lock<std::mutex> lock(mutex);
-        while (true) {
-            cv.wait(lock, [&] { return eof || !window.empty(); });
-            if (window.empty())
-                return; // eof and drained
-            Pending pending = std::move(window.front());
-            window.pop_front();
-            lock.unlock();
-            const std::string response = finish(pending);
-            lock.lock();
-            const bool flush = window.empty() || !ready(window.front());
-            lock.unlock();
-            if (!peerGone)
-                peerGone = !emit(response, flush);
-            lock.lock();
-        }
-    });
-
-    std::exception_ptr failure;
-    try {
-        std::string line;
-        while (nextLine(&line)) {
-            Pending pending = submit(line, envelope);
-            std::lock_guard<std::mutex> lock(mutex);
-            window.push_back(std::move(pending));
-            cv.notify_all(); // under the lock: no lost wake-up
-        }
-    } catch (...) {
-        failure = std::current_exception();
-    }
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        eof = true;
-        cv.notify_all();
-    }
-    writer.join();
-    if (failure)
-        std::rethrow_exception(failure);
-}
-
 Service::StreamStats
 Service::processStream(std::istream &in, std::ostream &out,
                        bool emitStats, Envelope envelope)
@@ -403,25 +346,19 @@ Service::processStream(std::istream &in, std::ostream &out,
         stream_ = {};
     }
 
-    // Only the writer thread may flush `out` while the pump runs.
-    std::ostream *const tie = in.tie(nullptr);
-    pumpSession(
-        [&in](std::string *line) {
-            while (std::getline(in, *line))
-                if (line->find_first_not_of(" \t\r") != std::string::npos)
-                    return true;
-            return false;
+    pumpStream(
+        in, out,
+        [this, envelope](const std::string &line) {
+            return submit(line, envelope);
         },
-        [&out](const std::string &response, bool flush) {
-            out << response << '\n';
-            if (flush)
-                out.flush();
-            return static_cast<bool>(out);
-        },
-        envelope);
-    in.tie(tie);
+        std::bind_front(&Service::ready, this),
+        std::bind_front(&Service::finish, this));
 
-    const StreamStats stats = streamStats();
+    StreamStats stats;
+    {
+        std::lock_guard<std::mutex> lock(dispatchMutex_);
+        stats = stream_;
+    }
     if (config_.metrics)
         obs::recordPoolUtilization(*config_.metrics, "serve.pool",
                                    pool_.threadCount(),
@@ -432,13 +369,6 @@ Service::processStream(std::istream &in, std::ostream &out,
         out << statsJson(stats).dump() << '\n';
     out.flush();
     return stats;
-}
-
-Service::StreamStats
-Service::streamStats() const
-{
-    std::lock_guard<std::mutex> lock(dispatchMutex_);
-    return stream_;
 }
 
 json::Value

@@ -10,9 +10,10 @@
  * through serve::runRequest, the same runner gopim_sim uses, with the
  * plans this service's plan memo entered for it.
  *
- * Every stream runs through one pump, pumpSession: processStream
- * (stdin, each --socket connection) and cluster::pumpFramedConnection.
- * It counts nothing; a stream's counts have one store, stream_.
+ * Every stream runs through serve::pumpSession (serve/pump.hh) over
+ * submit(), ready() and finish(): processStream (stdin, each --socket
+ * connection) and cluster::pumpFramedConnection. The pump counts
+ * nothing; a stream's counts have one store, stream_.
  *
  * Determinism contract: request parsing and every memo operation
  * (lookup, insert, LRU touch, eviction, in the result memo and the
@@ -41,7 +42,6 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <future>
 #include <iosfwd>
 #include <memory>
@@ -183,30 +183,15 @@ class Service
     };
 
     /**
-     * The in-order session pump: submits each line `nextLine` yields
-     * on the calling thread; a writer thread finishes them in input
-     * order and passes each response to `emit`, with `flush` set when
-     * the next one is not ready. Once `emit` returns false (peer gone)
-     * the writer stops emitting but still finishes every request.
-     */
-    void pumpSession(const std::function<bool(std::string *)> &nextLine,
-                     const std::function<bool(const std::string &,
-                                              bool flush)> &emit,
-                     Envelope envelope);
-
-    /**
      * Read JSONL requests from `in` until EOF (blank lines skipped),
      * write one JSONL response per request to `out` in input order
-     * through pumpSession, counting from zero. When `emitStats` is
-     * set, a final {"type":"stats",...} line summarizes the stream.
+     * through serve::pumpStream, counting from zero. When `emitStats`
+     * is set, a final {"type":"stats",...} line summarizes the stream.
      * `out` is flushed whenever the next response is not ready.
      */
     StreamStats processStream(std::istream &in, std::ostream &out,
                               bool emitStats = false,
                               Envelope envelope = Envelope::Full);
-
-    /** The stream counts (framed connections never reset them). */
-    StreamStats streamStats() const;
 
     /** Block until every submitted simulation has finished. */
     void drain();

@@ -12,6 +12,7 @@
  */
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -24,6 +25,7 @@
 #include <vector>
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -41,7 +43,7 @@
 #include "obs/metrics.hh"
 #include "serve/request.hh"
 #include "serve/service.hh"
-#include "sim/engine.hh"
+#include "serve_doubles.hh"
 
 namespace gopim {
 namespace {
@@ -286,30 +288,6 @@ TEST(UnixSocketTest, RefusesNonSocketFile)
 // Worker-side framed pump
 // ---------------------------------------------------------------
 
-/** Constant-latency engine: keeps protocol tests instantaneous. */
-class StubEngine final : public sim::ScheduleEngine
-{
-  public:
-    std::string name() const override { return "stub"; }
-
-    sim::StageTimeline
-    schedule(const sim::ScheduleRequest &request,
-             const sim::SimContext &) const override
-    {
-        sim::StageTimeline timeline;
-        double total = 0.0;
-        for (double t : request.stageTimesNs)
-            total += t;
-        timeline.makespanNs =
-            total * static_cast<double>(request.totalMicroBatches);
-        timeline.busyNs = request.stageTimesNs;
-        timeline.blockedNs.assign(request.stageTimesNs.size(), 0.0);
-        timeline.idleFraction.assign(request.stageTimesNs.size(),
-                                     0.0);
-        return timeline;
-    }
-};
-
 serve::ServiceConfig
 stubConfig(size_t jobs)
 {
@@ -527,8 +505,58 @@ TEST(AdmissionTest, DepthDrivenDecisionsAndMetrics)
 }
 
 // ---------------------------------------------------------------
-// Router and shards key alike (in-process workers)
+// Router over in-process workers
 // ---------------------------------------------------------------
+
+/**
+ * `count` in-process workers — a serve::Service each, serving the
+ * router's one framed connection on its own loopback port until the
+ * router closes it — and the router config that reaches them. Declare
+ * the router after it, so the router closes its connections first.
+ */
+struct InProcessShards
+{
+    std::string error; ///< "" when every listener is up
+    std::vector<std::unique_ptr<serve::Service>> services;
+    std::vector<std::string> names;
+    cluster::RouterConfig routerConfig;
+
+    InProcessShards(size_t count, const serve::ServiceConfig &config)
+    {
+        options_.defaultsFp =
+            serve::defaultsFingerprint(config.defaults, config.hw);
+        routerConfig.defaults = config.defaults;
+        routerConfig.hw = config.hw;
+        for (size_t i = 0; i < count; ++i) {
+            uint16_t port = 0;
+            listeners_.emplace_back(
+                net::listenTcp("127.0.0.1", 0, &port, &error));
+            if (listeners_.back().get() < 0)
+                return;
+            services.push_back(std::make_unique<serve::Service>(config));
+            workers_.emplace_back([listenFd = listeners_.back().get(),
+                                   service = services.back().get(),
+                                   this] {
+                net::Fd conn(net::acceptWithTimeout(listenFd, 10000));
+                if (conn.get() >= 0)
+                    cluster::pumpFramedConnection(*service, conn.get(),
+                                                  options_);
+            });
+            cluster::ShardSpec spec;
+            spec.name = "shard" + std::to_string(i);
+            spec.host = "127.0.0.1";
+            spec.port = port;
+            names.push_back(spec.name);
+            routerConfig.shards.push_back(spec);
+        }
+    }
+
+  private:
+    cluster::WorkerOptions options_;
+    std::vector<net::Fd> listeners_;
+    // Last: joined before everything the workers use goes away.
+    std::vector<std::jthread> workers_;
+};
 
 TEST(RouterKeyTest, ShardResponseKeyAndPlacementMatchCacheKey)
 {
@@ -543,44 +571,10 @@ TEST(RouterKeyTest, ShardResponseKeyAndPlacementMatchCacheKey)
     serve::ServiceConfig serviceConfig;
     serviceConfig.jobs = 1;
     serviceConfig.hw = hw;
-    cluster::WorkerOptions options;
-    options.defaultsFp = serve::defaultsFingerprint(
-        serviceConfig.defaults, serviceConfig.hw);
-
-    std::vector<std::unique_ptr<serve::Service>> services;
-    std::vector<net::Fd> listeners;
-    // Declared after what the workers use, so a failed assertion
-    // joins them before those go away.
-    std::vector<std::jthread> workers;
-    std::vector<std::string> names;
-    cluster::RouterConfig routerConfig;
-    routerConfig.defaults = serviceConfig.defaults;
-    routerConfig.hw = hw;
-    for (size_t i = 0; i < kShards; ++i) {
-        std::string error;
-        uint16_t port = 0;
-        listeners.emplace_back(
-            net::listenTcp("127.0.0.1", 0, &port, &error));
-        ASSERT_GE(listeners.back().get(), 0) << error;
-        services.push_back(
-            std::make_unique<serve::Service>(serviceConfig));
-        // Each worker serves the router's one connection until the
-        // router closes it.
-        workers.emplace_back([listenFd = listeners.back().get(),
-                              service = services.back().get(),
-                              &options] {
-            net::Fd conn(net::acceptWithTimeout(listenFd, 10000));
-            if (conn.get() >= 0)
-                cluster::pumpFramedConnection(*service, conn.get(),
-                                              options);
-        });
-        cluster::ShardSpec spec;
-        spec.name = "shard" + std::to_string(i);
-        spec.host = "127.0.0.1";
-        spec.port = port;
-        names.push_back(spec.name);
-        routerConfig.shards.push_back(spec);
-    }
+    InProcessShards shards(kShards, serviceConfig);
+    ASSERT_EQ(shards.error, "");
+    const auto &services = shards.services;
+    const std::vector<std::string> &names = shards.names;
 
     const char *const bodies[] = {
         R"({"dataset":"ddi"})",
@@ -597,7 +591,7 @@ TEST(RouterKeyTest, ShardResponseKeyAndPlacementMatchCacheKey)
     };
     std::vector<size_t> landed(kShards, 0);
     {
-        cluster::Router router(std::move(routerConfig));
+        cluster::Router router(shards.routerConfig);
         ASSERT_EQ(router.start(), "");
         for (const char *text : bodies) {
             json::Value body;
@@ -645,15 +639,20 @@ TEST(RouterKeyTest, ShardResponseKeyAndPlacementMatchCacheKey)
 // Router front end (never started: nothing here reaches a shard)
 // ---------------------------------------------------------------
 
-/** Run Router::processFramed on one end of a socketpair. */
+/**
+ * Run Router::processFramed on one end of a socketpair; with `start`
+ * set, Router::start() runs first and its answer is `startError`.
+ */
 struct FramedRouter
 {
     cluster::Router router;
     SocketPair pair;
+    std::string startError;
     std::thread session;
 
-    explicit FramedRouter(cluster::RouterConfig config)
+    explicit FramedRouter(cluster::RouterConfig config, bool start = false)
         : router(std::move(config)),
+          startError(start ? router.start() : ""),
           session([this] { router.processFramed(pair.b); })
     {
     }
@@ -735,6 +734,39 @@ TEST(RouterHelloTest, GoodHelloIsAcceptedAndStatsAreAnswered)
     EXPECT_EQ(stats.find("requests")->asInt(), 1);
 }
 
+/** Make reads on `fd` fail after `seconds` instead of blocking. */
+bool
+setReceiveDeadline(int fd, time_t seconds)
+{
+    const timeval limit{seconds, 0};
+    return ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &limit,
+                        sizeof(limit)) == 0;
+}
+
+TEST(RouterFrontEndTest, BlankFrameIsAnsweredLikeTheService)
+{
+    // Only stdin skips blank lines: a frame always gets one answer,
+    // the one a worker gives.
+    const cluster::RouterConfig config;
+    const std::string fp =
+        serve::defaultsFingerprint(config.defaults, config.hw);
+    FramedRouter framed{config};
+    ASSERT_EQ(framed.exchange(cluster::helloLine(
+                  "client", serve::Envelope::Stable, fp)),
+              cluster::helloOkLine(fp));
+    ASSERT_TRUE(net::writeFrame(framed.pair.a, "  "));
+    ASSERT_TRUE(net::writeFrame(framed.pair.a, R"({"type":"stats"})"));
+    ASSERT_TRUE(setReceiveDeadline(framed.pair.a, 5));
+    std::string first;
+    std::string second;
+    ASSERT_EQ(net::readFrame(framed.pair.a, &first), net::IoStatus::Ok);
+    ASSERT_EQ(net::readFrame(framed.pair.a, &second), net::IoStatus::Ok);
+    serve::Service service(stubConfig(1));
+    EXPECT_EQ(first, service.handleLine("  ", serve::Envelope::Stable));
+    EXPECT_NE(second.find(R"("type":"stats")"), std::string::npos)
+        << second;
+}
+
 TEST(RouterFrontEndTest, ErrorLinesEqualTheServiceStableLines)
 {
     // Each row: a line the router rejects itself, and the error code
@@ -783,6 +815,132 @@ TEST(RouterFrontEndTest, ErrorLinesEqualTheServiceStableLines)
                                  serve::Envelope::Stable)
                   .find("did you mean 'dataset'"),
               std::string::npos);
+}
+
+// ---------------------------------------------------------------
+// Router session pump (in-process workers)
+// ---------------------------------------------------------------
+
+/** One in-process shard whose simulations wait in `gate`. */
+serve::ServiceConfig
+gatedConfig(const std::shared_ptr<GateEngine> &gate)
+{
+    serve::ServiceConfig config;
+    config.jobs = 1;
+    config.defaults.sim.engineOverride = gate;
+    return config;
+}
+
+std::vector<std::string>
+splitLines(const std::string &text)
+{
+    std::vector<std::string> lines;
+    std::istringstream in(text);
+    std::string line;
+    while (std::getline(in, line))
+        lines.push_back(line);
+    return lines;
+}
+
+TEST(RouterTest, StdinAnswersBeforeTheNextLineArrives)
+{
+    auto gate = std::make_shared<GateEngine>();
+    InProcessShards shards(1, gatedConfig(gate));
+    ASSERT_EQ(shards.error, "");
+    cluster::Router router(shards.routerConfig);
+    ASSERT_EQ(router.start(), "");
+
+    HeldInput input("{\"id\":\"first\",\"dataset\":\"Cora\"}\n");
+    SharedOutput output;
+    std::istream in(&input);
+    std::ostream out(&output);
+    std::thread stream([&] { router.processStream(in, out); });
+
+    // The line reached its shard while its simulation could not
+    // finish; the client now waits for the answer before it sends
+    // anything.
+    EXPECT_TRUE(input.waitUntilHeld(std::chrono::seconds(5)));
+    gate->release();
+    std::string seen;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while ((seen = output.text()).empty() &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    input.release();
+    stream.join();
+
+    EXPECT_NE(seen.find("\"id\":\"first\""), std::string::npos)
+        << "no answer before end of input: '" << seen << "'";
+    EXPECT_EQ(output.text(), seen);
+}
+
+TEST(RouterTest, StatsQueryCountsEveryRejectionBeforeIt)
+{
+    // The result ahead of the invalid line is held in the gate, so
+    // the error line cannot be emitted before the stats query is
+    // answered; the query must count it all the same.
+    for (int repeat = 0; repeat < 3; ++repeat) {
+        auto gate = std::make_shared<GateEngine>();
+        InProcessShards shards(1, gatedConfig(gate));
+        ASSERT_EQ(shards.error, "");
+        cluster::Router router(shards.routerConfig);
+        ASSERT_EQ(router.start(), "");
+
+        HeldInput input("{\"dataset\":\"Cora\",\"seed\":1}\n"
+                        "not json\n"
+                        "{\"type\":\"stats\"}\n");
+        std::istream in(&input);
+        std::ostringstream out;
+        std::thread stream([&] { router.processStream(in, out); });
+        EXPECT_TRUE(input.waitUntilHeld(std::chrono::seconds(5)));
+        gate->release();
+        input.release();
+        stream.join();
+
+        const std::vector<std::string> lines = splitLines(out.str());
+        ASSERT_EQ(lines.size(), 3u) << out.str();
+        EXPECT_NE(lines[1].find("\"code\":\"bad_json\""),
+                  std::string::npos)
+            << lines[1];
+        EXPECT_NE(lines[2].find("\"errors\":1"), std::string::npos)
+            << "repeat " << repeat << ": " << lines[2];
+    }
+}
+
+TEST(RouterTest, FramedClientGetsEveryAnswerBeforeHalfClose)
+{
+    const serve::ServiceConfig config = stubConfig(2);
+    InProcessShards shards(3, config);
+    ASSERT_EQ(shards.error, "");
+    FramedRouter framed{shards.routerConfig, true};
+    ASSERT_EQ(framed.startError, "");
+    const std::string fp =
+        serve::defaultsFingerprint(config.defaults, config.hw);
+    ASSERT_EQ(framed.exchange(cluster::helloLine(
+                  "client", serve::Envelope::Stable, fp)),
+              cluster::helloOkLine(fp));
+
+    std::vector<std::string> lines;
+    for (int i = 0; i < 24; ++i)
+        lines.push_back("{\"id\":\"f" + std::to_string(i) +
+                        "\",\"dataset\":\"ddi\",\"seed\":" +
+                        std::to_string(i % 5 + 1) + "}");
+    lines.push_back("not json");
+    for (const std::string &line : lines)
+        ASSERT_TRUE(net::writeFrame(framed.pair.a, line));
+
+    // Every answer must arrive while the write side is still open.
+    ASSERT_TRUE(setReceiveDeadline(framed.pair.a, 5));
+    serve::Service reference(stubConfig(1));
+    for (const std::string &line : lines) {
+        std::string response;
+        ASSERT_EQ(net::readFrame(framed.pair.a, &response),
+                  net::IoStatus::Ok)
+            << "no answer to " << line << " before half-close";
+        EXPECT_EQ(response,
+                  reference.handleLine(line, serve::Envelope::Stable));
+    }
 }
 
 // ---------------------------------------------------------------

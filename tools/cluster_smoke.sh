@@ -11,6 +11,8 @@
 #     at the default log level),
 #   - the router metrics export (METRICS_router.json) carries the
 #     restart/reissue counters,
+#   - a framed client of `gopim_router --tcp` gets every answer,
+#     byte-identical to the single process, before it half-closes,
 #   - the router removed its /tmp/gopim_router.* port-file directory.
 #
 # Usage: tools/cluster_smoke.sh [build-dir]   (default: build)
@@ -25,7 +27,8 @@ for bin in "$serve" "$router"; do
 done
 
 work=$(mktemp -d "${TMPDIR:-/tmp}/gopim_cluster_smoke.XXXXXX")
-trap 'rm -rf "$work"' EXIT
+router_pid=
+trap '[ -z "$router_pid" ] || kill "$router_pid" 2>/dev/null; rm -rf "$work"' EXIT
 
 # A fig13-style grid (datasets x systems x seeds x micro-batches),
 # repeated so the stream exceeds 1000 requests and re-hits the LRU
@@ -95,6 +98,43 @@ grep -q '"schema": "gopim.metrics.v1"' METRICS_router.json
 grep -q 'cluster.restart.count' METRICS_router.json
 grep -q 'cluster.request.count' METRICS_router.json
 echo "METRICS_router.json carries the cluster counters"
+
+echo "framed client over gopim_router --tcp, reading before half-close ..."
+"$router" --workers=3 --worker-cmd="$serve --jobs=2" --tcp=0 \
+    --port-file="$work/router.port" &
+router_pid=$!
+for _ in $(seq 1 500); do [ -s "$work/router.port" ] && break; sleep 0.02; done
+# Frames are a 4-byte little-endian length, then the line. A router
+# that answers only once the next frame or EOF arrives times this out.
+timeout 120 python3 - "$(cat "$work/router.port")" "$requests" \
+    > "$work/framed.jsonl" <<'PY'
+import socket, struct, sys, threading
+lines = open(sys.argv[2], "rb").read().split(b"\n")[:-1]
+sock = socket.create_connection(("127.0.0.1", int(sys.argv[1])))
+answers = sock.makefile("rb")
+def send(frame):
+    sock.sendall(struct.pack("<I", len(frame)) + frame)
+def recv():
+    (size,) = struct.unpack("<I", answers.read(4))  # fails at EOF
+    return answers.read(size)
+send(b'{"proto":"gopim.cluster.v1","role":"client","envelope":"stable"}')
+if b'"type":"hello"' not in recv():
+    sys.exit("router refused the hello")
+sender = threading.Thread(target=lambda: [send(line) for line in lines])
+sender.start()
+for _ in lines:
+    sys.stdout.buffer.write(recv() + b"\n")
+sender.join()
+sock.shutdown(socket.SHUT_WR)
+if answers.read(1):
+    sys.exit("an answer to nothing after the last request")
+PY
+kill -TERM "$router_pid"
+wait "$router_pid"
+router_pid=
+diff "$work/golden.jsonl" "$work/framed.jsonl" \
+    || { echo "framed router output differs from single process" >&2; exit 1; }
+echo "BYTE-IDENTICAL: $lines framed responses, all before half-close"
 [ "$(port_dirs)" -le "$dirs_before" ] \
     || { echo "gopim_router left its port-file directory" >&2; exit 1; }
 echo "cluster smoke OK"

@@ -24,15 +24,12 @@
  * restart-path bit-identity end to end.
  */
 
-#include <csignal>
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
-
-#include <unistd.h>
 
 #include "cluster/proc.hh"
 #include "cluster/router.hh"
@@ -45,14 +42,6 @@
 namespace {
 
 using namespace gopim;
-
-volatile std::sig_atomic_t g_stop = 0;
-
-void
-handleSignal(int)
-{
-    g_stop = 1;
-}
 
 std::vector<std::string>
 splitList(const std::string &text, char sep)
@@ -112,40 +101,26 @@ shardSpecs(const Flags &flags, std::string *portDir)
     return specs;
 }
 
-/** Serve clients, then report the totals; "" or a listen error. */
+/** Serve clients until EOF or a signal; "" or a listen error. */
 std::string
 serveClients(cluster::Router &router, const Flags &flags)
 {
     const int tcpPort = static_cast<int>(flags.getInt("tcp"));
-    if (tcpPort >= 0) {
-        std::signal(SIGINT, handleSignal);
-        std::signal(SIGTERM, handleSignal);
-        std::string error;
-        uint16_t boundPort = 0;
-        const int listenFd =
-            net::listenTcp("127.0.0.1", static_cast<uint16_t>(tcpPort),
-                           &boundPort, &error);
-        if (listenFd < 0 ||
-            !net::writePortFile(flags.getString("port-file"),
-                                boundPort, &error))
-            return error;
-        inform("routing on 127.0.0.1:", boundPort, " across ",
-               router.statsJson().find("shards")->size(),
-               " shard(s); SIGINT/SIGTERM to exit");
-        net::acceptUntil(listenFd, &g_stop,
-                         [&](int conn) { router.processFramed(conn); });
-        ::close(listenFd);
-    } else {
+    if (tcpPort < 0) {
         router.processStream(std::cin, std::cout);
         if (flags.getBool("stats"))
             std::cout << router.statsJson().dump() << '\n';
+        return "";
     }
-
-    const json::Value s = router.statsJson();
-    inform("routed ", s.find("requests")->asInt(), " request(s), ",
-           s.find("errors")->asInt(), " error(s), ",
-           s.find("shed")->asInt(), " shed, ", s.find("restarts")->asInt(),
-           " shard restart(s), ", s.find("reissued")->asInt(), " re-issued");
+    std::string error;
+    uint16_t boundPort = 0;
+    const net::Fd listener(net::listenTcp(
+        "127.0.0.1", static_cast<uint16_t>(tcpPort), &boundPort, &error));
+    if (!listener.valid() ||
+        !net::writePortFile(flags.getString("port-file"), boundPort, &error))
+        return error;
+    net::acceptUntil(listener.get(),
+                     [&](int conn) { router.processFramed(conn); });
     return "";
 }
 

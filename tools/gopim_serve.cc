@@ -12,8 +12,8 @@
  * The server's own --engine/--seed/--jobs/... flags (the uniform
  * set from core::addSimFlags) provide the defaults a request
  * inherits for any field it omits. Shutdown is graceful: EOF (or
- * SIGINT/SIGTERM in socket/TCP mode) stops intake, in-flight
- * simulations drain, and result-memo statistics are flushed.
+ * SIGINT/SIGTERM in socket/TCP mode) stops intake and in-flight
+ * simulations drain; --stats appends a stream's counts.
  *
  * As a cluster shard (see src/cluster): --tcp=0 binds an ephemeral
  * port, --port-file reports it to the spawning router, and the
@@ -21,7 +21,6 @@
  * responses stay byte-comparable to a single-process run.
  */
 
-#include <csignal>
 #include <iostream>
 #include <sstream>
 
@@ -38,26 +37,6 @@
 namespace {
 
 using namespace gopim;
-
-volatile std::sig_atomic_t g_stop = 0;
-
-void
-handleSignal(int)
-{
-    g_stop = 1;
-}
-
-void
-flushStats(const serve::Service &service,
-           const serve::Service::StreamStats &stats)
-{
-    const auto cache = service.cacheStats();
-    inform("served ", stats.requests, " request(s), ", stats.errors,
-           " error(s); cache: ", service.hits(), " hit(s), ",
-           service.misses(), " miss(es), ", cache.entries, "/",
-           cache.capacity, " entries, ", cache.evictions,
-           " eviction(s)");
-}
 
 /** Read everything the client sends (until half-close). */
 std::string
@@ -79,73 +58,50 @@ readAll(int fd)
  * client half-closes its write side, we respond in request order
  * and close. SIGINT/SIGTERM stop intake and drain.
  */
-int
+void
 serveSocket(serve::Service &service, const std::string &path,
             bool emitStats, serve::Envelope envelope)
 {
-    std::signal(SIGINT, handleSignal);
-    std::signal(SIGTERM, handleSignal);
     std::string error;
-    bool removedStale = false;
-    const int listenFd = net::listenUnix(path, &error, &removedStale);
+    const int listenFd = net::listenUnix(path, &error);
     if (listenFd < 0)
         fatal(error);
-    if (removedStale)
-        inform("removed stale socket ", path,
-               " left by a dead server");
-    inform("listening on unix socket ", path,
-           " (SIGINT/SIGTERM to drain and exit)");
-
-    serve::Service::StreamStats total;
-    net::acceptUntil(listenFd, &g_stop, [&](int conn) {
+    net::acceptUntil(listenFd, [&](int conn) {
         std::istringstream in(readAll(conn));
         std::ostringstream out;
-        const auto stats =
-            service.processStream(in, out, emitStats, envelope);
-        total.requests += stats.requests;
-        total.errors += stats.errors;
+        service.processStream(in, out, emitStats, envelope);
         net::writeAll(conn, out.str());
     });
 
     ::close(listenFd);
     ::unlink(path.c_str());
-    service.drain();
-    flushStats(service, total);
-    return 0;
 }
 
 /**
  * Cluster-shard mode: serve the framed protocol on a TCP port
  * (0 = ephemeral, reported via --port-file for the spawning router).
  */
-int
+void
 serveTcp(serve::Service &service, int port,
          const std::string &portFile, const serve::Envelope envelope,
          const serve::ServiceConfig &config)
 {
-    std::signal(SIGINT, handleSignal);
-    std::signal(SIGTERM, handleSignal);
     std::string error;
     uint16_t boundPort = 0;
     const int listenFd = net::listenTcp(
         "127.0.0.1", static_cast<uint16_t>(port), &boundPort, &error);
     if (listenFd < 0 || !net::writePortFile(portFile, boundPort, &error))
         fatal(error);
-    inform("listening on 127.0.0.1:", boundPort,
-           " (framed cluster protocol; SIGINT/SIGTERM to exit)");
 
     cluster::WorkerOptions options;
     options.defaultsFp =
         serve::defaultsFingerprint(config.defaults, config.hw);
     options.defaultEnvelope = envelope;
-    net::acceptUntil(listenFd, &g_stop, [&](int conn) {
+    net::acceptUntil(listenFd, [&](int conn) {
         cluster::pumpFramedConnection(service, conn, options);
     });
 
     ::close(listenFd);
-    service.drain();
-    flushStats(service, service.streamStats());
-    return 0;
 }
 
 } // namespace
@@ -213,21 +169,17 @@ main(int argc, char **argv)
 
     serve::Service service(config);
 
-    int rc = 0;
-    if (tcpPort >= 0) {
-        rc = serveTcp(service, tcpPort, flags.getString("port-file"),
-                      envelope, config);
-    } else if (!socketPath.empty()) {
-        rc = serveSocket(service, socketPath, flags.getBool("stats"),
-                         envelope);
-    } else {
-        const auto stats = service.processStream(
-            std::cin, std::cout, flags.getBool("stats"), envelope);
-        service.drain();
-        flushStats(service, stats);
-    }
+    if (tcpPort >= 0)
+        serveTcp(service, tcpPort, flags.getString("port-file"), envelope,
+                 config);
+    else if (!socketPath.empty())
+        serveSocket(service, socketPath, flags.getBool("stats"), envelope);
+    else
+        service.processStream(std::cin, std::cout, flags.getBool("stats"),
+                              envelope);
+    service.drain();
     core::writeTraceIfRequested(flags, defaultCtx);
     core::writeMetricsIfRequested(flags, defaultCtx);
     core::writeIsaTraceIfRequested(flags, defaultCtx);
-    return rc;
+    return 0;
 }
