@@ -944,6 +944,117 @@ TEST(RouterTest, FramedClientGetsEveryAnswerBeforeHalfClose)
 }
 
 // ---------------------------------------------------------------
+// Router admission (one gated in-process shard)
+// ---------------------------------------------------------------
+
+/** Three distinct requests, ids "a", "b" and "c". */
+std::vector<std::string>
+admissionLines()
+{
+    std::vector<std::string> lines;
+    for (const char *id : {"a", "b", "c"})
+        lines.push_back(std::string("{\"id\":\"") + id +
+                        "\",\"dataset\":\"Cora\",\"seed\":" +
+                        std::to_string(lines.size() + 1) + "}");
+    return lines;
+}
+
+std::string
+joinLines(const std::vector<std::string> &lines)
+{
+    std::string text;
+    for (const std::string &line : lines)
+        text += line + "\n";
+    return text;
+}
+
+/** The answers a single gated service gives, gate open. */
+std::vector<std::string>
+stableAnswers(const std::vector<std::string> &lines)
+{
+    auto open = std::make_shared<GateEngine>();
+    open->release();
+    serve::Service reference(gatedConfig(open));
+    std::vector<std::string> answers;
+    for (const std::string &line : lines)
+        answers.push_back(
+            reference.handleLine(line, serve::Envelope::Stable));
+    return answers;
+}
+
+TEST(RouterAdmissionTest, SaturatedShardBlocksUntilAnAnswerFrees)
+{
+    auto gate = std::make_shared<GateEngine>();
+    InProcessShards shards(1, gatedConfig(gate));
+    ASSERT_EQ(shards.error, "");
+    shards.routerConfig.admission.maxInflightPerShard = 2;
+    cluster::Router router(shards.routerConfig);
+    ASSERT_EQ(router.start(), "");
+
+    const std::vector<std::string> lines = admissionLines();
+    HeldInput input(joinLines(lines));
+    std::istream in(&input);
+    std::ostringstream out;
+    std::thread stream([&] { router.processStream(in, out); });
+
+    // Two requests fill the shard's window; the third waits in
+    // dispatch, so the shard sees no more while nothing completes.
+    const serve::Service &shard = *shards.services[0];
+    auto received = [&] { return shard.hits() + shard.misses(); };
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (received() < 2 && std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    EXPECT_EQ(received(), 2u);
+    const obs::Gauge *depthMax =
+        router.metrics().findGauge("cluster.shard0.inflight.max");
+    EXPECT_EQ(depthMax ? depthMax->value() : -1, 2);
+
+    gate->release();
+    input.release();
+    stream.join();
+
+    EXPECT_EQ(splitLines(out.str()), stableAnswers(lines));
+    EXPECT_EQ(received(), 3u);
+}
+
+TEST(RouterAdmissionTest, ShedLineNamesTheJournalDepth)
+{
+    auto gate = std::make_shared<GateEngine>();
+    InProcessShards shards(1, gatedConfig(gate));
+    ASSERT_EQ(shards.error, "");
+    shards.routerConfig.admission.maxInflightPerShard = 2;
+    shards.routerConfig.admission.shedAbove = 2;
+    cluster::Router router(shards.routerConfig);
+    ASSERT_EQ(router.start(), "");
+
+    const std::vector<std::string> lines = admissionLines();
+    HeldInput input(joinLines(lines));
+    std::istream in(&input);
+    std::ostringstream out;
+    std::thread stream([&] { router.processStream(in, out); });
+
+    // The third line is shed at once, so the reader reaches the end
+    // of input while both answers ahead of it are held in the gate.
+    EXPECT_TRUE(input.waitUntilHeld(std::chrono::seconds(5)));
+    gate->release();
+    input.release();
+    stream.join();
+
+    std::vector<std::string> expected = stableAnswers(lines);
+    expected[2] =
+        R"({"type":"error","id":"c","code":"overloaded",)"
+        R"("error":"shard 'shard0' is overloaded (2 in flight); )"
+        R"(request shed"})";
+    EXPECT_EQ(splitLines(out.str()), expected);
+    const obs::Counter *shed =
+        router.metrics().findCounter("cluster.shed.count");
+    ASSERT_NE(shed, nullptr);
+    EXPECT_EQ(shed->value(), 1u);
+}
+
+// ---------------------------------------------------------------
 // Router end to end (real worker processes)
 // ---------------------------------------------------------------
 
