@@ -170,7 +170,6 @@ main(int argc, char **argv)
         if (!out)
             fatal("cannot open --json-out file ", path);
         out << doc.dumpIndented() << '\n';
-        inform("wrote fault ablation grid to ", path);
     }
     core::writeMetricsIfRequested(flags, ctx);
     core::writeIsaTraceIfRequested(flags, ctx);

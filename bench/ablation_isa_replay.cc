@@ -131,8 +131,6 @@ main(int argc, char **argv)
             fatal("replay diverged from the event engine on ",
                   eventRuns[i].systemName, " / ",
                   eventRuns[i].datasetName);
-    inform("all ", eventRuns.size(),
-           " replayed runs bit-identical to the event engine");
 
     uint64_t totalCommands = 0;
     for (const auto &stream : bundle.streams)
@@ -191,7 +189,6 @@ main(int argc, char **argv)
         if (!out)
             fatal("cannot open --json-out file ", path);
         out << doc.dumpIndented() << '\n';
-        inform("wrote replay baseline to ", path);
     }
     core::writeMetricsIfRequested(flags, base);
     return 0;

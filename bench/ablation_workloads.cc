@@ -190,9 +190,6 @@ main(int argc, char **argv)
             fatal("replay diverged from the event engine on ",
                   eventRuns[i].systemName, " / ",
                   eventRuns[i].datasetName);
-    inform("all ", eventRuns.size(),
-           " replayed runs bit-identical to the event engine across ",
-           specs.size(), " workload cells");
 
     std::vector<std::string> headers = {"workload"};
     for (const auto &entry : allocators)
@@ -254,7 +251,6 @@ main(int argc, char **argv)
         if (!out)
             fatal("cannot open --json-out file ", path);
         out << doc.dumpIndented() << '\n';
-        inform("wrote workload ablation to ", path);
     }
     core::writeMetricsIfRequested(flags, base);
     return 0;

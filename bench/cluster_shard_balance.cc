@@ -162,7 +162,6 @@ main(int argc, char **argv)
         if (!out)
             fatal("cannot write ", path);
         out << doc.dumpIndented() << '\n';
-        inform("wrote ", path);
     }
     return 0;
 }

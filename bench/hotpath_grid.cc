@@ -234,10 +234,6 @@ main(int argc, char **argv)
         assertGridsParity(warmByEngine.at("closed")[iter],
                           warmByEngine.at("event")[iter]);
     }
-    inform("all ", cells,
-           " warm cells bit-identical to their cold runs; replay "
-           "bit-identical to event; closed form within pinned "
-           "parity");
 
     // FunctionalTrainer probe: the SoA/arena kernel trajectory, on a
     // density-matched synthetic graph (same recipe as table05).
@@ -315,7 +311,6 @@ main(int argc, char **argv)
         if (!out)
             fatal("cannot open --json-out file ", path);
         out << doc.dumpIndented() << '\n';
-        inform("wrote hot-path trajectory to ", path);
     }
     core::writeMetricsIfRequested(flags, base);
 
@@ -360,8 +355,6 @@ main(int argc, char **argv)
                       << "x / tolerance " << tolerance << ")\n";
             return 1;
         }
-        inform("perf gate ok: ", speedup, "x vs baseline ",
-               committed->asDouble(), "x (floor ", floor, "x)");
     }
     return 0;
 }

@@ -662,7 +662,6 @@ main(int argc, char **argv)
         if (!out)
             fatal("cannot open --json-out file ", jsonOut);
         out << std::move(collector).document().dumpIndented() << '\n';
-        inform("wrote kernel timings to ", jsonOut);
     }
     benchmark::Shutdown();
     return 0;

@@ -55,18 +55,20 @@ Router::Router(RouterConfig config)
       metrics_(config_.metrics
                    ? config_.metrics
                    : std::make_shared<obs::MetricsRegistry>()),
-      admission_(config_.admission, *metrics_,
-                 config_.shards.size()),
       requestCount_(&metrics_->counter("cluster.request.count")),
       errorCount_(&metrics_->counter("cluster.error.count")),
+      shedCount_(&metrics_->counter("cluster.shed.count")),
+      latencyUs_(&metrics_->histogram("cluster.request.latency_us",
+                                      obs::ProfileSpan::latencyBoundsUs())),
       chaosRng_(config_.chaosSeed)
 {
     shards_.reserve(config_.shards.size());
     for (size_t i = 0; i < config_.shards.size(); ++i) {
         names_.push_back(config_.shards[i].name);
         auto shard = std::make_unique<Shard>();
-        shard->index = i;
         shard->spec = config_.shards[i];
+        shard->inflightMax = &metrics_->gauge(
+            "cluster.shard" + std::to_string(i) + ".inflight.max");
         shards_.push_back(std::move(shard));
     }
     defaultsFp_ =
@@ -226,7 +228,6 @@ Router::readerLoop(Shard &shard)
             errorCount_->add();
         front.entry->response = std::move(payload);
         front.entry->done = true;
-        admission_.onComplete(shard.index);
         cv_.notify_all();
     }
 }
@@ -257,7 +258,6 @@ Router::failJournal(Shard &shard)
     }
     errorCount_->add(shard.journal.size());
     shard.journal.clear();
-    admission_.resetInflight(shard.index, 0);
     cv_.notify_all();
 }
 
@@ -374,10 +374,11 @@ Router::dispatchLine(const std::string &line)
     // Owned from routing through the frame write: no revival can swap
     // the shard's connection or journal under this line.
     std::lock_guard<std::mutex> owner(ownerMutex_);
-    const size_t index = shardFor(decoded.key);
-    Shard &shard = *shards_[index];
+    Shard &shard = *shards_[shardFor(decoded.key)];
 
-    // Admission: shed fast, block on saturation, revive on demand.
+    // Admission on the journal's length: shed fast, block on
+    // saturation, revive on demand.
+    const AdmissionConfig &admission = config_.admission;
     std::unique_lock<std::mutex> lock(mutex_);
     while (true) {
         if (shard.gone) {
@@ -391,24 +392,25 @@ Router::dispatchLine(const std::string &line)
             lock.lock();
             continue;
         }
-        const Admit admit = admission_.decide(index);
-        if (admit == Admit::Accept)
-            break;
-        if (admit == Admit::Shed) {
-            const int64_t depth = admission_.inflight(index);
+        const size_t depth = shard.journal.size();
+        if (admission.shedAbove != 0 && depth >= admission.shedAbove) {
             lock.unlock();
-            admission_.onShed(index);
+            shedCount_->add();
             return immediateEntry(
                 serve::errorResponseLine(
                     decoded.id,
                     {"overloaded", "",
                      "shard '" + shard.spec.name +
-                         "' is overloaded (" +
-                         std::to_string(depth) +
+                         "' is overloaded (" + std::to_string(depth) +
                          " in flight); request shed"}),
                 true);
         }
-        cv_.wait_for(lock, std::chrono::milliseconds(20));
+        if (depth < admission.maxInflightPerShard)
+            break;
+        cv_.wait(lock, [&] {
+            return shard.gone || shard.dead ||
+                   shard.journal.size() < admission.maxInflightPerShard;
+        });
     }
 
     auto entry = std::make_shared<Entry>();
@@ -416,7 +418,8 @@ Router::dispatchLine(const std::string &line)
     entry->routed = true;
     entry->dispatchedUs = obs::profileNowUs();
     shard.journal.push_back({line, entry});
-    admission_.onDispatch(index);
+    shard.inflightMax->recordMax(
+        static_cast<int64_t>(shard.journal.size()));
     const int fd = shard.fd.get();
     lock.unlock();
 
@@ -452,8 +455,7 @@ Router::finishEntry(EntryPtr &entry)
     }
     lock.unlock();
     if (entry->routed)
-        admission_.observeLatency(obs::profileNowUs() -
-                                  entry->dispatchedUs);
+        latencyUs_->observe(obs::profileNowUs() - entry->dispatchedUs);
     // Chaos harness: every chaosKillEvery responses, SIGKILL one
     // seeded-random spawned worker; recovery keeps the bytes unchanged.
     if (config_.chaosKillEvery != 0) {
@@ -518,7 +520,7 @@ Router::statsJson() const
     v.set("type", "stats");
     v.set("requests", requestCount_->value());
     v.set("errors", errorCount_->value());
-    v.set("shed", metrics_->counter("cluster.shed.count").value());
+    v.set("shed", shedCount_->value());
     v.set("restarts", metrics_->counter("cluster.restart.count").value());
     v.set("reissued", metrics_->counter("cluster.reissue.count").value());
     v.set("chaos_kills",

@@ -45,7 +45,6 @@
 #include <thread>
 #include <vector>
 
-#include "cluster/admission.hh"
 #include "cluster/shards.hh"
 #include "common/net.hh"
 #include "common/rng.hh"
@@ -54,6 +53,21 @@
 #include "serve/request.hh"
 
 namespace gopim::cluster {
+
+/**
+ * Router-level admission bounds on a shard's in-flight depth, which is
+ * its journal's length: at or above `shedAbove` a request is shed
+ * with an {"code":"overloaded"} error at once; otherwise at
+ * `maxInflightPerShard` the dispatcher blocks until the shard answers
+ * one (backpressure).
+ */
+struct AdmissionConfig
+{
+    /** Dispatcher blocks at this per-shard in-flight depth. */
+    size_t maxInflightPerShard = 64;
+    /** Shed (reject) at this depth; 0 = never shed. */
+    size_t shedAbove = 0;
+};
 
 /** Everything a Router needs at construction. */
 struct RouterConfig
@@ -84,9 +98,9 @@ struct RouterConfig
     uint64_t chaosSeed = 1;
 
     /**
-     * Optional export registry. Admission control always records
-     * into a registry — this one when given, a private one
-     * otherwise — because its decisions read the instruments back.
+     * Optional export registry for the cluster.* counts, the
+     * per-shard high-water gauges and the latency histogram; a
+     * private one when not given (statsJson() reads the counts).
      */
     std::shared_ptr<obs::MetricsRegistry> metrics;
 };
@@ -127,7 +141,7 @@ class Router
     /** Rendezvous placement of a content-addressed key. */
     size_t shardFor(const std::string &key) const;
 
-    /** The registry admission control and the counts record into. */
+    /** The registry the cluster.* instruments record into. */
     obs::MetricsRegistry &metrics() { return *metrics_; }
 
     /** Router stats snapshot over all sessions ({"type":"stats"}). */
@@ -154,8 +168,9 @@ class Router
 
     struct Shard
     {
-        size_t index = 0; ///< position in shards_ / admission gauges
         ShardSpec spec;
+        /** cluster.shard<i>.inflight.max, the journal's high water. */
+        obs::Gauge *inflightMax = nullptr;
         net::Fd fd;
         int64_t pid = -1;
         bool dead = true;  ///< no live connection
@@ -196,10 +211,11 @@ class Router
 
     RouterConfig config_;
     std::shared_ptr<obs::MetricsRegistry> metrics_;
-    AdmissionController admission_;
-    /** Resolved once: bumped on every request / error line. */
+    /** Resolved once: bumped on every request / error line / shed. */
     obs::Counter *requestCount_;
     obs::Counter *errorCount_;
+    obs::Counter *shedCount_;
+    obs::Histogram *latencyUs_;
     std::vector<std::string> names_;
     std::vector<std::unique_ptr<Shard>> shards_;
     std::string defaultsFp_;
@@ -218,6 +234,14 @@ class Router
      * One mutex/cv pair guards all cross-thread state (journals,
      * entry done flags, dead/gone flags, restart counts). Reader
      * threads hold it only to match one frame.
+     *
+     * Both waits on cv_ are untimed, so every change a waiter waits
+     * for notifies under mutex_: the reader's pop and its death,
+     * failJournal, and a failed frame write. disconnectShard marks a
+     * shard dead without notifying; it runs only under the owner lock
+     * (or in the destructor), so no dispatcher is blocked in admission
+     * then, and a finishEntry waiter needs no wake-up: the owner-lock
+     * holder is the one reviving.
      */
     mutable std::mutex mutex_;
     std::condition_variable cv_;

@@ -4,25 +4,6 @@
 
 namespace gopim {
 
-namespace {
-
-/** Process-wide log level, defaulting to warnings only. */
-LogLevel gLogLevel = LogLevel::Warn;
-
-} // namespace
-
-LogLevel
-logLevel()
-{
-    return gLogLevel;
-}
-
-void
-setLogLevel(LogLevel level)
-{
-    gLogLevel = level;
-}
-
 namespace detail {
 
 void

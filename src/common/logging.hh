@@ -1,9 +1,9 @@
 /**
  * @file
- * Status and error reporting helpers, modeled on the gem5 logging split:
- * inform() for status, warn() for suspicious-but-survivable conditions,
- * fatal() for user errors (clean exit), and panic() for internal
- * invariant violations (abort).
+ * Error reporting helpers, modeled on the gem5 logging split: warn()
+ * for suspicious-but-survivable conditions, fatal() for user errors
+ * (clean exit), and panic() for internal invariant violations
+ * (abort). Each prints one line to stderr.
  */
 
 #ifndef GOPIM_COMMON_LOGGING_HH
@@ -14,15 +14,6 @@
 #include <string>
 
 namespace gopim {
-
-/** Verbosity levels for runtime log filtering. */
-enum class LogLevel { Silent = 0, Warn = 1, Info = 2, Debug = 3 };
-
-/** Global log level; messages above this level are suppressed. */
-LogLevel logLevel();
-
-/** Set the global log level (e.g.\ from a benchmark's --quiet flag). */
-void setLogLevel(LogLevel level);
 
 namespace detail {
 
@@ -41,31 +32,12 @@ concat(Args &&...args)
 
 } // namespace detail
 
-/** Informational message; shown at Info level and above. */
-template <typename... Args>
-void
-inform(Args &&...args)
-{
-    if (logLevel() >= LogLevel::Info)
-        detail::emit("info", detail::concat(std::forward<Args>(args)...));
-}
-
-/** Debug message; shown only at Debug level. */
-template <typename... Args>
-void
-debugLog(Args &&...args)
-{
-    if (logLevel() >= LogLevel::Debug)
-        detail::emit("debug", detail::concat(std::forward<Args>(args)...));
-}
-
 /** Warning about questionable but survivable conditions. */
 template <typename... Args>
 void
 warn(Args &&...args)
 {
-    if (logLevel() >= LogLevel::Warn)
-        detail::emit("warn", detail::concat(std::forward<Args>(args)...));
+    detail::emit("warn", detail::concat(std::forward<Args>(args)...));
 }
 
 /**

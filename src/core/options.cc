@@ -124,8 +124,6 @@ simContextFromFlags(const Flags &flags)
         if (!isa::readTraceFile(traceIn, &bundle, &error))
             fatal("cannot load --isa-trace-in ", traceIn, ": ",
                   error);
-        inform("replaying ", bundle.streams.size(),
-               "-stream ISA trace from ", traceIn);
         ctx.engine = sim::EngineKind::Replay;
         ctx.engineOverride =
             std::make_shared<sim::ReplayEngine>(std::move(bundle));
@@ -164,8 +162,6 @@ writeTraceIfRequested(const Flags &flags, const sim::SimContext &ctx)
         dynamic_cast<const sim::ChromeTraceSink *>(ctx.traceSink.get());
     GOPIM_ASSERT(sink, "trace-out set but no Chrome trace sink");
     sink->writeFile(path);
-    inform("wrote ", sink->runCount(), "-run Chrome trace to ", path,
-           " (open in chrome://tracing or ui.perfetto.dev)");
 }
 
 void
@@ -178,7 +174,6 @@ writeMetricsIfRequested(const Flags &flags,
     GOPIM_ASSERT(ctx.metrics,
                  "metrics-out set but no registry attached");
     ctx.metrics->writeFile(path);
-    inform("wrote metrics to ", path);
 }
 
 void
@@ -190,13 +185,9 @@ writeIsaTraceIfRequested(const Flags &flags,
         return;
     GOPIM_ASSERT(ctx.isaRecorder,
                  "isa-trace-out set but no stream recorder attached");
-    const isa::TraceBundle bundle = ctx.isaRecorder->bundle();
     std::string error;
-    if (!isa::writeTraceFile(path, bundle, &error))
+    if (!isa::writeTraceFile(path, ctx.isaRecorder->bundle(), &error))
         fatal("cannot write --isa-trace-out: ", error);
-    inform("wrote ", bundle.streams.size(),
-           "-stream ISA trace to ", path,
-           " (inspect with gopim_trace)");
 }
 
 void
@@ -218,7 +209,6 @@ writeGridJsonIfRequested(const Flags &flags,
     if (!out)
         fatal("cannot open --json-out file ", path);
     out << gridToJson(rows).dumpIndented() << '\n';
-    inform("wrote ", rows.size(), "-row result grid to ", path);
 }
 
 } // namespace gopim::core

@@ -109,10 +109,6 @@ ChromeTraceSink::writeTo(std::ostream &os) const
             const auto &row = run.windows[tid];
             const size_t cap =
                 std::min<size_t>(row.size(), maxEventsPerStage_);
-            if (cap < row.size())
-                inform("trace sink: stage ", run.stageLabels[tid],
-                     " elided ", row.size() - cap, " of ",
-                     row.size(), " events");
             for (size_t j = 0; j < cap; ++j) {
                 // trace_event timestamps are microseconds.
                 const double ts = row[j].startNs / 1000.0;

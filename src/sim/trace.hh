@@ -56,7 +56,7 @@ class ChromeTraceSink final : public TraceSink, public obs::SpanSink
   public:
     /**
      * `maxEventsPerStage` caps the duration events emitted per stage
-     * per run (the rest is elided with a log note) so traces of
+     * per run (the rest is dropped) so traces of
      * multi-epoch runs stay loadable.
      */
     explicit ChromeTraceSink(uint32_t maxEventsPerStage = 50'000);

@@ -30,7 +30,6 @@
 
 #include <gtest/gtest.h>
 
-#include "cluster/admission.hh"
 #include "cluster/router.hh"
 #include "cluster/shards.hh"
 #include "cluster/wire.hh"
@@ -467,41 +466,6 @@ TEST(WorkerPumpTest, DefaultsMismatchBytesNameTheWorker)
               "'0123456789abcdef' vs peer 'ffffffffffffffff' (start "
               "both with identical --engine/--seed/fault flags)\"}");
     worker.join();
-}
-
-// ---------------------------------------------------------------
-// Admission control
-// ---------------------------------------------------------------
-
-TEST(AdmissionTest, DepthDrivenDecisionsAndMetrics)
-{
-    obs::MetricsRegistry registry;
-    cluster::AdmissionConfig config;
-    config.maxInflightPerShard = 2;
-    config.shedAbove = 4;
-    cluster::AdmissionController admission(config, registry, 1);
-
-    EXPECT_EQ(admission.decide(0), cluster::Admit::Accept);
-    admission.onDispatch(0);
-    admission.onDispatch(0);
-    EXPECT_EQ(admission.decide(0), cluster::Admit::Block);
-    admission.onDispatch(0);
-    admission.onDispatch(0);
-    EXPECT_EQ(admission.decide(0), cluster::Admit::Shed);
-    admission.onShed(0);
-    admission.onComplete(0);
-    admission.onComplete(0);
-    admission.onComplete(0);
-    EXPECT_EQ(admission.decide(0), cluster::Admit::Accept);
-
-    // The decisions above ARE the exported instruments.
-    EXPECT_EQ(registry.findGauge("cluster.shard0.inflight")->value(),
-              1);
-    EXPECT_EQ(
-        registry.findGauge("cluster.shard0.inflight.max")->value(),
-        4);
-    EXPECT_EQ(registry.findCounter("cluster.shed.count")->value(),
-              1u);
 }
 
 // ---------------------------------------------------------------

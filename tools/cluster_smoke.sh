@@ -2,15 +2,18 @@
 # Multi-process cluster smoke: route a fig13-style request stream
 # through gopim_router with 3 spawned gopim_serve shards, SIGKILL one
 # shard mid-stream (chaos), and byte-diff the responses against a
-# single-process gopim_serve run of the same stream. Asserts:
+# single-process gopim_serve run of the same stream. The chaos run
+# admits at most 2 requests per shard, so the dispatcher blocks on a
+# full shard and revival interleaves with blocking throughout.
+# Asserts:
 #
 #   - the cluster output is bit-identical to the single process
 #     (stable envelope; placement + restart replay preserve caching),
 #   - at least one shard restart actually happened (from the
-#     {"type":"stats"} trailer, NOT stderr — inform() is suppressed
-#     at the default log level),
+#     {"type":"stats"} trailer, not from stderr),
 #   - the router metrics export (METRICS_router.json) carries the
-#     restart/reissue counters,
+#     restart/reissue counters, and no shard held more than 2
+#     requests in flight,
 #   - a framed client of `gopim_router --tcp` gets every answer,
 #     byte-identical to the single process, before it half-closes,
 #   - the router removed its /tmp/gopim_router.* port-file directory.
@@ -68,8 +71,9 @@ echo "single-process golden (gopim_serve --envelope=stable) ..."
 
 port_dirs() { find /tmp -maxdepth 1 -name 'gopim_router.*' | wc -l; }
 dirs_before=$(port_dirs)
-echo "3-shard cluster with one chaos kill mid-stream ..."
-"$router" --workers=3 --worker-cmd="$serve --jobs=2" \
+echo "3-shard cluster, 2 in flight per shard, one chaos kill mid-stream ..."
+timeout 300 "$router" --workers=3 --worker-cmd="$serve --jobs=2" \
+    --max-inflight=2 \
     --chaos-kill-every=400 --chaos-kill-count=1 --chaos-seed=7 \
     --stats --metrics-out=METRICS_router.json \
     < "$requests" > "$work/cluster_raw.jsonl"
@@ -97,7 +101,13 @@ echo "chaos: $kills kill(s), $restarts restart(s): $stats"
 grep -q '"schema": "gopim.metrics.v1"' METRICS_router.json
 grep -q 'cluster.restart.count' METRICS_router.json
 grep -q 'cluster.request.count' METRICS_router.json
-echo "METRICS_router.json carries the cluster counters"
+for shard in 0 1 2; do
+    depth=$(sed -n "s/.*\"cluster.shard$shard.inflight.max\": \([0-9]*\).*/\1/p" \
+        METRICS_router.json)
+    [ -n "$depth" ] && [ "$depth" -le 2 ] \
+        || { echo "shard$shard in-flight high water '$depth' exceeds 2" >&2; exit 1; }
+done
+echo "METRICS_router.json carries the cluster counters; in flight stayed <= 2"
 
 echo "framed client over gopim_router --tcp, reading before half-close ..."
 "$router" --workers=3 --worker-cmd="$serve --jobs=2" --tcp=0 \

@@ -150,9 +150,6 @@ main(int argc, char **argv)
                  "shed (reject with code \"overloaded\") at this "
                  "per-shard depth; 0 = never shed");
     flags.setIntRange("shed-above", 0, 1 << 16);
-    flags.addDouble("shed-latency-us", 0.0,
-                    "with a positive value, a saturated shard sheds "
-                    "once mean request latency exceeds this");
     flags.addInt("restart-attempts", 3,
                  "respawn/reconnect rounds before a dead shard's "
                  "requests are failed");
@@ -189,8 +186,6 @@ main(int argc, char **argv)
         static_cast<size_t>(flags.getInt("max-inflight"));
     config.admission.shedAbove =
         static_cast<size_t>(flags.getInt("shed-above"));
-    config.admission.shedLatencyAboveUs =
-        flags.getDouble("shed-latency-us");
     config.restartAttempts =
         static_cast<uint32_t>(flags.getInt("restart-attempts"));
     config.chaosKillEvery =

@@ -179,7 +179,6 @@ main(int argc, char **argv)
         std::string error;
         if (!isa::writeTraceFile(path, selftestBundle(), &error))
             fatal("cannot write self-test bundle: ", error);
-        inform("wrote canonical self-test bundle to ", path);
         return 0;
     }
 
