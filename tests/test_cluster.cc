@@ -3,8 +3,9 @@
  * Cluster-layer tests: rendezvous placement (balanced, join-order
  * independent, minimally disruptive), the length-prefixed frame
  * codec, stale-Unix-socket reclamation, the worker-side framed pump
- * (byte-equal to Service::handleLine), the router's hello and the
- * error lines it answers itself, and the router end to end —
+ * (byte-equal to Service::handleLine), the router's hello, the
+ * error lines it answers itself and its admission (block, shed), and
+ * the router end to end —
  * including the headline chaos claim: a 3-shard cluster with workers
  * SIGKILLed and respawned mid-load emits a response stream
  * byte-identical to a single-process `gopim_serve --envelope=stable`
